@@ -44,7 +44,7 @@ from .datagen import (
 from .metrics import REPORT_CSV_HEADER, emit_report, id_accuracy, make_report
 from .model import DivergenceError, forward, load_checkpoint, save_checkpoint
 from .scoring import SCORE_KINDS, batch_scores, load_store, save_store
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, params_checksum, train
 
 EXPERIMENT_FORMAT = "noodle-experiment"
 
@@ -243,7 +243,11 @@ def run_eval(
     out_dir: Path,
 ) -> dict:
     """Score the ID test set against every OOD file; write one report per OOD
-    set plus a combined table with an average row.  Returns the summary dict."""
+    set plus a combined table with an average row.  Returns the summary dict.
+
+    The store must come from the checkpoint's encoder: a store whose latent
+    width differs, or whose recorded ``encoder_checksum`` is not the
+    checkpoint's :func:`params_checksum`, is rejected with ``ValueError``."""
     if score not in SCORE_KINDS:
         raise ValueError(f"unknown score kind {score!r}; expected one of {SCORE_KINDS}")
     for path in [checkpoint_path, Path(str(store_base) + ".csv"), id_test_path, *ood_paths]:
@@ -252,6 +256,17 @@ def run_eval(
 
     params, _, meta = load_checkpoint(checkpoint_path)
     store = load_store(store_base)
+    if store.latent_dim != params.latent_dim:
+        raise ValueError(
+            f"{store_base}: store latent_dim {store.latent_dim} != "
+            f"checkpoint latent_dim {params.latent_dim}"
+        )
+    encoder_checksum = store.meta.get("encoder_checksum")
+    if encoder_checksum is not None and encoder_checksum != params_checksum(params):
+        raise ValueError(
+            f"{store_base}: store encoder_checksum does not match {checkpoint_path}; "
+            "the store was built from another checkpoint"
+        )
     config_hash = meta.get("config_hash", "")
     id_set = load_features_csv(id_test_path)
     id_cache = forward(params, id_set.features)

@@ -10,7 +10,10 @@ forming a full SVD.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dorgqr
 
 # Columns whose QR pivot falls below this magnitude are treated as numerically
 # dependent and replaced with fresh random directions.
@@ -43,6 +46,26 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
+@lru_cache(maxsize=64)
+def _qr_plan(d: int, k: int) -> tuple[int, int, np.ndarray]:
+    """Optimal LAPACK workspaces for a ``(d, k)`` QR and the ``(k, k)``
+    upper-triangle mask.
+
+    The workspace size picks LAPACK's block size, and above 128 columns the
+    blocking changes the rounding; querying it as ``np.linalg.qr`` does keeps
+    :func:`qr_thin` bit-identical to it on every shape.
+    """
+    geqrf_work, info = dgeqrf_lwork(d, k)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeqrf workspace query failed with info={info}")
+    _, orgqr_work, info = dorgqr(np.zeros((d, k), order="F"), np.zeros(k), lwork=-1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dorgqr workspace query failed with info={info}")
+    upper = np.triu(np.ones((k, k), dtype=bool))
+    upper.flags.writeable = False
+    return int(geqrf_work), int(orgqr_work[0]), upper
+
+
 def qr_thin(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Thin QR factorization with a nonnegative-diagonal sign convention.
 
@@ -52,16 +75,26 @@ def qr_thin(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns
     -------
-    q : (d, k) ndarray with orthonormal columns.
+    q : (d, k) C-ordered ndarray with orthonormal columns.
     r : (k, k) upper-triangular ndarray with ``r[j, j] >= 0``, so the
         factorization is unique for full-rank input.
 
+    Raises
+    ------
+    ValueError
+        If ``a`` is not 2-D or has more columns than rows.
+    numpy.linalg.LinAlgError
+        If LAPACK reports an error.
+
     Notes
     -----
-    For rank-deficient input the columns of ``q`` spanning the null directions
-    are an arbitrary orthonormal completion; callers that need reproducible
-    bases in that regime must repair them (see
-    :func:`approx_topk_singular_vectors`).
+    The factorization is LAPACK's Householder QR (``dgeqrf`` then
+    ``dorgqr``) with the optimal workspace, the same calls
+    ``np.linalg.qr(a, mode="reduced")`` makes, so the result equals that
+    one, sign-normalized, bit for bit.  For rank-deficient input the columns
+    of ``q`` spanning the null directions are an arbitrary orthonormal
+    completion; callers that need reproducible bases in that regime must
+    repair them (see :func:`approx_topk_singular_vectors`).
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
@@ -69,9 +102,17 @@ def qr_thin(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d, k = a.shape
     if k > d:
         raise ValueError(f"qr_thin needs at least as many rows as columns, got {a.shape}")
-    q, r = np.linalg.qr(a, mode="reduced")
-    signs = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
-    return q * signs, r * signs[:, None]
+    if k == 0:
+        return np.empty((d, 0)), np.empty((0, 0))
+    geqrf_work, orgqr_work, upper = _qr_plan(d, k)
+    packed, tau, _, info = dgeqrf(a, lwork=geqrf_work)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeqrf failed with info={info}")
+    q, _, info = dorgqr(packed, tau, lwork=orgqr_work)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dorgqr failed with info={info}")
+    signs = np.where(packed.diagonal() < 0.0, -1.0, 1.0)
+    return np.multiply(q, signs, order="C"), np.where(upper, packed[:k], 0.0) * signs[:, None]
 
 
 def _fill_deficient_columns(q: np.ndarray, deficient: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -94,7 +135,7 @@ def _fill_deficient_columns(q: np.ndarray, deficient: np.ndarray, rng: np.random
 
 def _random_orthonormal(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
     q, r = qr_thin(rng.standard_normal((d, k)))
-    deficient = np.abs(np.diagonal(r)) < DEFICIENT_PIVOT_TOL
+    deficient = np.abs(r.diagonal()) < DEFICIENT_PIVOT_TOL
     if deficient.any():  # pragma: no cover - probability zero for Gaussian draws
         q = _fill_deficient_columns(q, deficient, rng)
     return q
@@ -139,14 +180,16 @@ def approx_topk_singular_vectors(
         raise ValueError(f"n_iter must be >= 1, got {n_iter}")
 
     q = _random_orthonormal(d, k, rng)
+    # np.count_nonzero tests these tiny arrays in one C call, without the
+    # Python-level wrapper of ndarray.any.
     for _ in range(n_iter):
         z = h @ (h.T @ q)
-        if not np.any(z):
+        if np.count_nonzero(z) == 0:
             # h is numerically zero; any orthonormal basis is a valid answer.
             break
         q, r = qr_thin(z)
-        deficient = np.abs(np.diagonal(r)) < DEFICIENT_PIVOT_TOL
-        if deficient.any():
+        deficient = np.abs(r.diagonal()) < DEFICIENT_PIVOT_TOL
+        if np.count_nonzero(deficient):
             q = _fill_deficient_columns(q, deficient, rng)
     return q
 

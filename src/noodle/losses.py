@@ -100,7 +100,8 @@ def _check_probs(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.
         raise ValueError(f"expected {b} labels, got shape {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"labels outside [0, {k})")
-    if (probs < 0).any() or not np.allclose(probs.sum(axis=0), 1.0, atol=1e-6):
+    # Same test as np.allclose(sums, 1.0, atol=1e-6) (rtol 1e-5): NaN and inf fail.
+    if (probs < 0).any() or not (np.abs(probs.sum(axis=0) - 1.0) <= 1e-6 + 1e-5).all():
         raise ValueError("probs columns must be valid distributions")
     return probs, labels, k, b
 

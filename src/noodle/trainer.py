@@ -3,10 +3,12 @@ and simultaneous SGD on the encoder and the transition logits.
 
 Randomness is split into four named streams derived from one master seed
 (initialization, shuffling, per-batch decomposition, reference-store
-decomposition).  Because the decomposition consumes its own stream, disabling
-the regularizer (``lam = 0``) leaves the initialization and shuffling draws,
-and therefore the entire parameter trajectory, untouched: plain CE training
-falls out as an exact special case rather than an approximate one.
+decomposition).  The per-batch split feeds only the sparsity term, so with
+the regularizer disabled (``lam = 0``) it is not computed at all; because it
+consumes its own stream, skipping it leaves the initialization and shuffling
+draws, and therefore the entire parameter trajectory, untouched: plain CE
+training falls out as an exact special case rather than an approximate one.
+The reference store is built from one full-pass split at every ``lam``.
 """
 
 from __future__ import annotations
@@ -175,11 +177,12 @@ def params_checksum(params: MlpParams) -> str:
 def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
     """Run the full training loop.
 
-    Per batch: forward; decompose the latent columns; classification loss on
-    the noisy labels plus ``lam`` times the residual sparsity loss; pull the
-    latent gradient back through the (frozen-basis) split; one clipped SGD
-    step on the network and, for ``loss_kind='cm'``, on the transition
-    logits.  Deterministic given ``config.seed``.
+    Per batch: forward; classification loss on the noisy labels; when
+    ``lam > 0``, decompose the latent columns, add ``lam`` times the residual
+    sparsity loss and pull the latent gradient back through the
+    (frozen-basis) split; one clipped SGD step on the network and, for
+    ``loss_kind='cm'``, on the transition logits.  Deterministic given
+    ``config.seed``.
 
     Raises
     ------
@@ -211,9 +214,6 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
         for b_start in range(0, n, batch_size):
             idx = order[b_start : b_start + batch_size]
             cache = forward(params, data.features[idx])
-            split = split_features(
-                cache.latent, k_rank, config.pi_iters, streams.decompose, config.normalize
-            )
             corrected = classification_loss(
                 config.loss_kind,
                 cache.probs,
@@ -223,14 +223,18 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
                 sce_beta=config.sce_beta,
                 gce_q=config.gce_q,
             )
-            total = joint_loss(corrected, sparsity_loss(split.ood_part), config.lam)
+            if config.lam > 0.0:
+                split = split_features(
+                    cache.latent, k_rank, config.pi_iters, streams.decompose, config.normalize
+                )
+                total = joint_loss(corrected, sparsity_loss(split.ood_part), config.lam)
+            else:
+                split, total = None, corrected
             if not np.isfinite(total.value):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, batch {b_start // batch_size}"
                 )
-            grad_latent = (
-                None if total.grad_latent is None else grad_through_split(split, total.grad_latent)
-            )
+            grad_latent = None if split is None else grad_through_split(split, total.grad_latent)
             grads = backward(params, cache, total.grad_logits, grad_latent)
             clip_global_norm(grads, config.grad_clip, extra=total.grad_theta)
             sgd_step(params, grads, opt_state, config.lr, config.momentum, config.weight_decay)

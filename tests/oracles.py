@@ -63,9 +63,16 @@ def best_rank_k(h: np.ndarray, k: int) -> np.ndarray:
     return (u[:, :k] * s[:k]) @ vt[:k]
 
 
+def qr_sign_normalized(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.qr(a, mode="reduced")`` with each column of Q and row of R
+    flipped so that R has a nonnegative diagonal."""
+    q, r = np.linalg.qr(np.asarray(a, dtype=float), mode="reduced")
+    signs = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    return q * signs, r * signs[:, None]
+
+
 def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.where(np.diagonal(r) < 0, -1.0, 1.0)
+    return qr_sign_normalized(rng.standard_normal((n, n)))[0]
 
 
 def gap_conditioned(

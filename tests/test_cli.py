@@ -8,12 +8,16 @@ training sizes are kept tiny so the whole module runs in seconds.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import noodle
 from noodle.cli import (
     COMPARISON_CSV_HEADER,
     GEN_DEFAULTS,
@@ -290,6 +294,30 @@ class TestEvalCommand:
         assert code == 2
         assert "missing input file" in capsys.readouterr().err
 
+    def test_store_from_another_checkpoint_exits_2(self, tmp_path, data_dir, run_dir, capsys):
+        # Seed 1 changes the encoder (store encoder_checksum mismatch); the
+        # narrower widths also change the latent dimension.
+        for name, overrides, message in (
+            ("seed1", {"seed": 1}, "encoder_checksum does not match"),
+            ("narrow", {"widths": [16, 4]}, "latent_dim 4 != checkpoint latent_dim 8"),
+        ):
+            other = tmp_path / name
+            run_training(
+                data_dir / "train.csv", TrainConfig.from_dict({**TRAIN_SMALL, **overrides}), other
+            )
+            code = main(
+                [
+                    "eval",
+                    "--checkpoint", str(run_dir / "checkpoint.json"),
+                    "--store", str(other / "store"),
+                    "--id-test", str(data_dir / "test_id.csv"),
+                    "--ood", str(data_dir / "ood_far_cluster.csv"),
+                    "--out", str(tmp_path / f"eval_{name}"),
+                ]
+            )
+            assert code == 2, name
+            assert message in capsys.readouterr().err, name
+
     def test_unknown_score_kind_rejected(self, tmp_path, data_dir, run_dir):
         with pytest.raises(ValueError, match="unknown score kind"):
             run_eval(
@@ -458,11 +486,18 @@ class TestOutputResolution:
         assert "no output directory" in capsys.readouterr().err
 
 
-@pytest.mark.skipif(shutil.which("noodle") is None, reason="console script not on PATH")
 def test_console_script_smoke(tmp_path):
+    # The installed entry point when there is one, else the module it runs,
+    # with the package's own source root on the child's import path.
+    if shutil.which("noodle") is not None:
+        command = ["noodle"]
+    else:
+        command = [sys.executable, "-m", "noodle.cli"]
+    import_path = [str(Path(noodle.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, import_path))}
     result = subprocess.run(
         [
-            "noodle",
+            *command,
             "gen-data",
             "--out", str(tmp_path),
             "--classes", "3",
@@ -475,6 +510,7 @@ def test_console_script_smoke(tmp_path):
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "train.csv").exists()

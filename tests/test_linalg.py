@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noodle.linalg import (
     approx_topk_singular_vectors,
@@ -17,6 +19,7 @@ from oracles import (
     gap_conditioned,
     matmul_triple_loop,
     principal_angles,
+    qr_sign_normalized,
     random_orthogonal,
     topk_left_subspace,
 )
@@ -44,7 +47,39 @@ class TestMatmul:
             matmul(np.ones(3), np.ones((3, 1)))
 
 
+@st.composite
+def qr_inputs(draw):
+    """(d, k) matrices, 1 <= k <= d <= 64, scaled by 1e-3 to 1e3, some of
+    them rank-deficient and some with all-zero columns."""
+    d = draw(st.integers(1, 64))
+    k = draw(st.integers(1, d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.integers(0, k - 1)) if draw(st.booleans()) else k
+    a = rng.standard_normal((d, rank)) @ rng.standard_normal((rank, k))
+    a[:, draw(st.lists(st.integers(0, k - 1), max_size=k))] = 0.0
+    return a * 10.0 ** draw(st.floats(-3.0, 3.0))
+
+
 class TestQrThin:
+    @settings(max_examples=300, deadline=None)
+    @given(qr_inputs())
+    def test_bit_identical_to_numpy_qr(self, a):
+        q, r = qr_thin(a)
+        q_ref, r_ref = qr_sign_normalized(a)
+        np.testing.assert_array_equal(q, q_ref)
+        np.testing.assert_array_equal(r, r_ref)
+
+    @pytest.mark.parametrize("shape", [(5, 0), (0, 0), (160, 150)])
+    def test_edge_and_blocked_shapes_match_numpy_qr(self, shape):
+        # Above 128 columns LAPACK blocks the factorization, and the block
+        # size follows the workspace, so a short workspace changes the bits.
+        a = np.random.default_rng(12).standard_normal(shape)
+        q, r = qr_thin(a)
+        q_ref, r_ref = qr_sign_normalized(a)
+        np.testing.assert_array_equal(q, q_ref)
+        np.testing.assert_array_equal(r, r_ref)
+        assert q.shape == (shape[0], shape[1]) and r.shape == (shape[1], shape[1])
+
     def test_identity(self):
         q, r = qr_thin(np.eye(3))
         np.testing.assert_allclose(q, np.eye(3), atol=1e-15)

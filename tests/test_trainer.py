@@ -207,6 +207,42 @@ class TestReferenceEquivalence:
         assert not np.array_equal(result.transition.theta, init_theta)
 
 
+class TestSplitCalls:
+    """The per-batch split feeds only the sparsity term: at lam = 0 the only
+    split is the reference store's full pass."""
+
+    @staticmethod
+    def _count_splits(monkeypatch) -> list:
+        import noodle.trainer
+
+        calls = []
+        real = noodle.trainer.split_features
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(noodle.trainer, "split_features", counting)
+        return calls
+
+    @pytest.mark.parametrize("loss_kind", ["ce", "cm"])
+    def test_lambda_zero_splits_only_for_the_store(self, monkeypatch, loss_kind):
+        calls = self._count_splits(monkeypatch)
+        data = _toy_data(noise_rate=0.2)
+        train(data, _toy_config(loss_kind=loss_kind, lam=0.0))
+        assert calls == [(8, len(data))]
+
+    @pytest.mark.parametrize("loss_kind", ["ce", "cm"])
+    def test_positive_lambda_splits_every_batch(self, monkeypatch, loss_kind):
+        calls = self._count_splits(monkeypatch)
+        data = _toy_data(noise_rate=0.2)
+        config = _toy_config(loss_kind=loss_kind, lam=0.001)
+        train(data, config)
+        batches = -(-len(data) // config.batch_size)
+        assert len(calls) == batches * config.epochs + 1
+        assert calls[-1] == (8, len(data))
+
+
 class TestReferenceStore:
     def test_store_covers_training_set(self):
         data = _toy_data(seed=4)
