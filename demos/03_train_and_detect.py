@@ -15,11 +15,9 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from noodle.cli import generate_dataset_files
+from noodle.cli import evaluate, generate_dataset_files
 from noodle.datagen import load_features_csv, load_ood_csv
-from noodle.metrics import auroc, fpr_at_tpr, id_accuracy
-from noodle.model import forward
-from noodle.scoring import batch_scores, detect, select_threshold
+from noodle.scoring import detect, select_threshold
 from noodle.trainer import TrainConfig, train
 
 GEN = dict(
@@ -49,20 +47,10 @@ def run_method(data_dir, loss_kind, lam, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         result = train(load_features_csv(data_dir / "train.csv"), config)
+    ood_sets = [(mode, load_ood_csv(data_dir / f"ood_{mode}.csv")) for mode in GEN["ood_modes"]]
     test = load_features_csv(data_dir / "test_id.csv")
-    cache = forward(result.params, test.features)
-    id_scores = batch_scores(
-        "knn", result.store, cache.latent, cache.probs, cache.logits, KNN_K
-    )
-    acc = id_accuracy(cache.probs.argmax(axis=0), test.clean_labels)
-    ood_scores = {}
-    for mode in GEN["ood_modes"]:
-        features = load_ood_csv(data_dir / f"ood_{mode}.csv")
-        ood_cache = forward(result.params, features)
-        ood_scores[mode] = batch_scores(
-            "knn", result.store, ood_cache.latent, ood_cache.probs, ood_cache.logits, KNN_K
-        )
-    return id_scores, ood_scores, acc
+    return evaluate(result.params, result.store, test, ood_sets, "knn", KNN_K, 0.95, seed,
+                    config.config_hash())
 
 
 def main():
@@ -83,22 +71,22 @@ def main():
 
         print()
         print(f"{'method':24s} {'ood set':15s} {'fpr95':>7s} {'auroc':>7s} {'id acc':>7s}")
-        for name, (id_scores, ood_scores, acc) in results.items():
-            for mode, scores in ood_scores.items():
-                fpr = fpr_at_tpr(id_scores, scores)
-                au = auroc(id_scores, scores)
-                print(f"{name:24s} {mode:15s} {fpr:7.4f} {au:7.4f} {acc:7.4f}")
+        for name, reports in results.items():
+            for r in reports:
+                print(f"{name:24s} {r.dataset:15s} {r.fpr95:7.4f} {r.auroc:7.4f} "
+                      f"{r.id_accuracy:7.4f}")
 
         # The decision rule, spelled out on the stronger method.
-        id_scores, ood_scores, _ = results["noodle (cm + sparsity)"]
+        reports = results["noodle (cm + sparsity)"]
+        id_scores = reports[0].id_scores
         tau = select_threshold(id_scores, 0.95)
         print()
         print(f"threshold at 95% TPR: tau = {tau:.4f} (rule: ID iff score >= tau)")
         print(f"  ID test scores  kept: {detect(id_scores, tau).mean():6.1%}   "
               f"range [{id_scores.min():.3f}, {id_scores.max():.3f}]")
-        for mode, scores in ood_scores.items():
-            print(f"  {mode:15s} kept: {detect(scores, tau).mean():6.1%}   "
-                  f"range [{scores.min():.3f}, {scores.max():.3f}]")
+        for r in reports:
+            print(f"  {r.dataset:15s} kept: {detect(r.ood_scores, tau).mean():6.1%}   "
+                  f"range [{r.ood_scores.min():.3f}, {r.ood_scores.max():.3f}]")
         print()
         print("a kept OOD fraction is exactly the false positive rate the")
         print("fpr95 column reports; lower is better")

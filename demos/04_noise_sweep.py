@@ -15,11 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from noodle.cli import generate_dataset_files
+from noodle.cli import evaluate, generate_dataset_files
 from noodle.datagen import load_features_csv, load_ood_csv
-from noodle.metrics import auroc, fpr_at_tpr, id_accuracy
-from noodle.model import forward
-from noodle.scoring import batch_scores
 from noodle.trainer import TrainConfig, train
 
 GEN = dict(
@@ -37,7 +34,7 @@ KNN_K = 20
 METHODS = {"noodle": ("cm", 0.001), "ce": ("ce", 0.0)}
 
 
-def evaluate(data_dir, loss_kind, lam, seed):
+def run_method(data_dir, loss_kind, lam, seed):
     config = TrainConfig(
         loss_kind=loss_kind,
         lam=lam,
@@ -49,19 +46,11 @@ def evaluate(data_dir, loss_kind, lam, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         result = train(load_features_csv(data_dir / "train.csv"), config)
+    ood_sets = [(mode, load_ood_csv(data_dir / f"ood_{mode}.csv")) for mode in GEN["ood_modes"]]
     test = load_features_csv(data_dir / "test_id.csv")
-    cache = forward(result.params, test.features)
-    id_scores = batch_scores("knn", result.store, cache.latent, cache.probs, cache.logits, KNN_K)
-    acc = id_accuracy(cache.probs.argmax(axis=0), test.clean_labels)
-    fprs, aurocs = [], []
-    for mode in GEN["ood_modes"]:
-        ood_cache = forward(result.params, load_ood_csv(data_dir / f"ood_{mode}.csv"))
-        scores = batch_scores(
-            "knn", result.store, ood_cache.latent, ood_cache.probs, ood_cache.logits, KNN_K
-        )
-        fprs.append(fpr_at_tpr(id_scores, scores))
-        aurocs.append(auroc(id_scores, scores))
-    return float(np.mean(fprs)), float(np.mean(aurocs)), acc
+    reports = evaluate(result.params, result.store, test, ood_sets, "knn", KNN_K, 0.95, seed,
+                       config.config_hash())
+    return [np.mean([getattr(r, m) for r in reports]) for m in ("fpr95", "auroc", "id_accuracy")]
 
 
 def main():
@@ -77,7 +66,7 @@ def main():
             data_dir = Path(td) / f"rate{rate}"
             generate_dataset_files(data_dir, args.seed, noise_rate=rate, **GEN)
             for name, (loss_kind, lam) in METHODS.items():
-                fpr, au, acc = evaluate(data_dir, loss_kind, lam, args.seed)
+                fpr, au, acc = run_method(data_dir, loss_kind, lam, args.seed)
                 print(f"{rate:6.2f}  {name:8s} {fpr:7.4f} {au:7.4f} {acc:7.4f}")
     print()
     print("fpr95/auroc are means over the two OOD sets (far cluster and")

@@ -21,11 +21,11 @@ sweep reproduces a manual gen-data/train/eval chain exactly.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -41,9 +41,10 @@ from .datagen import (
     save_features_csv,
     save_ood_csv,
 )
-from .metrics import REPORT_CSV_HEADER, emit_report, id_accuracy, make_report
-from .model import DivergenceError, forward, load_checkpoint, save_checkpoint
-from .scoring import SCORE_KINDS, batch_scores, load_store, save_store
+from .files import read_json, write_json, write_rows
+from .metrics import REPORT_CSV_HEADER, ScoreReport, emit_report, id_accuracy, make_report
+from .model import DivergenceError, MlpParams, forward, load_checkpoint, save_checkpoint
+from .scoring import SCORE_KINDS, EmbeddingStore, batch_scores, load_store, save_store
 from .trainer import TrainConfig, params_checksum, train
 
 EXPERIMENT_FORMAT = "noodle-experiment"
@@ -163,8 +164,7 @@ def build_train_config(config_path: str | None, flag_overrides: dict) -> TrainCo
     """Defaults <- JSON config file <- explicit flags, rejecting unknown keys."""
     doc = {}
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(config_path)
         if not isinstance(doc, dict):
             raise ValueError(f"{config_path}: config must be a JSON object")
     doc.update({k: v for k, v in flag_overrides.items() if v is not None})
@@ -193,19 +193,15 @@ def run_training(data_path: Path, config: TrainConfig, out_dir: Path) -> list[Pa
     store_base = out_dir / "store"
     save_store(result.store, store_base)
     trace_path = out_dir / "trace.json"
-    with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(
-            {
-                "format": "noodle-trace",
-                "version": 1,
-                "config_hash": config.config_hash(),
-                "epoch_mean_loss": result.loss_trace,
-            },
-            fh,
-            sort_keys=True,
-            indent=1,
-        )
-        fh.write("\n")
+    write_json(
+        trace_path,
+        {
+            "format": "noodle-trace",
+            "version": 1,
+            "config_hash": config.config_hash(),
+            "epoch_mean_loss": result.loss_trace,
+        },
+    )
     return [checkpoint, Path(str(store_base) + ".csv"), Path(str(store_base) + ".json"), trace_path]
 
 
@@ -231,6 +227,33 @@ def cmd_train(args: argparse.Namespace) -> int:
 # eval
 
 
+def evaluate(
+    params: MlpParams,
+    store: EmbeddingStore,
+    id_set: LabeledSet,
+    ood_sets: Iterable[tuple[str, np.ndarray]],
+    score: str,
+    k: int,
+    tpr: float,
+    seed: int,
+    config_hash: str,
+) -> list[ScoreReport]:
+    """One report per ``(name, features)`` OOD set, against the ID set's scores.
+
+    The ID set is forwarded once; its accuracy is the argmax over the logits
+    against the clean labels.  ``ood_sets`` is consumed lazily, so a generator
+    that loads each set keeps at most one OOD feature matrix alive."""
+    id_cache = forward(params, id_set.features)
+    id_acc = id_accuracy(np.argmax(id_cache.logits, axis=0), id_set.clean_labels)
+    id_scores = batch_scores(score, store, id_cache.latent, id_cache.probs, id_cache.logits, k)
+    reports = []
+    for name, features in ood_sets:
+        cache = forward(params, features)
+        ood_scores = batch_scores(score, store, cache.latent, cache.probs, cache.logits, k)
+        reports.append(make_report(name, id_scores, ood_scores, id_acc, seed, config_hash, tpr))
+    return reports
+
+
 def run_eval(
     checkpoint_path: Path,
     store_base: Path,
@@ -246,10 +269,13 @@ def run_eval(
     set plus a combined table with an average row.  Returns the summary dict.
 
     The store must come from the checkpoint's encoder: a store whose latent
-    width differs, or whose recorded ``encoder_checksum`` is not the
-    checkpoint's :func:`params_checksum`, is rejected with ``ValueError``."""
+    width differs, whose recorded ``encoder_checksum`` is not the
+    checkpoint's :func:`params_checksum`, or that has more classes than the
+    checkpoint's head is rejected with ``ValueError``."""
     if score not in SCORE_KINDS:
         raise ValueError(f"unknown score kind {score!r}; expected one of {SCORE_KINDS}")
+    if not ood_paths:
+        raise ValueError("need at least one OOD file")
     for path in [checkpoint_path, Path(str(store_base) + ".csv"), id_test_path, *ood_paths]:
         if not Path(path).exists():
             raise FileNotFoundError(f"missing input file: {path}")
@@ -261,6 +287,11 @@ def run_eval(
             f"{store_base}: store latent_dim {store.latent_dim} != "
             f"checkpoint latent_dim {params.latent_dim}"
         )
+    if store.num_classes > params.num_classes:
+        raise ValueError(
+            f"{store_base}: store has {store.num_classes} classes, "
+            f"checkpoint head has {params.num_classes}"
+        )
     encoder_checksum = store.meta.get("encoder_checksum")
     if encoder_checksum is not None and encoder_checksum != params_checksum(params):
         raise ValueError(
@@ -268,40 +299,23 @@ def run_eval(
             "the store was built from another checkpoint"
         )
     config_hash = meta.get("config_hash", "")
-    id_set = load_features_csv(id_test_path)
-    id_cache = forward(params, id_set.features)
-    predictions = np.argmax(id_cache.logits, axis=0)
-    id_acc = id_accuracy(predictions, id_set.clean_labels)
-    id_scores = batch_scores(score, store, id_cache.latent, id_cache.probs, id_cache.logits, k)
+    ood_sets = ((Path(p).stem, load_ood_csv(p)) for p in ood_paths)
+    reports = evaluate(
+        params, store, load_features_csv(id_test_path), ood_sets, score, k, tpr, seed, config_hash
+    )
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for ood_path in ood_paths:
-        features = load_ood_csv(ood_path)
-        cache = forward(params, features)
-        ood_scores = batch_scores(score, store, cache.latent, cache.probs, cache.logits, k)
-        name = Path(ood_path).stem
-        report = make_report(name, id_scores, ood_scores, id_acc, seed, config_hash, tpr)
-        emit_report(report, out_dir / f"report_{name}.json", "json")
-        emit_report(report, out_dir / f"report_{name}.csv", "csv")
-        rows.append(
-            {
-                "dataset": name,
-                "n_id": int(id_scores.size),
-                "n_ood": int(ood_scores.size),
-                "fpr95": report.fpr95,
-                "auroc": report.auroc,
-                "id_accuracy": report.id_accuracy,
-            }
-        )
-
+    for report in reports:
+        emit_report(report, out_dir / f"report_{report.dataset}.json", "json")
+        emit_report(report, out_dir / f"report_{report.dataset}.csv", "csv")
+    rows = [report.summary_row() for report in reports]
     average = {
         "dataset": "average",
-        "n_id": int(id_scores.size),
+        "n_id": rows[0]["n_id"],
         "n_ood": int(sum(r["n_ood"] for r in rows)),
         "fpr95": float(np.mean([r["fpr95"] for r in rows])),
         "auroc": float(np.mean([r["auroc"] for r in rows])),
-        "id_accuracy": id_acc,
+        "id_accuracy": rows[0]["id_accuracy"],
     }
     summary = {
         "format": "noodle-eval-summary",
@@ -314,16 +328,12 @@ def run_eval(
         "rows": rows,
         "average": average,
     }
-    with open(out_dir / "eval_summary.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    with open(out_dir / "eval_summary.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(REPORT_CSV_HEADER + "\n")
-        for row in [*rows, average]:
-            fh.write(
-                f"{row['dataset']},{row['n_id']},{row['n_ood']},{row['fpr95']!r},"
-                f"{row['auroc']!r},{row['id_accuracy']!r},{seed},{config_hash}\n"
-            )
+    write_json(out_dir / "eval_summary.json", summary)
+    write_rows(
+        out_dir / "eval_summary.csv",
+        REPORT_CSV_HEADER,
+        [(*row.values(), seed, config_hash) for row in [*rows, average]],
+    )
     return summary
 
 
@@ -354,8 +364,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def load_experiment_spec(path: Path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
+    spec = read_json(path)
     if not isinstance(spec, dict):
         raise ValueError(f"{path}: experiment spec must be a JSON object")
     allowed = {"format", "version", "dataset", "noise", "train", "methods", "seeds", "out", "eval"}
@@ -513,17 +522,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             for name, bucket in by_method.items()
         },
     }
-    with open(out_dir / "comparison.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(comparison, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    with open(out_dir / "comparison.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(COMPARISON_CSV_HEADER + "\n")
-        for row in comparison_rows:
-            fh.write(
-                f"{row['method']},{row['seeds']},{row['fpr95_mean']!r},{row['fpr95_std']!r},"
-                f"{row['auroc_mean']!r},{row['auroc_std']!r},{row['id_acc_mean']!r},"
-                f"{row['id_acc_std']!r},{row['failures']}\n"
-            )
+    write_json(out_dir / "comparison.json", comparison)
+    write_rows(
+        out_dir / "comparison.csv",
+        COMPARISON_CSV_HEADER,
+        [[row[key] for key in COMPARISON_CSV_HEADER.split(",")] for row in comparison_rows],
+    )
 
     failures = sum(row["failures"] for row in comparison_rows)
     for row in comparison_rows:
@@ -621,7 +625,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,8 +5,8 @@ The CSV schema is shared by every file the pipeline reads or writes:
     label,noisy_label,f0,f1,...,f{d-1}
 
 with integer label columns and features printed to 17 significant digits so a
-write/read round trip is exact in float64.  Out-of-distribution files use the
-same schema with both label columns set to -1.
+write/read round trip is exact in float64 (a :mod:`noodle.files` table).
+Out-of-distribution files use the same schema with both label columns -1.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-OOD_MODES = ("far_cluster", "uniform_shell")
+from .files import read_table, write_table
 
-# Feature format: 17 significant digits round-trips any float64 exactly.
-_FLOAT_FMT = "%.16e"
+OOD_MODES = ("far_cluster", "uniform_shell")
 
 
 @dataclass
@@ -227,70 +226,21 @@ def inject_symmetric_noise(
 # ---------------------------------------------------------------------------
 # CSV interchange
 
-
-def _header(dim: int) -> str:
-    return "label,noisy_label," + ",".join(f"f{j}" for j in range(dim))
+_LABEL_COLUMNS = ("label", "noisy_label")
 
 
 def save_features_csv(dataset: LabeledSet, path: str | os.PathLike) -> None:
     """Write ``dataset`` in the shared CSV schema (UTF-8, LF line endings)."""
-    _write_rows(path, dataset.features, dataset.clean_labels, dataset.noisy_labels)
+    write_table(
+        path, _LABEL_COLUMNS, "f", (dataset.clean_labels, dataset.noisy_labels), dataset.features
+    )
 
 
 def save_ood_csv(features: np.ndarray, path: str | os.PathLike) -> None:
     """Write unlabeled OOD features; both label columns are set to -1."""
     features = np.asarray(features, dtype=float)
     sentinel = np.full(features.shape[0], -1, dtype=np.int64)
-    _write_rows(path, features, sentinel, sentinel)
-
-
-def _write_rows(
-    path: str | os.PathLike, features: np.ndarray, clean: np.ndarray, noisy: np.ndarray
-) -> None:
-    if features.ndim != 2 or features.shape[0] == 0:
-        raise ValueError("need a non-empty 2-D feature array")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_header(features.shape[1]) + "\n")
-        for c, y, row in zip(clean, noisy, features):
-            fh.write(f"{c},{y}," + ",".join(_FLOAT_FMT % v for v in row) + "\n")
-
-
-def _parse_rows(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared strict parser. Returns (features, clean, noisy); raises ValueError
-    naming the offending line on any malformed content."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        cols = header.split(",")
-        if cols[:2] != ["label", "noisy_label"] or len(cols) < 3:
-            raise ValueError(f"{path}: line 1: bad header {header!r}")
-        dim = len(cols) - 2
-        if cols[2:] != [f"f{j}" for j in range(dim)]:
-            raise ValueError(f"{path}: line 1: feature columns must be f0..f{dim - 1}")
-
-        clean: list[int] = []
-        noisy: list[int] = []
-        rows: list[np.ndarray] = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != dim + 2:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {dim + 2} fields, got {len(parts)}"
-                )
-            try:
-                clean.append(int(parts[0]))
-                noisy.append(int(parts[1]))
-                values = np.array(parts[2:], dtype=float)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if not np.isfinite(values).all():
-                raise ValueError(f"{path}: line {lineno}: non-finite feature value")
-            rows.append(values)
-        if not rows:
-            raise ValueError(f"{path}: no data rows")
-    return np.stack(rows), np.array(clean, dtype=np.int64), np.array(noisy, dtype=np.int64)
+    write_table(path, _LABEL_COLUMNS, "f", (sentinel, sentinel), features)
 
 
 def load_features_csv(path: str | os.PathLike, num_classes: int | None = None) -> LabeledSet:
@@ -300,7 +250,7 @@ def load_features_csv(path: str | os.PathLike, num_classes: int | None = None) -
     a floor of 2); pass it explicitly to validate files against a known class
     count.
     """
-    features, clean, noisy = _parse_rows(path)
+    (clean, noisy), features = read_table(path, _LABEL_COLUMNS, "f")
     if clean.min() < 0 or noisy.min() < 0:
         raise ValueError(f"{path}: negative labels in an ID file")
     inferred = int(max(clean.max(), noisy.max())) + 1
@@ -317,5 +267,4 @@ def load_ood_csv(path: str | os.PathLike) -> np.ndarray:
     Label columns are ignored, so any file in the shared schema can be scored
     as OOD (useful for sanity checks that score an ID file as if it were OOD).
     """
-    features, _, _ = _parse_rows(path)
-    return features
+    return read_table(path, _LABEL_COLUMNS, "f")[1]

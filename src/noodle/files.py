@@ -1,0 +1,99 @@
+"""The on-disk formats, all UTF-8 with LF line endings and no timestamps.
+
+- JSON: sorted keys, one-space indent, trailing newline, shortest
+  round-trip floats.
+- Labeled float table: a CSV of integer label columns, then float columns
+  ``<prefix>0..<prefix>{d-1}`` printed as ``%.16e`` (17 significant digits
+  round-trip any float64).  The parser is strict and names the file and line.
+- Summary rows: CSV lines whose floats print in shortest round-trip form.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from typing import Iterable, Sequence
+
+import numpy as np
+
+FLOAT_FMT = "%.16e"
+
+
+def write_json(path: str | os.PathLike, doc) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
+def read_json(path: str | os.PathLike):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def write_rows(path: str | os.PathLike, header: str, rows: Iterable[Sequence]) -> None:
+    """A CSV of summary rows under ``header`` (``str`` of a float is its repr)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
+def _table_header(label_names: Sequence[str], prefix: str, dim: int) -> list[str]:
+    return [*label_names, *(f"{prefix}{j}" for j in range(dim))]
+
+
+def write_table(
+    path: str | os.PathLike,
+    label_names: Sequence[str],
+    prefix: str,
+    labels: Sequence[np.ndarray],
+    values: np.ndarray,
+) -> None:
+    """Write one row per sample: its integer labels, then its float values."""
+    if values.ndim != 2 or values.shape[0] == 0:
+        raise ValueError("need a non-empty 2-D value array")
+    dim = values.shape[1]
+    line = ",".join(["%d"] * len(label_names) + [FLOAT_FMT] * dim) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(_table_header(label_names, prefix, dim)) + "\n")
+        for row_labels, row in zip(zip(*labels), values):
+            fh.write(line % (*row_labels, *row.tolist()))
+
+
+def read_table(
+    path: str | os.PathLike, label_names: Sequence[str], prefix: str
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Inverse of :func:`write_table`: one int64 array per label column and
+    the ``(n, d)`` values.  Blank lines are skipped; a bad header, a wrong
+    field count, a malformed label or number, a non-finite value, or no data
+    rows raise ValueError naming the file and line."""
+    n_labels = len(label_names)
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+        cols = header.split(",")
+        dim = len(cols) - n_labels
+        if dim < 1 or cols != _table_header(label_names, prefix, dim):
+            raise ValueError(f"{path}: line 1: bad header {header!r}")
+        labels: list[list[int]] = [[] for _ in label_names]
+        rows: list[np.ndarray] = []
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != len(cols):
+                raise ValueError(
+                    f"{path}: line {lineno}: expected {len(cols)} fields, got {len(parts)}"
+                )
+            try:
+                for column, part in zip(labels, parts):
+                    column.append(int(part))
+                values = np.array(parts[n_labels:], dtype=float)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            if not np.isfinite(values).all():
+                raise ValueError(f"{path}: line {lineno}: non-finite value")
+            rows.append(values)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return [np.array(column, dtype=np.int64) for column in labels], np.stack(rows)

@@ -20,32 +20,6 @@ from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dorgqr
 DEFICIENT_PIVOT_TOL = 1e-12
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with explicit shape validation.
-
-    Parameters
-    ----------
-    a : (m, n) ndarray
-    b : (n, p) ndarray
-
-    Returns
-    -------
-    (m, p) ndarray
-
-    Raises
-    ------
-    ValueError
-        If either argument is not 2-D or the inner dimensions disagree.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D arrays, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 @lru_cache(maxsize=64)
 def _qr_plan(d: int, k: int) -> tuple[int, int, np.ndarray]:
     """Optimal LAPACK workspaces for a ``(d, k)`` QR and the ``(k, k)``

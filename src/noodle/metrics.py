@@ -11,13 +11,13 @@ tolerance.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
 
+from .files import read_json, write_json, write_rows
 from .scoring import select_threshold
 
 REPORT_FORMAT = "noodle-report"
@@ -42,6 +42,17 @@ class ScoreReport:
     seed: int
     config_hash: str
     tpr: float = 0.95
+
+    def summary_row(self) -> dict:
+        """The first ``REPORT_CSV_HEADER`` columns, by name."""
+        return {
+            "dataset": self.dataset,
+            "n_id": int(self.id_scores.size),
+            "n_ood": int(self.ood_scores.size),
+            "fpr95": self.fpr95,
+            "auroc": self.auroc,
+            "id_accuracy": self.id_accuracy,
+        }
 
 
 def fpr_at_tpr(id_scores: np.ndarray, ood_scores: np.ndarray, tpr: float = 0.95) -> float:
@@ -112,54 +123,38 @@ def emit_report(report: ScoreReport, path: str | os.PathLike, fmt: str = "json")
     bit-identically.  The CSV layout is one row per evaluated OOD set under
     the header in ``REPORT_CSV_HEADER``.
     """
-    if fmt == "json":
-        doc = {
-            "format": REPORT_FORMAT,
-            "version": 1,
-            "dataset": report.dataset,
-            "seed": report.seed,
-            "config_hash": report.config_hash,
-            "tpr": report.tpr,
-            "metrics": {
-                "fpr95": report.fpr95,
-                "auroc": report.auroc,
-                "id_accuracy": report.id_accuracy,
-            },
-            "id_scores": report.id_scores.tolist(),
-            "ood_scores": report.ood_scores.tolist(),
-        }
-        try:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(doc, fh, sort_keys=True, indent=1)
-                fh.write("\n")
-        except OSError as exc:
-            raise OSError(f"cannot write report {path}: {exc}") from exc
-    elif fmt == "csv":
-        row = ",".join(
-            [
-                report.dataset,
-                str(report.id_scores.size),
-                str(report.ood_scores.size),
-                repr(report.fpr95),
-                repr(report.auroc),
-                repr(report.id_accuracy),
-                str(report.seed),
-                report.config_hash,
-            ]
-        )
-        try:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(REPORT_CSV_HEADER + "\n" + row + "\n")
-        except OSError as exc:
-            raise OSError(f"cannot write report {path}: {exc}") from exc
-    else:
+    if fmt not in ("json", "csv"):
         raise ValueError(f"unknown report format {fmt!r}")
+    try:
+        if fmt == "json":
+            write_json(
+                path,
+                {
+                    "format": REPORT_FORMAT,
+                    "version": 1,
+                    "dataset": report.dataset,
+                    "seed": report.seed,
+                    "config_hash": report.config_hash,
+                    "tpr": report.tpr,
+                    "metrics": {
+                        "fpr95": report.fpr95,
+                        "auroc": report.auroc,
+                        "id_accuracy": report.id_accuracy,
+                    },
+                    "id_scores": report.id_scores.tolist(),
+                    "ood_scores": report.ood_scores.tolist(),
+                },
+            )
+        else:
+            row = (*report.summary_row().values(), report.seed, report.config_hash)
+            write_rows(path, REPORT_CSV_HEADER, [row])
+    except OSError as exc:
+        raise OSError(f"cannot write report {path}: {exc}") from exc
 
 
 def load_report(path: str | os.PathLike) -> ScoreReport:
     """Read back a JSON report."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if doc.get("format") != REPORT_FORMAT:
         raise ValueError(f"{path}: not a score report")
     return ScoreReport(

@@ -8,11 +8,12 @@ dim)`` rows straight from a dataset.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .files import read_json, write_json
 
 DEFAULT_WIDTHS = (64, 64, 32)
 
@@ -263,15 +264,12 @@ def save_checkpoint(
         "transition_theta": None if transition_theta is None else transition_theta.tolist(),
         "meta": meta or {},
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_checkpoint(path: str | os.PathLike) -> tuple[MlpParams, np.ndarray | None, dict]:
     """Inverse of :func:`save_checkpoint`, with shape validation."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a checkpoint file")
     params = MlpParams(

@@ -10,7 +10,6 @@ this package targets is both the fastest correct option and oracle-free.
 
 from __future__ import annotations
 
-import json
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -18,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decompose import normalize_columns
+from .files import read_json, read_table, write_json, write_table
 
 SCORE_KINDS = ("knn", "mahalanobis", "msp", "energy")
 
@@ -29,8 +29,6 @@ DEFAULT_COV_REG = 1e-3
 # A zero-latent query cannot be placed on the unit sphere; it is scored at the
 # sphere's diameter, i.e. farther than any real embedding can be.
 ZERO_QUERY_SCORE = -2.0
-
-_FLOAT_FMT = "%.16e"
 
 
 @dataclass
@@ -257,54 +255,32 @@ def detect(score, tau: float):
 
 def save_store(store: EmbeddingStore, base_path: str | os.PathLike) -> None:
     base = os.fspath(base_path)
-    dim = store.latent_dim
-    with open(base + ".csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("label," + ",".join(f"e{j}" for j in range(dim)) + "\n")
-        for label, row in zip(store.labels, store.embeddings):
-            fh.write(f"{label}," + ",".join(_FLOAT_FMT % v for v in row) + "\n")
+    write_table(base + ".csv", ("label",), "e", (store.labels,), store.embeddings)
     doc = {
         "format": STORE_FORMAT,
         "version": 1,
-        "latent_dim": dim,
+        "latent_dim": store.latent_dim,
         "num_classes": store.num_classes,
         "class_means": store.class_means.tolist(),
         "shared_precision": store.shared_precision.tolist(),
         "meta": store.meta,
     }
-    with open(base + ".json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(base + ".json", doc)
 
 
 def load_store(base_path: str | os.PathLike) -> EmbeddingStore:
     base = os.fspath(base_path)
-    with open(base + ".json", "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(base + ".json")
     if doc.get("format") != STORE_FORMAT:
         raise ValueError(f"{base}.json: not a store sidecar")
-    labels = []
-    rows = []
-    with open(base + ".csv", "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        dim = len(header) - 1
-        if header != ["label"] + [f"e{j}" for j in range(dim)]:
-            raise ValueError(f"{base}.csv: bad header")
-        if dim != doc["latent_dim"]:
-            raise ValueError(f"{base}.csv: embedding width {dim} != sidecar {doc['latent_dim']}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != dim + 1:
-                raise ValueError(f"{base}.csv: line {lineno}: expected {dim + 1} fields")
-            labels.append(int(parts[0]))
-            rows.append(np.array(parts[1:], dtype=float))
-    if not rows:
-        raise ValueError(f"{base}.csv: no rows")
+    (labels,), embeddings = read_table(base + ".csv", ("label",), "e")
+    if embeddings.shape[1] != doc["latent_dim"]:
+        raise ValueError(
+            f"{base}.csv: embedding width {embeddings.shape[1]} != sidecar {doc['latent_dim']}"
+        )
     store = EmbeddingStore(
-        np.stack(rows),
-        np.array(labels, dtype=np.int64),
+        embeddings,
+        labels,
         np.array(doc["class_means"], dtype=float),
         np.array(doc["shared_precision"], dtype=float),
         doc.get("meta", {}),

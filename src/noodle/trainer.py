@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -275,10 +275,3 @@ def extract_reference_store(
         "n_train": len(data),
     }
     return build_store(split.id_part, data.noisy_labels, config.cov_reg, meta)
-
-
-def with_overrides(config: TrainConfig, **overrides) -> TrainConfig:
-    """Convenience for sweeps: replace fields, accepting `lam` under either name."""
-    if _LAMBDA_KEY in overrides:
-        overrides["lam"] = overrides.pop(_LAMBDA_KEY)
-    return replace(config, **overrides)

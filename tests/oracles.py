@@ -21,23 +21,6 @@ from noodle.trainer import derive_streams
 # Linear algebra
 
 
-def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Naive O(mnp) product, one scalar multiply-add at a time."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m, n = a.shape
-    n2, p = b.shape
-    assert n == n2
-    out = np.zeros((m, p))
-    for i in range(m):
-        for j in range(p):
-            acc = 0.0
-            for k in range(n):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
 def topk_left_subspace(h: np.ndarray, k: int) -> np.ndarray:
     """Exact top-k left singular subspace via eigendecomposition of H Hᵀ."""
     gram = h @ h.T

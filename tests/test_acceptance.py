@@ -22,14 +22,13 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from noodle.cli import generate_dataset_files
+from noodle.cli import evaluate, generate_dataset_files
 from noodle.datagen import NoiseSpec, inject_symmetric_noise, load_features_csv, load_ood_csv, make_gaussian_mixture
 from noodle.decompose import grad_through_split, split_features
 from noodle.linalg import approx_topk_singular_vectors, l21_subgradient
 from noodle.losses import TransitionMatrix, classification_loss, sparsity_loss
-from noodle.metrics import auroc, fpr_at_tpr, id_accuracy
-from noodle.model import forward, softmax_columns
-from noodle.scoring import batch_scores
+from noodle.metrics import auroc, fpr_at_tpr
+from noodle.model import softmax_columns
 from noodle.trainer import TrainConfig, params_checksum, train
 from oracles import (
     auroc_pairwise,
@@ -78,25 +77,15 @@ def _announce(line: str) -> None:
 def _protocol_cell(data_dir: Path, method: str, seed: int) -> dict:
     config = TrainConfig(seed=seed, t_diag_init=PROTOCOL_T_DIAG, **METHODS[method])
     result = train(load_features_csv(data_dir / "train.csv"), config)
+    modes = PROTOCOL_GEN["ood_modes"]
+    ood_sets = [(mode, load_ood_csv(data_dir / f"ood_{mode}.csv")) for mode in modes]
     test = load_features_csv(data_dir / "test_id.csv")
-    cache = forward(result.params, test.features)
-    id_scores = batch_scores(
-        "knn", result.store, cache.latent, cache.probs, cache.logits, PROTOCOL_KNN_K
-    )
-    acc = id_accuracy(cache.probs.argmax(axis=0), test.clean_labels)
-    fprs, aurocs = [], []
-    for mode in PROTOCOL_GEN["ood_modes"]:
-        features = load_ood_csv(data_dir / f"ood_{mode}.csv")
-        ood_cache = forward(result.params, features)
-        ood_scores = batch_scores(
-            "knn", result.store, ood_cache.latent, ood_cache.probs, ood_cache.logits, PROTOCOL_KNN_K
-        )
-        fprs.append(fpr_at_tpr(id_scores, ood_scores))
-        aurocs.append(auroc(id_scores, ood_scores))
+    reports = evaluate(result.params, result.store, test, ood_sets, "knn", PROTOCOL_KNN_K, 0.95,
+                       seed, config.config_hash())
     return {
-        "fpr95": float(np.mean(fprs)),
-        "auroc": float(np.mean(aurocs)),
-        "id_accuracy": acc,
+        "fpr95": float(np.mean([r.fpr95 for r in reports])),
+        "auroc": float(np.mean([r.auroc for r in reports])),
+        "id_accuracy": reports[0].id_accuracy,
         "checksum": params_checksum(result.params),
     }
 

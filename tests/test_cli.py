@@ -29,6 +29,7 @@ from noodle.cli import (
 )
 from noodle.datagen import load_features_csv
 from noodle.metrics import REPORT_CSV_HEADER, auroc, fpr_at_tpr, load_report
+from noodle.scoring import build_store, save_store
 from noodle.trainer import TrainConfig
 
 GEN_SMALL = dict(
@@ -318,6 +319,19 @@ class TestEvalCommand:
             assert code == 2, name
             assert message in capsys.readouterr().err, name
 
+    def test_store_with_more_classes_than_the_head_exits_2(
+        self, tmp_path, data_dir, run_dir, capsys
+    ):
+        # No encoder_checksum in the store's meta, so only the class count can tell.
+        latents = np.random.default_rng(0).standard_normal((8, 40)) + 0.5
+        save_store(build_store(latents, np.arange(40) % 4), tmp_path / "store")
+        command = (
+            f"eval --checkpoint {run_dir}/checkpoint.json --store {tmp_path}/store --id-test "
+            f"{data_dir}/test_id.csv --ood {data_dir}/ood_far_cluster.csv --out {tmp_path}/eval"
+        )
+        assert main(command.split()) == 2
+        assert "store has 4 classes, checkpoint head has 3" in capsys.readouterr().err
+
     def test_unknown_score_kind_rejected(self, tmp_path, data_dir, run_dir):
         with pytest.raises(ValueError, match="unknown score kind"):
             run_eval(
@@ -331,6 +345,26 @@ class TestEvalCommand:
                 0,
                 tmp_path,
             )
+
+
+def test_readme_quickstart_prints_the_documented_numbers(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NOODLE_OUT", str(tmp_path))
+    config = '{"epochs": 40, "widths": [64, 32, 16], "t_diag_init": 0.65}'
+    (tmp_path / "config.json").write_text(config)
+    for command in (
+        "gen-data --seed 0 --classes 4 --per-class 250 --dim 16 --noise-rate 0.4"
+        " --ood-modes far_cluster,uniform_shell",
+        "train --data {out}/train.csv --config {out}/config.json --loss cm --lambda 0.001 --seed 0",
+        "eval --checkpoint {out}/checkpoint.json --store {out}/store --id-test {out}/test_id.csv"
+        " --ood {out}/ood_far_cluster.csv --ood {out}/ood_uniform_shell.csv",
+    ):
+        capsys.readouterr()
+        assert main(command.format(out=tmp_path).split()) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "ood_far_cluster: fpr95=0.0340 auroc=0.9757 id_acc=0.9480",
+        "ood_uniform_shell: fpr95=0.5600 auroc=0.8776 id_acc=0.9480",
+        "average: fpr95=0.2970 auroc=0.9266 id_acc=0.9480",
+    ]
 
 
 def _experiment_spec(tmp_path, seeds=(0,), methods=None):

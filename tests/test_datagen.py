@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.stats import chisquare
 
 from noodle.datagen import (
@@ -17,6 +20,11 @@ from noodle.datagen import (
     save_features_csv,
     save_ood_csv,
 )
+
+
+# Finite float64 matrices of every magnitude, subnormals and signed zeros included.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FEATURES = arrays(np.float64, array_shapes(min_dims=2, max_dims=2), elements=FINITE)
 
 
 def _mixture(seed, **kwargs):
@@ -156,12 +164,16 @@ class TestNoiseInjection:
 
 
 class TestCsvRoundTrip:
-    def test_round_trip_is_exact(self, tmp_path):
-        data = _mixture(20, per_class=25, dim=16)
-        path = tmp_path / "set.csv"
+    @settings(max_examples=40, deadline=None)
+    @given(features=FEATURES, draw=st.data())
+    def test_round_trip_is_exact(self, tmp_path_factory, features, draw):
+        labels = arrays(np.int64, len(features), elements=st.integers(0, 3))
+        clean, noisy = draw.draw(labels), draw.draw(labels)
+        data = LabeledSet(features, clean, noisy, max(2, int(max(clean.max(), noisy.max())) + 1))
+        path = tmp_path_factory.mktemp("csv") / "set.csv"
         save_features_csv(data, path)
         back = load_features_csv(path)
-        np.testing.assert_array_equal(back.features, data.features)
+        np.testing.assert_array_equal(back.features.view(np.int64), features.view(np.int64))
         np.testing.assert_array_equal(back.clean_labels, data.clean_labels)
         np.testing.assert_array_equal(back.noisy_labels, data.noisy_labels)
         assert back.num_classes == data.num_classes
@@ -210,13 +222,14 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             load_features_csv(path)
 
-    def test_ood_round_trip_uses_sentinel_labels(self, tmp_path):
-        features = np.random.default_rng(21).standard_normal((10, 4))
-        path = tmp_path / "ood.csv"
+    @settings(max_examples=40, deadline=None)
+    @given(features=FEATURES)
+    def test_ood_round_trip_uses_sentinel_labels(self, tmp_path_factory, features):
+        path = tmp_path_factory.mktemp("ood") / "ood.csv"
         save_ood_csv(features, path)
         first_row = path.read_text(encoding="utf-8").splitlines()[1]
         assert first_row.startswith("-1,-1,")
-        np.testing.assert_array_equal(load_ood_csv(path), features)
+        np.testing.assert_array_equal(load_ood_csv(path).view(np.int64), features.view(np.int64))
 
 
 class TestLabeledSetValidation:

@@ -11,40 +11,16 @@ from noodle.linalg import (
     approx_topk_singular_vectors,
     l21_norm,
     l21_subgradient,
-    matmul,
     qr_thin,
 )
 from oracles import (
     central_difference,
     gap_conditioned,
-    matmul_triple_loop,
     principal_angles,
     qr_sign_normalized,
     random_orthogonal,
     topk_left_subspace,
 )
-
-
-class TestMatmul:
-    def test_identity_passthrough(self):
-        m = np.arange(12.0).reshape(3, 4)
-        np.testing.assert_array_equal(matmul(np.eye(3), m), m)
-
-    def test_hand_product(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.0], [1.0]]))
-        np.testing.assert_array_equal(out, np.array([[2.0], [4.0]]))
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((5, 4))
-        b = rng.standard_normal((4, 3))
-        np.testing.assert_allclose(matmul(a, b), matmul_triple_loop(a, b), rtol=1e-12)
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            matmul(np.ones(3), np.ones((3, 1)))
 
 
 @st.composite

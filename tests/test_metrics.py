@@ -181,6 +181,8 @@ class TestReports:
         np.testing.assert_array_equal(loaded.id_scores, id_scores)
         assert fpr_at_tpr(loaded.id_scores, loaded.ood_scores, loaded.tpr) == report.fpr95
         assert auroc(loaded.id_scores, loaded.ood_scores) == report.auroc
+        emit_report(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_custom_tpr_is_respected_and_persisted(self, tmp_path):
         id_scores = np.arange(1.0, 11.0)

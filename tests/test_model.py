@@ -215,6 +215,8 @@ class TestCheckpoint:
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(theta_back, theta)
         assert meta == {"note": "fixture"}
+        save_checkpoint(loaded, tmp_path / "again.json", transition_theta=theta_back, meta=meta)
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_theta_is_optional(self, tmp_path):
         path = tmp_path / "ckpt.json"

@@ -7,6 +7,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from noodle.scoring import (
     DEFAULT_KNN_K,
@@ -30,6 +33,11 @@ from oracles import (
     mahalanobis_direct,
     pooled_regularized_covariance,
 )
+
+
+# Finite float64 matrices of every magnitude, subnormals and signed zeros included.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FLOAT_MATRICES = arrays(np.float64, array_shapes(min_dims=2, max_dims=2), elements=FINITE)
 
 
 def _axis_store():
@@ -307,17 +315,30 @@ class TestDetect:
 
 
 class TestPersistence:
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        store, _ = _random_store(14)
-        store.meta["config_hash"] = "abc123"
-        base = tmp_path / "store"
-        save_store(store, base)
-        loaded = load_store(base)
-        np.testing.assert_array_equal(loaded.embeddings, store.embeddings)
-        np.testing.assert_array_equal(loaded.labels, store.labels)
-        np.testing.assert_array_equal(loaded.class_means, store.class_means)
-        np.testing.assert_array_equal(loaded.shared_precision, store.shared_precision)
+    @settings(max_examples=40, deadline=None)
+    @given(rows=FLOAT_MATRICES, draw=st.data())
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, rows, draw):
+        # Unit rows with entries of every magnitude below one, subnormals
+        # included; class means and precision at any magnitude.
+        n, dim = rows.shape
+        rows = np.hstack([np.ones((n, 1)), rows / (1.0 + np.abs(rows).max())])
+        store = EmbeddingStore(
+            rows / np.linalg.norm(rows, axis=1, keepdims=True),
+            np.arange(n) % 3,
+            draw.draw(arrays(np.float64, (3, dim + 1), elements=FINITE)),
+            np.diag(draw.draw(arrays(np.float64, dim + 1, elements=st.floats(5e-324, 1e307)))),
+            {"config_hash": "abc123"},
+        )
+        base = tmp_path_factory.mktemp("store")
+        save_store(store, base / "a")
+        loaded = load_store(base / "a")
+        for name in ("embeddings", "labels", "class_means", "shared_precision"):
+            bits = [getattr(s, name).view(np.int64) for s in (loaded, store)]
+            np.testing.assert_array_equal(*bits)
         assert loaded.meta == store.meta
+        save_store(loaded, base / "b")
+        for suffix in (".csv", ".json"):
+            assert (base / f"a{suffix}").read_bytes() == (base / f"b{suffix}").read_bytes()
 
     def test_scores_identical_after_reload(self, tmp_path):
         store, rng = _random_store(15)
@@ -346,14 +367,15 @@ class TestPersistence:
             load_store(tmp_path / "s")
 
     def test_short_row_rejected(self, tmp_path):
+        # Also a malformed label, float and a non-finite value; each names the line.
         store, _ = _random_store(18)
         save_store(store, tmp_path / "s")
         csv = tmp_path / "s.csv"
         lines = csv.read_text().splitlines()
-        lines[2] = "0,1.0"
-        csv.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="line 3"):
-            load_store(tmp_path / "s")
+        for bad in ("0,1.0", "x,1,0,0,0,0", "0,1,abc,0,0,0", "0,1,0,nan,0,0"):
+            csv.write_text("\n".join([*lines[:2], bad, *lines[3:]]) + "\n")
+            with pytest.raises(ValueError, match=r"s\.csv: line 3"):
+                load_store(tmp_path / "s")
 
 
 def test_default_knn_k_is_fifty():
