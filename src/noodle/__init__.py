@@ -49,11 +49,7 @@ from .scoring import (
     batch_scores,
     build_store,
     detect,
-    energy_score,
-    knn_score,
     load_store,
-    mahalanobis_score,
-    msp_score,
     save_store,
     select_threshold,
 )

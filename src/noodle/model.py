@@ -9,7 +9,7 @@ dim)`` rows straight from a dataset.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -4,8 +4,7 @@ All scores follow the convention *higher = more in-distribution*; the
 detection rule is ``ID iff score >= tau`` with an inclusive boundary.  The
 primary score is the k-th nearest neighbor distance on unit-normalized
 embeddings; Mahalanobis, max-softmax, and energy scores are provided as
-baselines.  Neighbor search is exact brute force, which at the store sizes
-this package targets is both the fastest correct option and oracle-free.
+baselines.  Neighbor search is exact: scores equal a brute-force full sort.
 """
 
 from __future__ import annotations
@@ -29,6 +28,12 @@ DEFAULT_COV_REG = 1e-3
 # A zero-latent query cannot be placed on the unit sphere; it is scored at the
 # sphere's diameter, i.e. farther than any real embedding can be.
 ZERO_QUERY_SCORE = -2.0
+
+# Queries are scored in chunks of about _CHUNK_BYTES of working memory; kNN takes exact
+# distances for k + _KNN_EXTRA candidates, picked with a slack far above rounding error.
+_CHUNK_BYTES = 1 << 20
+_KNN_EXTRA = 16
+_GRAM_SLACK = 1e-12
 
 
 @dataclass
@@ -84,8 +89,8 @@ def build_store(
         meta: free-form provenance (encoder checksum, config hash).
 
     Samples whose latent column has zero norm (dead ReLU paths) cannot live
-    on the unit sphere and are dropped with a warning; the remaining rows
-    must still cover every class.
+    on the unit sphere and are dropped with a warning and counted in
+    ``meta["dropped_zero_norm"]``; the remaining rows must cover every class.
 
     Raises:
         ValueError: on an empty class or fewer than num_classes + 1 samples
@@ -103,9 +108,10 @@ def build_store(
 
     normalized, norms = normalize_columns(id_latents)
     alive = norms > 0
-    if not alive.all():
+    dropped = int((~alive).sum())
+    if dropped:
         warnings.warn(
-            f"dropping {int((~alive).sum())} zero-norm latent sample(s) from the store",
+            f"dropping {dropped} zero-norm latent sample(s) from the store",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -132,66 +138,41 @@ def build_store(
     # Symmetrize away inversion round-off so the PD invariant is exact.
     precision = (precision + precision.T) / 2.0
 
-    store = EmbeddingStore(embeddings, labels, class_means, precision, dict(meta or {}))
+    meta = {**(meta or {}), "dropped_zero_norm": dropped}
+    store = EmbeddingStore(embeddings, labels, class_means, precision, meta)
     store.validate()
     return store
 
 
-def _normalize_query(query: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
-    query = np.asarray(query, dtype=float).reshape(-1)
-    if query.shape != (dim,):
-        raise ValueError(f"query must have length {dim}, got {query.shape}")
-    norm = float(np.linalg.norm(query))
-    if norm <= 1e-12:
-        return query, True
-    return query / norm, False
+def _chunks(count: int, bytes_per_query: int):
+    width = max(1, _CHUNK_BYTES // bytes_per_query)
+    return (slice(start, start + width) for start in range(0, count, width))
 
 
-def knn_score(store: EmbeddingStore, query_latent: np.ndarray, k: int = DEFAULT_KNN_K) -> float:
-    """Negated distance from the normalized query to its k-th nearest
-    reference embedding (exact brute-force search).
-
-    ``k`` is clamped to the store size.  A zero-norm query is degenerate and
-    scores ``ZERO_QUERY_SCORE`` (= -2, the unit-sphere diameter).
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if len(store) == 0:
-        raise ValueError("empty store")
-    unit, degenerate = _normalize_query(query_latent, store.latent_dim)
-    if degenerate:
-        return ZERO_QUERY_SCORE
-    distances = np.linalg.norm(store.embeddings - unit, axis=1)
-    kth = min(k, distances.size) - 1
-    return -float(np.partition(distances, kth)[kth])
-
-
-def mahalanobis_score(store: EmbeddingStore, query_latent: np.ndarray) -> float:
-    """Negated minimum class-conditional squared Mahalanobis distance of the
-    normalized query under the shared precision."""
-    unit, degenerate = _normalize_query(query_latent, store.latent_dim)
-    if degenerate:
-        unit = np.asarray(query_latent, dtype=float).reshape(-1)
-    diffs = store.class_means - unit
-    forms = np.einsum("ij,jk,ik->i", diffs, store.shared_precision, diffs)
-    return -float(forms.min())
-
-
-def msp_score(probs: np.ndarray) -> float:
-    """Maximum softmax probability of one column."""
-    probs = np.asarray(probs, dtype=float).reshape(-1)
-    if (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-6:
-        raise ValueError("probs must be a valid distribution")
-    return float(probs.max())
-
-
-def energy_score(logits: np.ndarray) -> float:
-    """Stable log-sum-exp of one logit column."""
-    logits = np.asarray(logits, dtype=float).reshape(-1)
-    if not np.isfinite(logits).all():
-        raise ValueError("logits must be finite")
-    m = float(logits.max())
-    return m + float(np.log(np.exp(logits - m).sum()))
+def _knn_scores(emb: np.ndarray, units: np.ndarray, k: int) -> np.ndarray:
+    """Negated k-th smallest ``norm(e - u)`` over the rows ``e`` of ``emb`` for each unit
+    column ``u``.  The Gram form ``|e|² - 2 e·u`` (less the constant ``|u|²``) loses about
+    1e-8 next to a duplicate row, so it only picks candidates; a query whose candidates all
+    lie within ``_GRAM_SLACK`` of the k-th may have more near-ties and is recomputed."""
+    n, dim = emb.shape
+    kth, width = min(k, n) - 1, min(k + _KNN_EXTRA, n)
+    sq_rows = np.einsum("ij,ij->i", emb, emb)
+    out = np.empty(units.shape[1])
+    for cols in _chunks(units.shape[1], 8 * (n + width * dim)):
+        u = units[:, cols].T
+        gram = sq_rows - 2.0 * (u @ emb.T)
+        order = np.argpartition(gram, width - 1, axis=1)[:, :width]
+        near = np.take_along_axis(gram, order, axis=1)
+        bound = np.partition(near, kth, axis=1)[:, kth] + _GRAM_SLACK
+        # Summed as the rows of a C-ordered (rows, dim) array, the layout a
+        # full sort reduces: other layouts add the coordinates in another order.
+        diffs = np.subtract(emb[order], u[:, None, :], order="C")
+        distances = np.linalg.norm(diffs.reshape(-1, dim), axis=1).reshape(order.shape)
+        scores = np.partition(distances, kth, axis=1)[:, kth]
+        for j in np.flatnonzero(near.max(axis=1) <= bound) if width < n else ():
+            scores[j] = np.partition(np.linalg.norm(emb - u[j], axis=1), kth)[kth]
+        out[cols] = -scores
+    return out
 
 
 def batch_scores(
@@ -206,17 +187,39 @@ def batch_scores(
 
     ``latents``, ``probs``, ``logits`` are the column-oriented outputs of one
     model forward; the distance scores use ``latents`` plus the store, the
-    output-based scores ignore the store.  Delegates to the single-query
-    functions so batch and single paths cannot drift apart.
+    output-based scores ignore the store.  ``knn``, the negated distance to
+    the k-th nearest store embedding (``k`` clamped to the store size), equals
+    a brute-force full sort; ``mahalanobis`` is the negated minimum squared
+    Mahalanobis distance to a class mean.  Both normalize the query; a zero
+    query scores ``ZERO_QUERY_SCORE`` under ``knn`` and is used raw under
+    ``mahalanobis``.  ``msp`` is the top probability, ``energy`` log-sum-exp.
     """
+    if kind in ("knn", "mahalanobis"):
+        units, norms = normalize_columns(latents)
+        if units.shape[0] != store.latent_dim:
+            raise ValueError(f"latents must have {store.latent_dim} rows, got {units.shape[0]}")
     if kind == "knn":
-        return np.array([knn_score(store, col, k) for col in latents.T])
+        if k < 1 or len(store) == 0:
+            raise ValueError(f"need k >= 1 and a non-empty store, got k={k}, {len(store)} rows")
+        return np.where(norms > 0, _knn_scores(store.embeddings, units, k), ZERO_QUERY_SCORE)
     if kind == "mahalanobis":
-        return np.array([mahalanobis_score(store, col) for col in latents.T])
+        out = np.empty(units.shape[1])
+        for cols in _chunks(units.shape[1], 8 * store.class_means.size):
+            diffs = store.class_means - units[:, cols].T[:, None, :]
+            out[cols] = -np.einsum("qij,jk,qik->qi", diffs, store.shared_precision, diffs).min(1)
+        return out
     if kind == "msp":
-        return np.array([msp_score(col) for col in probs.T])
+        probs = np.asarray(probs, dtype=float)
+        if (probs < 0).any() or not (np.abs(probs.sum(axis=0) - 1.0) <= 1e-6).all():
+            raise ValueError("probs columns must be valid distributions")
+        return probs.max(axis=0)
     if kind == "energy":
-        return np.array([energy_score(col) for col in logits.T])
+        # A contiguous row per query sums it in the order a lone column is summed.
+        rows = np.ascontiguousarray(np.asarray(logits, dtype=float).T)
+        if not np.isfinite(rows).all():
+            raise ValueError("logits must be finite")
+        m = rows.max(axis=1)
+        return m + np.log(np.exp(rows - m[:, None]).sum(axis=1))
     raise ValueError(f"unknown score kind {kind!r}; expected one of {SCORE_KINDS}")
 
 

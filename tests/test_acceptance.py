@@ -25,7 +25,7 @@ from scipy.stats import chisquare
 from noodle.cli import evaluate, generate_dataset_files
 from noodle.datagen import NoiseSpec, inject_symmetric_noise, load_features_csv, load_ood_csv, make_gaussian_mixture
 from noodle.decompose import grad_through_split, split_features
-from noodle.linalg import approx_topk_singular_vectors, l21_subgradient
+from noodle.linalg import approx_topk_singular_vectors
 from noodle.losses import TransitionMatrix, classification_loss, sparsity_loss
 from noodle.metrics import auroc, fpr_at_tpr
 from noodle.model import softmax_columns

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from noodle.decompose import (
-    FeatureSplit,
     grad_through_split,
     normalize_columns,
     split_features,

@@ -11,19 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from noodle import scoring
+from noodle.decompose import normalize_columns
 from noodle.scoring import (
     DEFAULT_KNN_K,
-    SCORE_KINDS,
     ZERO_QUERY_SCORE,
     EmbeddingStore,
     batch_scores,
     build_store,
     detect,
-    energy_score,
-    knn_score,
     load_store,
-    mahalanobis_score,
-    msp_score,
     save_store,
     select_threshold,
 )
@@ -88,6 +85,7 @@ class TestBuildStore:
         with pytest.warns(RuntimeWarning, match="dropping 1"):
             store = build_store(latents, labels)
         assert len(store) == 5
+        assert store.meta["dropped_zero_norm"] == 1
 
     def test_class_emptied_by_drop_is_an_error(self):
         latents = np.random.default_rng(3).standard_normal((3, 4))
@@ -116,10 +114,16 @@ class TestBuildStore:
         assert store.meta["tag"] == "x"
 
 
+def _score(kind, store, column, k=DEFAULT_KNN_K):
+    """``batch_scores`` on a batch of one column, as a float."""
+    column = np.asarray(column, dtype=float).reshape(-1, 1)
+    return float(batch_scores(kind, store, column, column, column, k)[0])
+
+
 class TestKnnScore:
     def test_exact_hit_scores_zero(self):
         store = _axis_store()
-        assert knn_score(store, np.array([7.0, 0.0, 0.0]), k=1) == 0.0
+        assert _score("knn", store, [7.0, 0.0, 0.0], k=1) == 0.0
 
     def test_antipodal_query_scores_minus_two(self):
         # Single class, every embedding at e0: the query -e0 sits at the
@@ -127,53 +131,117 @@ class TestKnnScore:
         store = build_store(
             np.array([[2.0, 5.0], [0.0, 0.0], [0.0, 0.0]]), np.array([0, 0])
         )
-        score = knn_score(store, np.array([-1.0, 0.0, 0.0]), k=1)
+        score = _score("knn", store, [-1.0, 0.0, 0.0], k=1)
         np.testing.assert_allclose(score, -2.0, atol=1e-12)
 
     def test_zero_query_gets_the_sentinel(self):
         store = _axis_store()
-        assert knn_score(store, np.zeros(3)) == ZERO_QUERY_SCORE
+        assert _score("knn", store, np.zeros(3)) == ZERO_QUERY_SCORE
 
     def test_scale_invariance(self):
         store, rng = _random_store(4)
         q = rng.standard_normal(5)
-        assert knn_score(store, q, k=3) == knn_score(store, 17.0 * q, k=3)
+        assert _score("knn", store, q, k=3) == _score("knn", store, 17.0 * q, k=3)
 
     def test_matches_full_sort_oracle(self):
-        store, rng = _random_store(5)
-        for trial in range(20):
-            q = rng.standard_normal(5)
-            unit = q / np.linalg.norm(q)
+        # From 8 coordinates up a distance is a pairwise sum, whose rounding
+        # depends on the order the coordinates are added in.
+        for dim in (5, 13):
+            store, rng = _random_store(5, dim)
+            queries = rng.standard_normal((20, dim)).T
+            units, _ = normalize_columns(queries)
             for k in (1, 7, len(store), len(store) + 25):
-                assert knn_score(store, q, k) == knn_full_sort(store.embeddings, unit, k), (
-                    trial,
-                    k,
-                )
+                scores = batch_scores("knn", store, queries, None, None, k)
+                for trial, unit in enumerate(units.T):
+                    expected = knn_full_sort(store.embeddings, unit, k)
+                    assert scores[trial] == expected, (dim, trial, k)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 80), st.integers(1, 12)),
+            elements=st.floats(-1.0, 1.0),
+        ),
+        draw=st.data(),
+    )
+    def test_equals_full_sort_on_any_store(self, rows, draw):
+        # Stores with repeated rows and values, jittered by nothing, by 1e-9 or
+        # by Gaussian noise; queries that are store rows, store rows 1e-9 off,
+        # zero, or Gaussian; k past the store size; chunks from one query
+        # wide up.  Gaussian values make every distance round, so a change in
+        # the order the coordinates are summed in shows.
+        n, dim = rows.shape
+        rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1), label="seed"))
+        rows = rows + draw.draw(st.sampled_from((0.0, 1e-9, 1.0)), label="jitter") * (
+            rng.standard_normal(rows.shape)
+        )
+        # C-ordered rows, as build_store and load_store leave them.
+        embeddings = np.ascontiguousarray(
+            normalize_columns(np.hstack([np.ones((n, 1)), rows]).T)[0].T
+        )
+        store = EmbeddingStore(
+            embeddings, np.zeros(n, dtype=np.int64), embeddings[:1], np.eye(dim + 1)
+        )
+        k = draw.draw(st.integers(1, n + 25), label="k")
+        kinds = ("row", "near", "zero", "free")
+        pick = st.tuples(st.sampled_from(kinds), st.integers(0, n - 1))
+        picks = draw.draw(st.lists(pick, min_size=1, max_size=40), label="queries")
+        latents = rng.standard_normal((dim + 1, len(picks)))
+        for j, (what, i) in enumerate(picks):
+            if what == "row":
+                latents[:, j] = 3.0 * embeddings[i]
+            elif what == "near":
+                latents[:, j] = embeddings[i] + 1e-9
+            elif what == "zero":
+                latents[:, j] = 0.0
+        chunk_bytes = draw.draw(st.integers(1, 1 << 14), label="chunk_bytes")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scoring, "_CHUNK_BYTES", chunk_bytes)
+            scores = batch_scores("knn", store, latents, None, None, k)
+        units, norms = normalize_columns(latents)
+        expected = [
+            knn_full_sort(embeddings, units[:, j], k) if norms[j] > 0 else ZERO_QUERY_SCORE
+            for j in range(len(picks))
+        ]
+        np.testing.assert_array_equal(scores, expected)
+
+    def test_near_ties_beyond_the_candidate_width(self):
+        # Sixty rows within 1e-9 of the query: the Gram form cannot rank them,
+        # so the query is recomputed against the whole store.
+        rng = np.random.default_rng(19)
+        cluster = np.eye(8)[:, :1] + 1e-9 * rng.standard_normal((8, 60))
+        latents = np.hstack([cluster, rng.standard_normal((8, 40))])
+        store = build_store(latents, np.arange(100) % 2)
+        query = np.eye(8)[:, :1]
+        for k in (1, 5, 30, 60, 70):
+            expected = knn_full_sort(store.embeddings, query[:, 0], k)
+            assert _score("knn", store, query, k) == expected, k
 
     def test_monotone_in_k(self):
         store, rng = _random_store(6)
         q = rng.standard_normal(5)
-        scores = [knn_score(store, q, k) for k in range(1, len(store) + 1)]
+        scores = [_score("knn", store, q, k) for k in range(1, len(store) + 1)]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
 
     def test_k_clamps_to_store_size(self):
         store, rng = _random_store(7)
         q = rng.standard_normal(5)
-        assert knn_score(store, q, 10_000) == knn_score(store, q, len(store))
+        assert _score("knn", store, q, 10_000) == _score("knn", store, q, len(store))
 
     def test_validation(self):
         store = _axis_store()
         with pytest.raises(ValueError):
-            knn_score(store, np.zeros(3), k=0)
+            _score("knn", store, np.zeros(3), k=0)
         with pytest.raises(ValueError):
-            knn_score(store, np.zeros(4))
+            _score("knn", store, np.zeros(4))
 
 
 class TestMahalanobisScore:
     def test_unit_class_mean_scores_zero(self):
         store = _axis_store()
         # Class 0 members are all e0, so its mean is exactly on the sphere.
-        assert mahalanobis_score(store, np.array([3.0, 0.0, 0.0])) == 0.0
+        assert _score("mahalanobis", store, [3.0, 0.0, 0.0]) == 0.0
 
     def test_identity_precision_is_negated_squared_euclidean(self):
         store = _axis_store()
@@ -183,77 +251,68 @@ class TestMahalanobisScore:
         q = np.array([1.0, 1.0, 0.0])
         unit = q / math.sqrt(2.0)
         expected = -min(float(((m - unit) ** 2).sum()) for m in store.class_means)
-        np.testing.assert_allclose(mahalanobis_score(euclid, q), expected, rtol=1e-14)
+        np.testing.assert_allclose(_score("mahalanobis", euclid, q), expected, rtol=1e-14)
 
     def test_matches_direct_oracle(self):
         store, rng = _random_store(8)
-        for trial in range(20):
-            q = rng.standard_normal(5)
+        queries = rng.standard_normal((20, 5)).T
+        scores = batch_scores("mahalanobis", store, queries, None, None)
+        for trial, q in enumerate(queries.T):
             unit = q / np.linalg.norm(q)
             oracle = mahalanobis_direct(store.class_means, store.shared_precision, unit)
-            np.testing.assert_allclose(mahalanobis_score(store, q), oracle, rtol=1e-12)
+            np.testing.assert_allclose(scores[trial], oracle, rtol=1e-12)
 
     def test_zero_query_scored_against_raw_origin(self):
         store, _ = _random_store(9)
         forms = np.einsum(
             "ij,jk,ik->i", store.class_means, store.shared_precision, store.class_means
         )
-        np.testing.assert_allclose(mahalanobis_score(store, np.zeros(5)), -forms.min(), rtol=1e-14)
+        np.testing.assert_allclose(
+            _score("mahalanobis", store, np.zeros(5)), -forms.min(), rtol=1e-14
+        )
+
+    def test_wrong_latent_width(self):
+        with pytest.raises(ValueError):
+            _score("mahalanobis", _axis_store(), np.ones(4))
 
 
 class TestOutputScores:
     def test_msp_fixture(self):
-        assert msp_score(np.array([0.1, 0.7, 0.2])) == 0.7
+        assert _score("msp", None, [0.1, 0.7, 0.2]) == 0.7
 
     def test_msp_validation(self):
-        with pytest.raises(ValueError):
-            msp_score(np.array([0.5, 0.6]))
-        with pytest.raises(ValueError):
-            msp_score(np.array([-0.1, 1.1]))
+        for probs in ([0.5, 0.6], [-0.1, 1.1], [np.nan, 1.0]):
+            with pytest.raises(ValueError):
+                _score("msp", None, probs)
 
     def test_energy_fixture(self):
-        np.testing.assert_allclose(energy_score(np.zeros(2)), math.log(2.0), rtol=1e-15)
+        np.testing.assert_allclose(_score("energy", None, np.zeros(2)), math.log(2.0), rtol=1e-15)
 
     def test_energy_dyadic_shift_is_exact(self):
         # Shifting by a power of two moves every intermediate exactly, so the
         # max-shift stabilization must preserve the identity bit for bit.
         logits = np.array([0.3, -1.2, 2.7])
-        assert energy_score(logits + 16.0) == energy_score(logits) + 16.0
+        assert _score("energy", None, logits + 16.0) == _score("energy", None, logits) + 16.0
 
     def test_energy_matches_high_precision_oracle(self):
         rng = np.random.default_rng(10)
-        for trial in range(20):
-            logits = rng.standard_normal(6) * rng.uniform(1, 300)
+        columns = [rng.standard_normal(6) * rng.uniform(1, 300) for _ in range(20)]
+        scores = batch_scores("energy", None, None, None, np.column_stack(columns))
+        for trial, logits in enumerate(columns):
             np.testing.assert_allclose(
-                energy_score(logits), logsumexp_mp(logits), rtol=1e-12, err_msg=str(trial)
+                scores[trial], logsumexp_mp(logits), rtol=1e-12, err_msg=str(trial)
             )
 
     def test_energy_survives_extreme_logits(self):
         logits = np.array([750.0, 749.0, -750.0])
-        np.testing.assert_allclose(energy_score(logits), logsumexp_mp(logits), rtol=1e-12)
+        np.testing.assert_allclose(_score("energy", None, logits), logsumexp_mp(logits), rtol=1e-12)
 
     def test_energy_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            energy_score(np.array([1.0, np.inf]))
+            _score("energy", None, [1.0, np.inf])
 
 
 class TestBatchScores:
-    def test_batch_equals_single_for_every_kind(self):
-        store, rng = _random_store(11)
-        latents = rng.standard_normal((5, 6))
-        logits = rng.standard_normal((3, 6))
-        shifted = np.exp(logits - logits.max(axis=0))
-        probs = shifted / shifted.sum(axis=0)
-        singles = {
-            "knn": [knn_score(store, c, 3) for c in latents.T],
-            "mahalanobis": [mahalanobis_score(store, c) for c in latents.T],
-            "msp": [msp_score(c) for c in probs.T],
-            "energy": [energy_score(c) for c in logits.T],
-        }
-        for kind in SCORE_KINDS:
-            out = batch_scores(kind, store, latents, probs, logits, k=3)
-            np.testing.assert_array_equal(out, singles[kind])
-
     def test_unknown_kind(self):
         store = _axis_store()
         with pytest.raises(ValueError, match="unknown score kind"):
@@ -344,9 +403,12 @@ class TestPersistence:
         store, rng = _random_store(15)
         save_store(store, tmp_path / "s")
         loaded = load_store(tmp_path / "s")
-        q = rng.standard_normal(5)
-        assert knn_score(loaded, q, 5) == knn_score(store, q, 5)
-        assert mahalanobis_score(loaded, q) == mahalanobis_score(store, q)
+        queries = rng.standard_normal((5, 4))
+        for kind in ("knn", "mahalanobis"):
+            np.testing.assert_array_equal(
+                batch_scores(kind, loaded, queries, None, None, 5),
+                batch_scores(kind, store, queries, None, None, 5),
+            )
 
     def test_foreign_sidecar_rejected(self, tmp_path):
         store, _ = _random_store(16)
