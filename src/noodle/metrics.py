@@ -1,12 +1,17 @@
 """Detection and classification metrics plus the score-report emitter.
 
 AUROC uses the rank-sum form of the Mann-Whitney statistic with half-credit
-ties.  The statistic ``U`` is an exact multiple of 1/2 (average ranks are
-half-integers), so for the sizes this package handles both ``U`` and the pair
-count ``c = n_id * n_ood`` are exact in float64; only the final division
-rounds.  Evaluating the smaller of ``U/c`` and ``(c-U)/c`` and reflecting
-makes ``auroc(a, b) + auroc(b, a) == 1.0`` hold exactly, not just to
-tolerance.
+ties.  ``average_ranks`` computes the average (tie-midpoint) ranks in NumPy
+with one sort: runs of equal values in the sorted scores are the tie groups,
+and a group covering sorted positions ``start .. end - 1`` gets rank
+``(start + end + 1) / 2``.  The statistic ``U`` is an exact multiple of 1/2
+(average ranks are half-integers), so for the sizes this package handles both
+``U`` and the pair count ``c = n_id * n_ood`` are exact in float64, in any
+summation order; only the final division rounds.  Evaluating the smaller of
+``U/c`` and ``(c-U)/c`` and reflecting makes ``auroc(a, b) + auroc(b, a) ==
+1.0`` hold exactly, not just to tolerance.
+
+Both metrics reject a NaN score with ``ValueError``; ``±inf`` is ranked.
 """
 
 from __future__ import annotations
@@ -15,10 +20,9 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .files import read_json, write_json, write_rows
-from .scoring import select_threshold
+from .scoring import reject_nan, select_threshold
 
 REPORT_FORMAT = "noodle-report"
 
@@ -61,8 +65,23 @@ def fpr_at_tpr(id_scores: np.ndarray, ood_scores: np.ndarray, tpr: float = 0.95)
     ood_scores = np.asarray(ood_scores, dtype=float).reshape(-1)
     if ood_scores.size == 0:
         raise ValueError("ood_scores must be non-empty")
+    reject_nan(ood_scores, "ood_scores")
     tau = select_threshold(id_scores, tpr)
     return float((ood_scores >= tau).sum() / ood_scores.size)
+
+
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``, each tie group given the mean of the
+    positions it covers; every rank is an exact half-integer.  ``values``
+    must hold no NaN."""
+    values = np.asarray(values, dtype=float).reshape(-1)
+    order = np.argsort(values)
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def auroc(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
@@ -73,7 +92,9 @@ def auroc(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
     n_id, n_ood = id_scores.size, ood_scores.size
     if n_id == 0 or n_ood == 0:
         raise ValueError("both score arrays must be non-empty")
-    ranks = rankdata(np.concatenate([id_scores, ood_scores]), method="average")
+    reject_nan(id_scores, "id_scores")
+    reject_nan(ood_scores, "ood_scores")
+    ranks = average_ranks(np.concatenate([id_scores, ood_scores]))
     u = float(ranks[:n_id].sum()) - n_id * (n_id + 1) / 2.0
     c = float(n_id) * float(n_ood)
     if 2.0 * u <= c:

@@ -170,7 +170,8 @@ def backward(
         below = cache.activations[i - 1] if i > 0 else cache.inputs
         d_weights[i] = d_z @ below.T
         d_biases[i] = d_z.sum(axis=1)
-        d_act = params.weights[i].T @ d_z
+        if i > 0:  # nothing reads the input gradient
+            d_act = params.weights[i].T @ d_z
     return MlpGrads(d_weights, d_biases, d_head_w, d_head_b)
 
 

@@ -223,6 +223,13 @@ def batch_scores(
     raise ValueError(f"unknown score kind {kind!r}; expected one of {SCORE_KINDS}")
 
 
+def reject_nan(scores: np.ndarray, name: str) -> None:
+    """Raise ``ValueError`` if ``scores`` holds a NaN: a NaN has no place in a
+    ranking, while ``±inf`` does and is accepted."""
+    if np.isnan(scores).any():
+        raise ValueError(f"{name} contains NaN")
+
+
 def select_threshold(id_scores: np.ndarray, tpr: float = 0.95) -> float:
     """Largest threshold keeping at least ``ceil(tpr * n)`` ID scores at or
     above it; equivalently the ``ceil(tpr * n)``-th largest ID score.
@@ -233,6 +240,7 @@ def select_threshold(id_scores: np.ndarray, tpr: float = 0.95) -> float:
     scores = np.asarray(id_scores, dtype=float).reshape(-1)
     if scores.size == 0:
         raise ValueError("cannot select a threshold from an empty score set")
+    reject_nan(scores, "id_scores")
     if not 0.0 < tpr <= 1.0:
         raise ValueError(f"tpr must be in (0, 1], got {tpr}")
     n = scores.size

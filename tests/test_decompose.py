@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noodle.decompose import (
     grad_through_split,
@@ -14,6 +16,19 @@ from noodle.decompose import (
 )
 from noodle.linalg import l21_norm, l21_subgradient
 from oracles import best_rank_k, central_difference, gap_conditioned, max_rel_error
+
+
+@st.composite
+def split_inputs(draw):
+    """``(h, k_rank, n_iter, rng)`` for a random ``(d, n)`` latent matrix at
+    scales from 1e-3 to 1e3, some of whose columns may be zero."""
+    d = draw(st.integers(1, 16))
+    n = draw(st.integers(1, 24))
+    k = draw(st.integers(1, min(d, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = rng.standard_normal((d, n)) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    h[:, draw(st.lists(st.integers(0, n - 1), max_size=n))] = 0.0
+    return h, k, draw(st.integers(1, 8)), rng
 
 
 class TestNormalizeColumns:
@@ -82,22 +97,25 @@ class TestSplitFeatures:
             optimal = np.linalg.norm(h - best_rank_k(h, 3))
             assert np.linalg.norm(split.ood_part) >= optimal - 1e-10, trial
 
-    def test_split_invariants_hold_on_random_batches(self):
-        # Exact-decomposition contract: parts sum back to the normalized
-        # matrix, the basis is orthonormal, and the residual has no component
-        # inside the subspace.
-        rng = np.random.default_rng(5)
-        for trial in range(100):
-            latent = int(rng.integers(2, 12))
-            batch = int(rng.integers(2, 16))
-            k = int(rng.integers(1, min(latent, batch) + 1))
-            h = rng.standard_normal((latent, batch)) * rng.uniform(0.1, 10.0)
-            split = split_features(h, k, int(rng.integers(1, 8)), rng)
-            recon = split.id_part + split.ood_part
-            assert np.abs(recon - split.normalized).max() <= 1e-12, trial
-            gram = split.basis.T @ split.basis
-            assert np.linalg.norm(gram - np.eye(k)) <= 1e-10, trial
-            assert np.abs(split.basis.T @ split.ood_part).max() <= 1e-8, trial
+    @settings(max_examples=200, deadline=None)
+    @given(split_inputs())
+    def test_split_invariants_hold_on_random_batches(self, drawn):
+        # Exact-decomposition contract: the basis is orthonormal, the parts
+        # sum back to the normalized matrix, the residual has no component
+        # inside the subspace, and the gradient pulled back through the split
+        # is orthogonal to each scaled column's unit direction.
+        h, k, n_iter, rng = drawn
+        split = split_features(h, k, n_iter, rng)
+        assert np.abs(split.basis.T @ split.basis - np.eye(k)).max() <= 1e-12
+        assert np.abs(split.id_part + split.ood_part - split.normalized).max() <= 1e-12
+        assert np.abs(split.basis.T @ split.ood_part).max() <= 1e-12
+        grad = rng.standard_normal(h.shape)
+        out = grad_through_split(split, grad)
+        scaled = split.col_norms > 0
+        radial = (split.normalized * out).sum(axis=0)[scaled]
+        # The pullback divides by the column norm; so does its rounding error.
+        scale = np.linalg.norm(grad, axis=0)[scaled] / split.col_norms[scaled]
+        assert np.all(np.abs(radial) <= 1e-12 * scale)
 
     def test_normalized_columns_are_unit_before_splitting(self):
         rng = np.random.default_rng(6)

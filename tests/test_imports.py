@@ -1,10 +1,16 @@
-"""Every name imported under ``src/noodle`` and ``tests`` is used; the package
-``__init__`` files are exempt, since their imports are re-exports."""
+"""Every name imported under ``src/noodle`` and ``tests`` is used (the package
+``__init__`` files are exempt, since their imports are re-exports), and the CLI
+starts without loading ``scipy.stats``."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import noodle
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,3 +39,16 @@ def test_no_unused_imports():
     ]
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert not unused, unused
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # Importing scipy.stats would more than double every command's start-up;
+    # the one scipy module the package needs at run time is scipy.linalg.lapack.
+    import_path = [str(Path(noodle.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, import_path))}
+    probe = "import sys, noodle.cli; print([m for m in sys.modules if m.startswith('scipy.stats')])"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

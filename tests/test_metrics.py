@@ -1,28 +1,35 @@
 """FPR-at-TPR, AUROC, accuracy, and score-report round trips.
 
 The FPR oracle scans every unique candidate threshold; the AUROC oracle
-counts all pairs in O(n^2).  Both run against generated score sets with
-deliberately heavy ties (rounded normals), where rank-based shortcuts break
-first.
+counts all pairs in O(n^2); ``scipy.stats.rankdata`` is the oracle for the
+average ranks.  All run against score sets with deliberately heavy ties
+(rounded normals, or values drawn from a small pool that includes ``±inf``
+and ``±0.0``), where rank-based shortcuts break first.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from noodle.metrics import (
     REPORT_CSV_HEADER,
     ScoreReport,
     auroc,
+    average_ranks,
     emit_report,
     fpr_at_tpr,
     id_accuracy,
     load_report,
     make_report,
 )
+from noodle.scoring import select_threshold
 from oracles import auroc_pairwise, fpr_threshold_scan
 
 
@@ -32,6 +39,16 @@ def _tied_pair(rng, max_n=120):
     id_scores = np.round(rng.standard_normal(n_id), 1)
     ood_scores = np.round(rng.standard_normal(n_ood) - rng.uniform(0, 1), 1)
     return id_scores, ood_scores
+
+
+@st.composite
+def tied_scores(draw, max_size=60):
+    """A non-empty score array whose values come from a pool of at most eight
+    values that always offers ``±inf`` and ``±0.0``."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    pool = [np.inf, -np.inf, 0.0, -0.0, *draw(st.lists(finite, max_size=4))]
+    values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_size))
+    return np.array(values)
 
 
 class TestFprAtTpr:
@@ -45,14 +62,23 @@ class TestFprAtTpr:
         # tau = 1.0 (both ID scores must pass at tpr 0.95), ood [0, 2] -> 1/2.
         assert fpr_at_tpr(np.array([1.0, 3.0]), np.array([0.0, 2.0])) == 0.5
 
-    def test_matches_exhaustive_scan_exactly(self):
-        rng = np.random.default_rng(0)
-        for trial in range(100):
-            id_scores, ood_scores = _tied_pair(rng)
-            tpr = float(rng.uniform(0.05, 1.0))
-            assert fpr_at_tpr(id_scores, ood_scores, tpr) == fpr_threshold_scan(
-                id_scores, ood_scores, tpr
-            ), trial
+    @settings(max_examples=200, deadline=None)
+    @given(tied_scores(max_size=120), tied_scores(max_size=120), st.floats(0.05, 1.0))
+    def test_matches_exhaustive_scan_exactly(self, id_scores, ood_scores, tpr):
+        fpr = fpr_at_tpr(id_scores, ood_scores, tpr)
+        assert fpr == fpr_threshold_scan(id_scores, ood_scores, tpr)
+        # The threshold rule: tau admits at least ceil(tpr * n) ID scores (the
+        # 1e-9 absorbs float noise in tpr * n, as in select_threshold), so the
+        # achieved TPR is at least tpr, and the next larger distinct ID score
+        # admits fewer.
+        tau = select_threshold(id_scores, tpr)
+        needed = math.ceil(tpr * id_scores.size - 1e-9)
+        assert (id_scores >= tau).sum() >= needed
+        assert (id_scores >= tau).mean() >= tpr - 1e-9
+        larger = id_scores[id_scores > tau]
+        if larger.size:
+            assert (id_scores >= larger.min()).sum() < needed
+        assert fpr == (ood_scores >= tau).mean()
 
     def test_monotone_in_tpr(self):
         # A stricter TPR requirement can only lower the threshold, which can
@@ -72,6 +98,12 @@ class TestFprAtTpr:
     def test_empty_ood_rejected(self):
         with pytest.raises(ValueError):
             fpr_at_tpr(np.array([1.0]), np.array([]))
+        # A NaN score is rejected, naming its argument; ±inf is orderable.
+        with pytest.raises(ValueError, match="id_scores contains NaN"):
+            fpr_at_tpr(np.array([1.0, np.nan, 3.0] * 10), np.array([0.5, 2.0]))
+        with pytest.raises(ValueError, match="ood_scores contains NaN"):
+            fpr_at_tpr(np.array([1.0, 3.0]), np.array([0.5, np.nan]))
+        assert fpr_at_tpr(np.array([np.inf, 1.0]), np.array([-np.inf, 1.0]), 1.0) == 0.5
 
 
 class TestAuroc:
@@ -85,19 +117,18 @@ class TestAuroc:
     def test_golden_two_by_two(self):
         assert auroc(np.array([1.0, 3.0]), np.array([0.0, 2.0])) == 0.75
 
-    def test_matches_pairwise_oracle(self):
-        rng = np.random.default_rng(3)
-        for trial in range(100):
-            id_scores, ood_scores = _tied_pair(rng, max_n=60)
-            fast = auroc(id_scores, ood_scores)
-            slow = auroc_pairwise(id_scores, ood_scores)
-            assert abs(fast - slow) <= 1e-12, trial
+    @settings(max_examples=200, deadline=None)
+    @given(tied_scores(), tied_scores())
+    def test_matches_pairwise_oracle(self, id_scores, ood_scores):
+        assert abs(auroc(id_scores, ood_scores) - auroc_pairwise(id_scores, ood_scores)) <= 1e-12
+        pooled = np.concatenate([id_scores, ood_scores])
+        ranks = average_ranks(pooled)
+        assert ranks.tobytes() == rankdata(pooled, method="average").tobytes()
 
-    def test_antisymmetry_is_exact(self):
-        rng = np.random.default_rng(4)
-        for trial in range(100):
-            id_scores, ood_scores = _tied_pair(rng, max_n=60)
-            assert auroc(id_scores, ood_scores) + auroc(ood_scores, id_scores) == 1.0, trial
+    @settings(max_examples=200, deadline=None)
+    @given(tied_scores(), tied_scores())
+    def test_antisymmetry_is_exact(self, id_scores, ood_scores):
+        assert auroc(id_scores, ood_scores) + auroc(ood_scores, id_scores) == 1.0
 
     def test_invariant_under_increasing_transforms(self):
         rng = np.random.default_rng(5)
@@ -110,6 +141,11 @@ class TestAuroc:
             auroc(np.array([]), np.array([1.0]))
         with pytest.raises(ValueError):
             auroc(np.array([1.0]), np.array([]))
+        with pytest.raises(ValueError, match="id_scores contains NaN"):
+            auroc(np.array([1.0, np.nan]), np.array([2.0]))
+        with pytest.raises(ValueError, match="ood_scores contains NaN"):
+            auroc(np.array([1.0]), np.array([np.nan, 2.0]))
+        assert auroc(np.array([np.inf, 1.0]), np.array([-np.inf, 1.0])) == 0.875
 
 
 class TestIdAccuracy:

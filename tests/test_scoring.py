@@ -344,9 +344,7 @@ class TestSelectThreshold:
             larger = scores[scores > tau]
             if larger.size:
                 # The next candidate up must fail the coverage requirement.
-                assert (scores >= larger.min()).mean() < tpr - 1e-9 or math.isclose(
-                    (scores >= larger.min()).mean(), tpr
-                ) is False, trial
+                assert (scores >= larger.min()).sum() < math.ceil(tpr * n - 1e-9), trial
 
     def test_threshold_is_an_observed_score(self):
         rng = np.random.default_rng(13)
@@ -356,6 +354,9 @@ class TestSelectThreshold:
     def test_validation(self):
         with pytest.raises(ValueError):
             select_threshold(np.array([]))
+        with pytest.raises(ValueError, match="id_scores contains NaN"):
+            select_threshold(np.array([1.0, np.nan, 3.0] * 10))
+        assert select_threshold(np.array([-np.inf, 1.0, np.inf]), 1.0) == -np.inf
         for tpr in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 select_threshold(np.array([1.0]), tpr)
