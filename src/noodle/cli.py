@@ -13,9 +13,11 @@ seeds; no timestamps are written, so reruns are byte-identical.  The
 environment variables ``NOODLE_OUT`` and ``NOODLE_THREADS`` provide defaults
 for ``--out`` and ``--threads``.
 
-The experiment runner drives the same helper functions as the individual
-commands (including the CSV round trips), so a single-method single-seed
-sweep reproduces a manual gen-data/train/eval chain exactly.
+``run_experiment`` is the one (method x seed) sweep runner, behind ``noodle
+experiment`` and for library callers alike.  It drives the same helper
+functions as the individual commands (including the CSV round trips), so a
+single-method single-seed sweep reproduces a manual gen-data/train/eval chain
+exactly.
 """
 
 from __future__ import annotations
@@ -363,52 +365,78 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # experiment
 
 
-def load_experiment_spec(path: Path) -> dict:
-    spec = read_json(path)
+SPEC_KEYS = ("format", "version", "dataset", "noise", "train", "methods", "seeds", "out", "eval")
+DATASET_FILE_KEYS = ("train_csv", "id_test_csv", "ood_csvs")
+
+
+def validate_experiment_spec(spec, source: str) -> None:
+    """Reject a spec the runner would misread; messages start with ``source``.
+
+    Unknown keys (at the top level, in ``noise``, ``eval`` and each method),
+    a ``noise_rate`` in ``dataset`` or a ``seed`` in ``train`` (the runner
+    sets both), repeated or non-integer seeds, a partial dataset file set and
+    a missing dataset file are errors rather than silent defaults."""
     if not isinstance(spec, dict):
-        raise ValueError(f"{path}: experiment spec must be a JSON object")
-    allowed = {"format", "version", "dataset", "noise", "train", "methods", "seeds", "out", "eval"}
-    unknown = sorted(set(spec) - allowed)
-    if unknown:
-        raise ValueError(f"{path}: unknown spec keys: {', '.join(unknown)}")
+        raise ValueError(f"{source}: experiment spec must be a JSON object")
     methods = spec.get("methods", [])
     seeds = spec.get("seeds", [])
+    if not isinstance(methods, list) or not isinstance(seeds, list):
+        raise ValueError(f"{source}: methods and seeds must be JSON lists")
+    sections = [spec.get(key, {}) for key in ("dataset", "noise", "train", "eval")]
+    if not all(isinstance(doc, dict) for doc in [*sections, *methods]):
+        raise ValueError(f"{source}: dataset, noise, train, eval and each method must be objects")
+    for where, doc, allowed in (
+        ("spec", spec, SPEC_KEYS),
+        ("noise", spec.get("noise", {}), ("rate",)),
+        ("eval", spec.get("eval", {}), ("tpr",)),
+    ):
+        unknown = sorted(set(doc) - set(allowed))
+        if unknown:
+            raise ValueError(f"{source}: unknown {where} keys: {', '.join(unknown)}")
     if not methods or not seeds:
-        raise ValueError(f"{path}: need at least one method and one seed")
+        raise ValueError(f"{source}: need at least one method and one seed")
+    if any(type(s) is not int for s in seeds) or len(set(seeds)) != len(seeds):
+        raise ValueError(f"{source}: seeds must be distinct integers, got {seeds}")
     names = [m.get("name") for m in methods]
     if len(set(names)) != len(names) or None in names:
-        raise ValueError(f"{path}: every method needs a unique name")
+        raise ValueError(f"{source}: every method needs a unique name")
     for m in methods:
         extra = sorted(set(m) - {"name", "loss_kind", "lambda", "score", "k"})
         if extra:
-            raise ValueError(f"{path}: method {m['name']!r} has unknown keys: {', '.join(extra)}")
+            raise ValueError(f"{source}: method {m['name']!r} has unknown keys: {', '.join(extra)}")
         if m.get("score", "knn") not in SCORE_KINDS:
-            raise ValueError(f"{path}: method {m['name']!r} has unknown score kind")
+            raise ValueError(f"{source}: method {m['name']!r} has unknown score kind")
     dataset = spec.get("dataset", {})
-    for key in ("train_csv", "id_test_csv"):
-        if key in dataset and not Path(dataset[key]).exists():
-            raise FileNotFoundError(f"{path}: dataset file missing: {dataset[key]}")
-    for ood in dataset.get("ood_csvs", []):
-        if not Path(ood).exists():
-            raise FileNotFoundError(f"{path}: dataset file missing: {ood}")
+    if "noise_rate" in dataset:
+        raise ValueError(f"{source}: the noise rate belongs in noise.rate, not dataset")
+    if "seed" in spec.get("train", {}):
+        raise ValueError(f"{source}: the training seeds belong in seeds, not train")
+    files = [dataset[k] for k in ("train_csv", "id_test_csv") if k in dataset]
+    for file in [*files, *dataset.get("ood_csvs", [])]:
+        if not Path(file).exists():
+            raise FileNotFoundError(f"{source}: dataset file missing: {file}")
+    given = [k for k in DATASET_FILE_KEYS if k in dataset]
+    missing = [k for k in DATASET_FILE_KEYS if k not in dataset]
+    if given and missing:
+        raise ValueError(f"{source}: dataset gives {', '.join(given)} but not {', '.join(missing)}")
+
+
+def load_experiment_spec(path: Path) -> dict:
+    spec = read_json(path)
+    validate_experiment_spec(spec, str(path))
     return spec
 
 
 def _cell_config(spec: dict, method: dict, seed: int) -> TrainConfig:
-    doc = dict(spec.get("train", {}))
-    if "loss_kind" in method:
-        doc["loss_kind"] = method["loss_kind"]
-    if "lambda" in method:
-        doc["lambda"] = method["lambda"]
-    doc["seed"] = seed
-    config = TrainConfig.from_dict(doc)
+    overrides = {key: method[key] for key in ("loss_kind", "lambda") if key in method}
+    config = TrainConfig.from_dict({**spec.get("train", {}), **overrides, "seed": seed})
     config.validate()
     return config
 
 
 def _run_cell(cell: dict) -> dict:
     """One (method, seed) unit: train then eval. Runs in a worker process when
-    --threads > 1, so it takes and returns plain picklable dicts."""
+    threads > 1, so it takes and returns plain picklable dicts."""
     try:
         config = _cell_config(cell["spec"], cell["method"], cell["seed"])
         run_dir = Path(cell["run_dir"])
@@ -429,32 +457,31 @@ def _run_cell(cell: dict) -> dict:
         return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def cmd_experiment(args: argparse.Namespace) -> int:
-    spec_path = Path(args.spec)
-    spec = load_experiment_spec(spec_path)
-    out_dir = Path(args.out) if args.out else Path(spec.get("out") or _require_out())
-    threads = args.threads if args.threads else int(os.environ.get("NOODLE_THREADS", "1"))
-    seeds = [int(s) for s in spec["seeds"]]
+def run_experiment(spec: dict, spec_file: str, out_dir: Path, threads: int) -> dict:
+    """Run every (method, seed) cell of ``spec`` and return the comparison.
+
+    The spec is validated first (``spec_file`` names it in error messages and
+    in ``comparison.json``).  Data is a function of the seed alone, so it is
+    generated once per seed into ``data/seed<s>/`` (or taken from the spec's
+    files) and shared by all methods.  Each cell trains and evaluates into
+    ``runs/<method>/seed<s>/``; a failing cell is recorded under ``failures``
+    and does not stop the sweep.  With ``threads`` > 1 the cells run in that
+    many worker processes, and every output is byte-identical to a serial run.
+    The comparison is also written to ``comparison.json`` and ``.csv``."""
+    validate_experiment_spec(spec, spec_file)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    seeds = spec["seeds"]
     methods = spec["methods"]
     dataset = spec.get("dataset", {})
-    noise = spec.get("noise", {})
 
-    # Data is a function of the seed alone and is shared by all methods.
     data_files: dict[int, dict] = {}
     for seed in seeds:
         if "train_csv" in dataset:
-            data_files[seed] = {
-                "train_csv": dataset["train_csv"],
-                "id_test_csv": dataset["id_test_csv"],
-                "ood_csvs": list(dataset["ood_csvs"]),
-            }
+            data_files[seed] = {key: dataset[key] for key in DATASET_FILE_KEYS}
             continue
-        gen_dir = out_dir / "data" / f"seed{seed}"
-        gen_params = {k: v for k, v in dataset.items() if k != "ood_modes"}
-        if "ood_modes" in dataset:
-            gen_params["ood_modes"] = tuple(dataset["ood_modes"])
-        gen_params["noise_rate"] = float(noise.get("rate", 0.0))
-        manifest = generate_dataset_files(gen_dir, seed, **gen_params)
+        gen_params = dict(dataset, noise_rate=float(spec.get("noise", {}).get("rate", 0.0)))
+        manifest = generate_dataset_files(out_dir / "data" / f"seed{seed}", seed, **gen_params)
         paths = {p.stem: p for p, _ in manifest}
         data_files[seed] = {
             "train_csv": str(paths["train"]),
@@ -462,75 +489,66 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             "ood_csvs": [str(p) for name, p in sorted(paths.items()) if name.startswith("ood_")],
         }
 
-    cells = []
-    for method in methods:
-        for seed in seeds:
-            cells.append(
-                {
-                    "spec": spec,
-                    "method": method,
-                    "seed": seed,
-                    "run_dir": str(out_dir / "runs" / method["name"] / f"seed{seed}"),
-                    **data_files[seed],
-                }
-            )
-
+    cells = [
+        {
+            "spec": spec,
+            "method": method,
+            "seed": seed,
+            "run_dir": str(out_dir / "runs" / method["name"] / f"seed{seed}"),
+            **data_files[seed],
+        }
+        for method in methods
+        for seed in seeds
+    ]
     if threads > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_cell, cells))
     else:
         results = [_run_cell(cell) for cell in cells]
 
-    by_method: dict[str, dict] = {
-        m["name"]: {"seeds": {}, "failures": {}} for m in methods
-    }
-    for cell, result in zip(cells, results):
-        bucket = by_method[cell["method"]["name"]]
-        if result["ok"]:
-            bucket["seeds"][cell["seed"]] = result["summary"]
-        else:
-            bucket["failures"][cell["seed"]] = result["error"]
-
-    comparison_rows = []
+    rows, by_method = [], {}
     for method in methods:
         name = method["name"]
-        bucket = by_method[name]
-        summaries = [bucket["seeds"][s] for s in seeds if s in bucket["seeds"]]
-        row = {"method": name, "seeds": len(summaries), "failures": len(bucket["failures"])}
-        if summaries:
-            for key, out_key in (("fpr95", "fpr95"), ("auroc", "auroc"), ("id_accuracy", "id_acc")):
-                values = np.array([s["average"][key] for s in summaries])
-                row[f"{out_key}_mean"] = float(values.mean())
-                row[f"{out_key}_std"] = float(values.std())
-        else:
-            for out_key in ("fpr95", "auroc", "id_acc"):
-                row[f"{out_key}_mean"] = float("nan")
-                row[f"{out_key}_std"] = float("nan")
-        comparison_rows.append(row)
+        mine = [(c["seed"], r) for c, r in zip(cells, results) if c["method"]["name"] == name]
+        summaries = {seed: r["summary"] for seed, r in mine if r["ok"]}
+        failures = {seed: r["error"] for seed, r in mine if not r["ok"]}
+        row = {"method": name, "seeds": len(summaries), "failures": len(failures)}
+        for key, out_key in (("fpr95", "fpr95"), ("auroc", "auroc"), ("id_accuracy", "id_acc")):
+            values = np.array([s["average"][key] for s in summaries.values()])
+            row[f"{out_key}_mean"] = float(values.mean()) if summaries else float("nan")
+            row[f"{out_key}_std"] = float(values.std()) if summaries else float("nan")
+        rows.append(row)
+        by_method[name] = {
+            "per_seed": {str(s): summary for s, summary in summaries.items()},
+            "failures": {str(s): err for s, err in failures.items()},
+        }
 
     out_dir.mkdir(parents=True, exist_ok=True)
     comparison = {
         "format": EXPERIMENT_FORMAT,
         "version": 1,
-        "spec_file": spec_path.name,
-        "rows": comparison_rows,
-        "methods": {
-            name: {
-                "per_seed": {str(s): summary for s, summary in bucket["seeds"].items()},
-                "failures": {str(s): err for s, err in bucket["failures"].items()},
-            }
-            for name, bucket in by_method.items()
-        },
+        "spec_file": spec_file,
+        "rows": rows,
+        "methods": by_method,
     }
     write_json(out_dir / "comparison.json", comparison)
     write_rows(
         out_dir / "comparison.csv",
         COMPARISON_CSV_HEADER,
-        [[row[key] for key in COMPARISON_CSV_HEADER.split(",")] for row in comparison_rows],
+        [[row[key] for key in COMPARISON_CSV_HEADER.split(",")] for row in rows],
     )
+    return comparison
 
-    failures = sum(row["failures"] for row in comparison_rows)
-    for row in comparison_rows:
+
+def cmd_experiment(args: argparse.Namespace) -> int:
+    spec_path = Path(args.spec)
+    spec = load_experiment_spec(spec_path)
+    out_dir = Path(args.out) if args.out else Path(spec.get("out") or _require_out())
+    threads = int(os.environ.get("NOODLE_THREADS", "1")) if args.threads is None else args.threads
+    comparison = run_experiment(spec, spec_path.name, out_dir, threads)
+
+    failures = sum(row["failures"] for row in comparison["rows"])
+    for row in comparison["rows"]:
         print(
             f"{row['method']}: fpr95={row['fpr95_mean']:.4f}±{row['fpr95_std']:.4f} "
             f"auroc={row['auroc_mean']:.4f}±{row['auroc_std']:.4f} "

@@ -22,13 +22,13 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from noodle.cli import evaluate, generate_dataset_files
-from noodle.datagen import NoiseSpec, inject_symmetric_noise, load_features_csv, load_ood_csv, make_gaussian_mixture
+from noodle.cli import run_experiment
+from noodle.datagen import NoiseSpec, inject_symmetric_noise, make_gaussian_mixture
 from noodle.decompose import grad_through_split, split_features
 from noodle.linalg import approx_topk_singular_vectors
 from noodle.losses import TransitionMatrix, classification_loss, sparsity_loss
 from noodle.metrics import auroc, fpr_at_tpr
-from noodle.model import softmax_columns
+from noodle.model import load_checkpoint, softmax_columns
 from noodle.trainer import TrainConfig, params_checksum, train
 from oracles import (
     auroc_pairwise,
@@ -55,15 +55,12 @@ PROTOCOL_GEN = dict(
     val_per_class=50,
     test_per_class=250,
     ood_size=1000,
-    ood_modes=("far_cluster", "uniform_shell"),
+    ood_modes=["far_cluster", "uniform_shell"],
 )
-PROTOCOL_KNN_K = 50
-PROTOCOL_T_DIAG = 0.65
-
-METHODS = {
-    "noodle": dict(loss_kind="cm", lam=0.001),
-    "ce_baseline": dict(loss_kind="ce", lam=0.0),
-}
+PROTOCOL_METHODS = [
+    {"name": "noodle", "loss_kind": "cm", "lambda": 0.001, "k": 50},
+    {"name": "ce_baseline", "loss_kind": "ce", "lambda": 0.0, "k": 50},
+]
 
 
 def _announce(line: str) -> None:
@@ -74,37 +71,32 @@ def _announce(line: str) -> None:
 # Protocol machinery (criteria 7-9)
 
 
-def _protocol_cell(data_dir: Path, method: str, seed: int) -> dict:
-    config = TrainConfig(seed=seed, t_diag_init=PROTOCOL_T_DIAG, **METHODS[method])
-    result = train(load_features_csv(data_dir / "train.csv"), config)
-    modes = PROTOCOL_GEN["ood_modes"]
-    ood_sets = [(mode, load_ood_csv(data_dir / f"ood_{mode}.csv")) for mode in modes]
-    test = load_features_csv(data_dir / "test_id.csv")
-    reports = evaluate(result.params, result.store, test, ood_sets, "knn", PROTOCOL_KNN_K, 0.95,
-                       seed, config.config_hash())
-    return {
-        "fpr95": float(np.mean([r.fpr95 for r in reports])),
-        "auroc": float(np.mean([r.auroc for r in reports])),
-        "id_accuracy": reports[0].id_accuracy,
-        "checksum": params_checksum(result.params),
+def _protocol_pass(out_dir: Path, noise_rate: float) -> dict:
+    """One serial (method x seed) sweep at the given noise level, through the
+    experiment runner; each cell's parameter checksum is read back from its
+    checkpoint."""
+    spec = {
+        "dataset": PROTOCOL_GEN,
+        "noise": {"rate": noise_rate},
+        "train": {"t_diag_init": 0.65},
+        "methods": PROTOCOL_METHODS,
+        "seeds": list(PROTOCOL_SEEDS),
     }
-
-
-def _protocol_pass(base_dir: Path, noise_rate: float) -> dict:
-    """One full (method x seed) sweep at the given noise level."""
-    cells: dict[str, list[dict]] = {name: [] for name in METHODS}
-    for seed in PROTOCOL_SEEDS:
-        data_dir = base_dir / f"seed{seed}"
-        generate_dataset_files(data_dir, seed, noise_rate=noise_rate, **PROTOCOL_GEN)
-        for name in METHODS:
-            cells[name].append(_protocol_cell(data_dir, name, seed))
-    out = {}
-    for name, rows in cells.items():
+    comparison = run_experiment(spec, "protocol.json", out_dir, threads=1)
+    out = {"comparison_json": (out_dir / "comparison.json").read_bytes()}
+    for row in comparison["rows"]:
+        name = row["method"]
+        assert row["failures"] == 0 and row["seeds"] == len(PROTOCOL_SEEDS), row
+        per_seed = comparison["methods"][name]["per_seed"]
+        checkpoints = [out_dir / "runs" / name / f"seed{s}" / "checkpoint.json" for s in PROTOCOL_SEEDS]
         out[name] = {
-            "per_seed": rows,
-            "fpr95": float(np.mean([r["fpr95"] for r in rows])),
-            "auroc": float(np.mean([r["auroc"] for r in rows])),
-            "id_accuracy": float(np.mean([r["id_accuracy"] for r in rows])),
+            "per_seed": [
+                dict(per_seed[str(s)]["average"], checksum=params_checksum(load_checkpoint(c)[0]))
+                for s, c in zip(PROTOCOL_SEEDS, checkpoints)
+            ],
+            "fpr95": row["fpr95_mean"],
+            "auroc": row["auroc_mean"],
+            "id_accuracy": row["id_acc_mean"],
         }
     return out
 
@@ -368,7 +360,9 @@ def test_criterion_8_no_clean_data_regression(protocol):
 def test_criterion_9_protocol_is_bit_reproducible(protocol):
     mismatches = []
     for block, again in (("noisy", "noisy_again"), ("clean", "clean_again")):
-        for name in METHODS:
+        if protocol[block]["comparison_json"] != protocol[again]["comparison_json"]:
+            mismatches.append(f"{block}/comparison.json")
+        for name in (m["name"] for m in PROTOCOL_METHODS):
             first, second = protocol[block][name], protocol[again][name]
             for key in ("fpr95", "auroc", "id_accuracy"):
                 if first[key] != second[key]:

@@ -25,6 +25,7 @@ from noodle.cli import (
     load_experiment_spec,
     main,
     run_eval,
+    run_experiment,
     run_training,
 )
 from noodle.datagen import load_features_csv
@@ -459,27 +460,32 @@ class TestExperiment:
         assert "lambda" in doc["methods"]["bad"]["failures"]["0"]
 
     def test_spec_validation(self, tmp_path):
+        # The file loader and the library runner share one validator, and the
+        # runner rejects a bad spec before it writes anything.
+        one = {"methods": [{"name": "a"}], "seeds": [0]}
+        cases = [
+            ({"methods": [], "seeds": [0]}, "at least one method"),
+            ({"methods": [{"name": "a"}, {"name": "a"}], "seeds": [0]}, "unique name"),
+            ({"methods": [{"name": "a", "score": "zzz"}], "seeds": [0]}, "unknown score kind"),
+            (dict(one, surprise=1), "surprise"),
+            (dict(one, noise={"rat": 0.4}), "unknown noise keys: rat"),
+            (dict(one, eval={"TPR": 0.5}), "unknown eval keys: TPR"),
+            (dict(one, seeds=[0, 0]), "distinct integers"),
+            (dict(one, seeds=[1.7]), "distinct integers"),
+            (dict(one, methods=["a"]), "each method must be objects"),
+            (dict(one, noise=0.4), "must be objects"),
+            (dict(one, seeds=0), "must be JSON lists"),
+            (dict(one, dataset={"noise_rate": 0.4}), "belongs in noise.rate"),
+            (dict(one, train={"seed": 3}), "belong in seeds"),
+        ]
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"methods": [], "seeds": [0]}))
-        with pytest.raises(ValueError, match="at least one method"):
-            load_experiment_spec(path)
-        path.write_text(
-            json.dumps(
-                {"methods": [{"name": "a"}, {"name": "a"}], "seeds": [0]}
-            )
-        )
-        with pytest.raises(ValueError, match="unique name"):
-            load_experiment_spec(path)
-        path.write_text(
-            json.dumps({"methods": [{"name": "a", "score": "zzz"}], "seeds": [0]})
-        )
-        with pytest.raises(ValueError, match="unknown score kind"):
-            load_experiment_spec(path)
-        path.write_text(
-            json.dumps({"methods": [{"name": "a"}], "seeds": [0], "surprise": 1})
-        )
-        with pytest.raises(ValueError, match="surprise"):
-            load_experiment_spec(path)
+        for spec, message in cases:
+            path.write_text(json.dumps(spec))
+            with pytest.raises(ValueError, match=message):
+                load_experiment_spec(path)
+            with pytest.raises(ValueError, match=message):
+                run_experiment(spec, path.name, tmp_path / "out", 1)
+        assert not (tmp_path / "out").exists()
 
     def test_missing_dataset_file_exits_2(self, tmp_path, capsys):
         spec = {
@@ -492,6 +498,29 @@ class TestExperiment:
         code = main(["experiment", "--spec", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "dataset file missing" in capsys.readouterr().err
+
+    def test_partial_dataset_file_set_exits_2_naming_the_missing_keys(self, tmp_path, capsys):
+        train_csv = tmp_path / "train.csv"
+        train_csv.write_text("")
+        spec = {"methods": [{"name": "a"}], "seeds": [0], "dataset": {"train_csv": str(train_csv)}}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code = main(["experiment", "--spec", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "but not id_test_csv, ood_csvs" in capsys.readouterr().err
+
+    def test_threads_below_one_exits_2(self, tmp_path, monkeypatch, capsys):
+        spec_path, _ = _experiment_spec(tmp_path)
+        out = tmp_path / "out"
+        monkeypatch.setenv("NOODLE_THREADS", "2")
+        argv = ["experiment", "--spec", str(spec_path), "--out", str(out)]
+        assert main([*argv, "--threads", "0"]) == 2
+        monkeypatch.setenv("NOODLE_THREADS", "-1")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "threads must be at least 1, got 0" in err
+        assert "threads must be at least 1, got -1" in err
+        assert not out.exists()
 
 
 class TestOutputResolution:

@@ -1,6 +1,6 @@
-"""Every name imported under ``src/noodle`` and ``tests`` is used (the package
-``__init__`` files are exempt, since their imports are re-exports), and the CLI
-starts without loading ``scipy.stats``."""
+"""Every name imported under ``src/noodle``, ``tests`` and ``demos`` is used
+(the package ``__init__`` files are exempt, since their imports are
+re-exports), and the CLI starts without loading ``scipy.stats``."""
 
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports():
     files = [
         path
-        for top in ("src/noodle", "tests")
+        for top in ("src/noodle", "tests", "demos")
         for path in sorted((ROOT / top).rglob("*.py"))
         if path.name != "__init__.py"
     ]
