@@ -44,9 +44,10 @@ from .datagen import (
     save_ood_csv,
 )
 from .files import read_json, write_json, write_rows
+from .losses import LOSS_KINDS
 from .metrics import REPORT_CSV_HEADER, ScoreReport, emit_report, id_accuracy, make_report
 from .model import DivergenceError, MlpParams, forward, load_checkpoint, save_checkpoint
-from .scoring import SCORE_KINDS, EmbeddingStore, batch_scores, load_store, save_store
+from .scoring import DEFAULT_KNN_K, SCORE_KINDS, EmbeddingStore, batch_scores, load_store, save_store
 from .trainer import TrainConfig, params_checksum, train
 
 EXPERIMENT_FORMAT = "noodle-experiment"
@@ -139,20 +140,9 @@ def generate_dataset_files(out_dir: Path, seed: int, **overrides) -> list[tuple[
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
     out_dir = _resolve_out(args.out)
-    manifest = generate_dataset_files(
-        out_dir,
-        args.seed,
-        classes=args.classes,
-        per_class=args.per_class,
-        dim=args.dim,
-        separation=args.separation,
-        spread=args.spread,
-        noise_rate=args.noise_rate,
-        val_per_class=args.val_per_class,
-        test_per_class=args.test_per_class,
-        ood_size=args.ood_size,
-        ood_modes=tuple(args.ood_modes.split(",")),
-    )
+    params = {key: getattr(args, key) for key in GEN_DEFAULTS}
+    params["ood_modes"] = tuple(args.ood_modes.split(","))
+    manifest = generate_dataset_files(out_dir, args.seed, **params)
     for path, rows in manifest:
         print(f"wrote {path} ({rows} rows)")
     return 0
@@ -160,6 +150,19 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # train
+
+# `noodle train` flag -> (config key, argparse options).  The config key is
+# also the argparse dest; `--lambda` names its metavar LAM in `--help`.
+TRAIN_FLAGS = {
+    "--seed": ("seed", dict(type=int)),
+    "--epochs": ("epochs", dict(type=int)),
+    "--lambda": ("lambda", dict(type=float, metavar="LAM", help="sparsity weight")),
+    "--loss": ("loss_kind", dict(choices=LOSS_KINDS)),
+    "--batch-size": ("batch_size", dict(type=int)),
+    "--lr": ("lr", dict(type=float)),
+    "--k-rank": ("k_rank", dict(type=int)),
+    "--pi-iters": ("pi_iters", dict(type=int)),
+}
 
 
 def build_train_config(config_path: str | None, flag_overrides: dict) -> TrainConfig:
@@ -209,16 +212,7 @@ def run_training(data_path: Path, config: TrainConfig, out_dir: Path) -> list[Pa
 
 def cmd_train(args: argparse.Namespace) -> int:
     out_dir = _resolve_out(args.out)
-    flag_overrides = {
-        "seed": args.seed,
-        "epochs": args.epochs,
-        "lambda": args.lam,
-        "loss_kind": args.loss,
-        "batch_size": args.batch_size,
-        "lr": args.lr,
-        "k_rank": args.k_rank,
-        "pi_iters": args.pi_iters,
-    }
+    flag_overrides = {key: getattr(args, key) for key, _ in TRAIN_FLAGS.values()}
     config = build_train_config(args.config, flag_overrides)
     for path in run_training(Path(args.data), config, out_dir):
         print(f"wrote {path}")
@@ -227,6 +221,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # eval
+
+# Defaults of `noodle eval` and of an experiment method's score/k and eval.tpr.
+EVAL_DEFAULTS = dict(score="knn", k=DEFAULT_KNN_K, tpr=0.95)
 
 
 def evaluate(
@@ -375,7 +372,11 @@ def validate_experiment_spec(spec, source: str) -> None:
     Unknown keys (at the top level, in ``noise``, ``eval`` and each method),
     a ``noise_rate`` in ``dataset`` or a ``seed`` in ``train`` (the runner
     sets both), repeated or non-integer seeds, a partial dataset file set and
-    a missing dataset file are errors rather than silent defaults."""
+    a missing dataset file are errors rather than silent defaults.  So is
+    anything that would only fail once the cells have trained or the output
+    directory is chosen: a method name that is not one path component under
+    ``runs/``, a method ``k`` that is not an integer >= 1, an ``eval.tpr``
+    outside (0, 1] and an ``out`` that is not a string."""
     if not isinstance(spec, dict):
         raise ValueError(f"{source}: experiment spec must be a JSON object")
     methods = spec.get("methods", [])
@@ -398,14 +399,29 @@ def validate_experiment_spec(spec, source: str) -> None:
     if any(type(s) is not int for s in seeds) or len(set(seeds)) != len(seeds):
         raise ValueError(f"{source}: seeds must be distinct integers, got {seeds}")
     names = [m.get("name") for m in methods]
-    if len(set(names)) != len(names) or None in names:
+    for name in names:
+        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ValueError(
+                f"{source}: a method name must be one path component (a non-empty string "
+                f"without / or \\, not . or ..), got {name!r}"
+            )
+    if len(set(names)) != len(names):
         raise ValueError(f"{source}: every method needs a unique name")
     for m in methods:
         extra = sorted(set(m) - {"name", "loss_kind", "lambda", "score", "k"})
         if extra:
             raise ValueError(f"{source}: method {m['name']!r} has unknown keys: {', '.join(extra)}")
-        if m.get("score", "knn") not in SCORE_KINDS:
+        if m.get("score", EVAL_DEFAULTS["score"]) not in SCORE_KINDS:
             raise ValueError(f"{source}: method {m['name']!r} has unknown score kind")
+        k = m.get("k", EVAL_DEFAULTS["k"])
+        if type(k) is not int or k < 1:
+            raise ValueError(f"{source}: method {m['name']!r} needs an integer k >= 1, got {k!r}")
+    tpr = spec.get("eval", {}).get("tpr", EVAL_DEFAULTS["tpr"])
+    if type(tpr) not in (int, float) or not 0.0 < tpr <= 1.0:
+        raise ValueError(f"{source}: eval.tpr must be a number in (0, 1], got {tpr!r}")
+    out = spec.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ValueError(f"{source}: out must be a directory path string, got {out!r}")
     dataset = spec.get("dataset", {})
     if "noise_rate" in dataset:
         raise ValueError(f"{source}: the noise rate belongs in noise.rate, not dataset")
@@ -446,9 +462,9 @@ def _run_cell(cell: dict) -> dict:
             run_dir / "store",
             Path(cell["id_test_csv"]),
             [Path(p) for p in cell["ood_csvs"]],
-            cell["method"].get("score", "knn"),
-            int(cell["method"].get("k", 50)),
-            float(cell["spec"].get("eval", {}).get("tpr", 0.95)),
+            cell["method"].get("score", EVAL_DEFAULTS["score"]),
+            cell["method"].get("k", EVAL_DEFAULTS["k"]),
+            float(cell["spec"].get("eval", {}).get("tpr", EVAL_DEFAULTS["tpr"])),
             cell["seed"],
             run_dir,
         )
@@ -585,34 +601,20 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen-data", help="write synthetic ID/OOD CSV files")
     g.add_argument("--out", help="output directory (or NOODLE_OUT)")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--classes", type=int, default=GEN_DEFAULTS["classes"])
-    g.add_argument("--per-class", type=int, default=GEN_DEFAULTS["per_class"])
-    g.add_argument("--dim", type=int, default=GEN_DEFAULTS["dim"])
-    g.add_argument("--separation", type=float, default=GEN_DEFAULTS["separation"])
-    g.add_argument("--spread", type=float, default=GEN_DEFAULTS["spread"])
-    g.add_argument("--noise-rate", type=float, default=GEN_DEFAULTS["noise_rate"])
-    g.add_argument("--val-per-class", type=int, default=GEN_DEFAULTS["val_per_class"])
-    g.add_argument("--test-per-class", type=int, default=GEN_DEFAULTS["test_per_class"])
-    g.add_argument("--ood-size", type=int, default=GEN_DEFAULTS["ood_size"])
-    g.add_argument(
-        "--ood-modes",
-        default=",".join(GEN_DEFAULTS["ood_modes"]),
-        help=f"comma-separated subset of {OOD_MODES}",
-    )
+    for key, default in GEN_DEFAULTS.items():
+        flag = "--" + key.replace("_", "-")
+        if key == "ood_modes":
+            g.add_argument(flag, default=",".join(default), help=f"comma-separated subset of {OOD_MODES}")
+        else:
+            g.add_argument(flag, type=type(default), default=default)
     g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", help="train a model and build the reference store")
     t.add_argument("--data", required=True, help="training CSV")
     t.add_argument("--out", help="output directory (or NOODLE_OUT)")
     t.add_argument("--config", help="JSON file of train-config keys")
-    t.add_argument("--seed", type=int)
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--lambda", dest="lam", type=float, help="sparsity weight")
-    t.add_argument("--loss", choices=("ce", "cm", "sce", "gce"))
-    t.add_argument("--batch-size", type=int)
-    t.add_argument("--lr", type=float)
-    t.add_argument("--k-rank", type=int)
-    t.add_argument("--pi-iters", type=int)
+    for flag, (key, options) in TRAIN_FLAGS.items():
+        t.add_argument(flag, dest=key, **options)
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="score ID/OOD files and emit reports")
@@ -620,9 +622,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--store", required=True, help="store base path (without .csv/.json)")
     e.add_argument("--id-test", required=True)
     e.add_argument("--ood", action="append", required=True, help="repeatable OOD CSV path")
-    e.add_argument("--score", choices=SCORE_KINDS, default="knn")
-    e.add_argument("--k", type=int, default=50)
-    e.add_argument("--tpr", type=float, default=0.95)
+    e.add_argument("--score", choices=SCORE_KINDS, default=EVAL_DEFAULTS["score"])
+    e.add_argument("--k", type=int, default=EVAL_DEFAULTS["k"])
+    e.add_argument("--tpr", type=float, default=EVAL_DEFAULTS["tpr"])
     e.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
     e.add_argument("--out", help="output directory (or NOODLE_OUT)")
     e.set_defaults(func=cmd_eval)

@@ -26,7 +26,9 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class MlpParams:
-    """Weights of the encoder stack plus the linear classification head."""
+    """Weights of the encoder stack plus the linear classification head.
+
+    Gradients and momentum buffers share this layout and type."""
 
     weights: list[np.ndarray]   # weights[i] has shape (width_i, width_{i-1})
     biases: list[np.ndarray]
@@ -57,17 +59,9 @@ class MlpParams:
             self.head_bias.copy(),
         )
 
-
-@dataclass
-class MlpGrads:
-    """Gradient (or momentum buffer) with the same layout as :class:`MlpParams`."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    head_weight: np.ndarray
-    head_bias: np.ndarray
-
     def arrays(self) -> list[np.ndarray]:
+        """Every array, in the one fixed order: weights, biases, head weight,
+        head bias.  Checksums, norms and the optimizer all walk this order."""
         return [*self.weights, *self.biases, self.head_weight, self.head_bias]
 
     def global_norm(self) -> float:
@@ -82,16 +76,11 @@ class MlpGrads:
 class MlpCache:
     """Forward-pass intermediates needed by :func:`backward`."""
 
-    inputs: np.ndarray                 # (in_dim, batch), transposed input rows
-    pre_activations: list[np.ndarray]  # per layer, (width, batch)
-    activations: list[np.ndarray]      # per layer, after ReLU
-    latent: np.ndarray                 # alias of activations[-1], (latent_dim, batch)
-    logits: np.ndarray                 # (num_classes, batch)
-    probs: np.ndarray                  # column-wise softmax of logits
-
-    @property
-    def batch_size(self) -> int:
-        return self.inputs.shape[1]
+    inputs: np.ndarray             # (in_dim, batch), transposed input rows
+    activations: list[np.ndarray]  # per layer, after ReLU, (width, batch)
+    latent: np.ndarray             # alias of activations[-1], (latent_dim, batch)
+    logits: np.ndarray             # (num_classes, batch)
+    probs: np.ndarray              # column-wise softmax of logits
 
 
 def init_mlp(
@@ -131,14 +120,12 @@ def forward(params: MlpParams, x: np.ndarray) -> MlpCache:
         raise ValueError(f"expected (batch, {params.in_dim}) inputs, got {x.shape}")
     a = x.T
     inputs = a
-    pre, act = [], []
+    act = []
     for w, b in zip(params.weights, params.biases):
-        z = w @ a + b[:, None]
-        a = np.maximum(z, 0.0)
-        pre.append(z)
+        a = np.maximum(w @ a + b[:, None], 0.0)
         act.append(a)
     logits = params.head_weight @ a + params.head_bias[:, None]
-    return MlpCache(inputs, pre, act, act[-1], logits, softmax_columns(logits))
+    return MlpCache(inputs, act, act[-1], logits, softmax_columns(logits))
 
 
 def backward(
@@ -146,12 +133,14 @@ def backward(
     cache: MlpCache,
     grad_logits: np.ndarray,
     grad_latent: np.ndarray | None = None,
-) -> MlpGrads:
+) -> MlpParams:
     """Backpropagate a logit gradient (and an optional extra gradient applied
     directly to the latent activations) into parameter gradients.
 
     ``grad_logits`` and ``grad_latent`` must already include any batch-size
-    scaling; this routine only applies the chain rule.
+    scaling; this routine only applies the chain rule.  The ReLU mask is
+    ``activation > 0``, which is the same as ``pre-activation > 0`` for every
+    float (NaN and -0.0 included), so no pre-activation is kept.
     """
     if grad_logits.shape != cache.logits.shape:
         raise ValueError(f"grad_logits shape {grad_logits.shape} != {cache.logits.shape}")
@@ -166,17 +155,18 @@ def backward(
     d_weights = [np.empty(0)] * len(params.weights)
     d_biases = [np.empty(0)] * len(params.biases)
     for i in range(len(params.weights) - 1, -1, -1):
-        d_z = d_act * (cache.pre_activations[i] > 0.0)
+        d_z = d_act * (cache.activations[i] > 0.0)
         below = cache.activations[i - 1] if i > 0 else cache.inputs
         d_weights[i] = d_z @ below.T
         d_biases[i] = d_z.sum(axis=1)
         if i > 0:  # nothing reads the input gradient
             d_act = params.weights[i].T @ d_z
-    return MlpGrads(d_weights, d_biases, d_head_w, d_head_b)
+    return MlpParams(d_weights, d_biases, d_head_w, d_head_b)
 
 
-def zero_grads_like(params: MlpParams) -> MlpGrads:
-    return MlpGrads(
+def zero_grads_like(params: MlpParams) -> MlpParams:
+    """Zeros in the layout of ``params``: a gradient or momentum buffer."""
+    return MlpParams(
         [np.zeros_like(w) for w in params.weights],
         [np.zeros_like(b) for b in params.biases],
         np.zeros_like(params.head_weight),
@@ -184,7 +174,7 @@ def zero_grads_like(params: MlpParams) -> MlpGrads:
     )
 
 
-def clip_global_norm(grads: MlpGrads, max_norm: float, extra: np.ndarray | None = None) -> float:
+def clip_global_norm(grads: MlpParams, max_norm: float, extra: np.ndarray | None = None) -> float:
     """Scale ``grads`` (and ``extra``, jointly) so the combined Euclidean norm
     is at most ``max_norm``. Returns the pre-clip norm."""
     total = grads.global_norm() ** 2
@@ -201,17 +191,17 @@ def clip_global_norm(grads: MlpGrads, max_norm: float, extra: np.ndarray | None 
 
 def sgd_step(
     params: MlpParams,
-    grads: MlpGrads,
-    state: MlpGrads,
+    grads: MlpParams,
+    state: MlpParams,
     lr: float,
     momentum: float = 0.0,
     weight_decay: float = 0.0,
 ) -> None:
     """One SGD-with-momentum update, in place.
 
-    Weight decay is added to the raw gradient for weight matrices only;
-    biases are never decayed.  ``state`` holds the momentum buffers and is
-    updated in place alongside the parameters.
+    Weight decay is added to the raw gradient for weight matrices (the 2-D
+    arrays) only; biases are never decayed.  ``state`` holds the momentum
+    buffers and is updated in place alongside the parameters.
 
     Raises
     ------
@@ -220,21 +210,13 @@ def sgd_step(
     """
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
-
-    def named() -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray, bool]]:
-        out = []
-        for i, (w, g, v) in enumerate(zip(params.weights, grads.weights, state.weights)):
-            out.append((f"weights[{i}]", w, g, v, True))
-        for i, (b, g, v) in enumerate(zip(params.biases, grads.biases, state.biases)):
-            out.append((f"biases[{i}]", b, g, v, False))
-        out.append(("head_weight", params.head_weight, grads.head_weight, state.head_weight, True))
-        out.append(("head_bias", params.head_bias, grads.head_bias, state.head_bias, False))
-        return out
-
-    for name, p, g, v, decay in named():
+    for i, (p, g, v) in enumerate(zip(params.arrays(), grads.arrays(), state.arrays())):
         if not np.isfinite(g).all():
-            raise DivergenceError(f"non-finite gradient in {name}")
-        step = g + weight_decay * p if decay and weight_decay else g
+            n = len(params.weights)
+            names = [f"weights[{j}]" for j in range(n)] + [f"biases[{j}]" for j in range(n)]
+            names += ["head_weight", "head_bias"]
+            raise DivergenceError(f"non-finite gradient in {names[i]}")
+        step = g + weight_decay * p if weight_decay and p.ndim == 2 else g
         v *= momentum
         v += step
         p -= lr * v

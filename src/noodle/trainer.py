@@ -168,7 +168,7 @@ def derive_streams(seed: int) -> SeedStreams:
 def params_checksum(params: MlpParams) -> str:
     """SHA-256 over shapes and raw bytes of all parameter arrays."""
     digest = hashlib.sha256()
-    for arr in [*params.weights, *params.biases, params.head_weight, params.head_bias]:
+    for arr in params.arrays():
         digest.update(str(arr.shape).encode())
         digest.update(np.ascontiguousarray(arr).tobytes())
     return digest.hexdigest()

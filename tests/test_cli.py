@@ -7,8 +7,11 @@ training sizes are kept tiny so the whole module runs in seconds.
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -21,6 +24,7 @@ import noodle
 from noodle.cli import (
     COMPARISON_CSV_HEADER,
     GEN_DEFAULTS,
+    build_parser,
     generate_dataset_files,
     load_experiment_spec,
     main,
@@ -368,6 +372,27 @@ def test_readme_quickstart_prints_the_documented_numbers(tmp_path, monkeypatch, 
     ]
 
 
+def test_readme_cli_reference_and_config_fields_match_the_code():
+    # Every flag a subcommand defines is in its README "CLI reference" entry
+    # and the reverse; --out is documented once, above the entries.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    reference = text.split("## CLI reference", 1)[1].split("\n## ", 1)[0]
+    preamble, *entries = re.split(r"\*\*`noodle ([a-z-]+)`\*\*", reference)
+    documented = {
+        name: set(re.findall(r"--[a-z][a-z-]*", body)) for name, body in zip(entries[::2], entries[1::2])
+    }
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help", "--out"}
+        for name, sub in commands.choices.items()
+    }
+    assert documented == defined
+    assert "`--out`" in preamble
+
+    listed = text.split("`TrainConfig` fields (all overridable): `", 1)[1].split("`", 1)[0]
+    assert sorted(re.split(r",\s*", listed)) == sorted(f.name for f in dataclasses.fields(TrainConfig))
+
+
 def _experiment_spec(tmp_path, seeds=(0,), methods=None):
     spec = {
         "format": "noodle-experiment",
@@ -477,6 +502,20 @@ class TestExperiment:
             (dict(one, seeds=0), "must be JSON lists"),
             (dict(one, dataset={"noise_rate": 0.4}), "belongs in noise.rate"),
             (dict(one, train={"seed": 3}), "belong in seeds"),
+            (dict(one, methods=[{"name": "../../escape"}]), "one path component"),
+            (dict(one, methods=[{"name": "a/b"}]), "one path component"),
+            (dict(one, methods=[{"name": "a\\b"}]), "one path component"),
+            (dict(one, methods=[{"name": ".."}]), "one path component"),
+            (dict(one, methods=[{"name": "."}]), "one path component"),
+            (dict(one, methods=[{"name": ""}]), "one path component"),
+            (dict(one, methods=[{"name": ["a"]}]), "one path component"),
+            (dict(one, methods=[{"loss_kind": "ce"}]), "one path component"),
+            (dict(one, methods=[{"name": "a", "k": 0}]), "integer k >= 1"),
+            (dict(one, methods=[{"name": "a", "k": 2.5}]), "integer k >= 1"),
+            (dict(one, eval={"tpr": 0}), r"eval.tpr must be a number in \(0, 1\]"),
+            (dict(one, eval={"tpr": 1.5}), r"eval.tpr must be a number in \(0, 1\]"),
+            (dict(one, eval={"tpr": "0.9"}), r"eval.tpr must be a number in \(0, 1\]"),
+            (dict(one, out=5), "out must be a directory path string"),
         ]
         path = tmp_path / "bad.json"
         for spec, message in cases:
@@ -486,6 +525,24 @@ class TestExperiment:
             with pytest.raises(ValueError, match=message):
                 run_experiment(spec, path.name, tmp_path / "out", 1)
         assert not (tmp_path / "out").exists()
+
+    def test_late_failures_exit_2_before_any_write(self, tmp_path, capsys):
+        # Unchecked, each of these fails only after writing: an escaping name
+        # writes outside runs/, k=0 and tpr=0 fail every trained cell, and
+        # out=5 is a TypeError traceback once the output directory is chosen.
+        bad = [
+            {"methods": [{"name": "../escape"}], "seeds": [0]},
+            {"methods": [{"name": "a", "k": 0}], "seeds": [0]},
+            {"methods": [{"name": "a"}], "seeds": [0], "eval": {"tpr": 0.0}},
+        ]
+        path = tmp_path / "spec.json"
+        for spec in bad:
+            path.write_text(json.dumps(spec))
+            assert main(["experiment", "--spec", str(path), "--out", str(tmp_path / "o" / "i")]) == 2
+        path.write_text(json.dumps({"methods": [{"name": "a"}], "seeds": [0], "out": 5}))
+        assert main(["experiment", "--spec", str(path)]) == 2
+        assert "out must be a directory path string" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
     def test_missing_dataset_file_exits_2(self, tmp_path, capsys):
         spec = {

@@ -3,6 +3,8 @@ and checkpoint persistence."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -26,14 +28,10 @@ def _small_net(seed=0, in_dim=3, widths=(4,), num_classes=3):
     return init_mlp(in_dim, num_classes, np.random.default_rng(seed), widths)
 
 
-def _flatten(params):
-    return [*params.weights, *params.biases, params.head_weight, params.head_bias]
-
-
 class TestForward:
     def test_zero_weights_give_uniform_probs(self):
         params = _small_net()
-        for arr in _flatten(params):
+        for arr in params.arrays():
             arr[...] = 0.0
         cache = forward(params, np.random.default_rng(1).standard_normal((5, 3)))
         np.testing.assert_allclose(cache.probs, 1.0 / 3.0, atol=1e-15)
@@ -105,14 +103,14 @@ class TestBackward:
         g_latent = np.random.default_rng(14).standard_normal((4, 2))
         base = forward(params, x)
         # FD through ReLU is only valid away from the kinks.
-        assert min(np.abs(z).min() for z in base.pre_activations) > 1e-3
+        assert np.abs(params.weights[0] @ x.T + params.biases[0][:, None]).min() > 1e-3
 
         def objective() -> float:
             cache = forward(params, x)
             return float((g_logits * cache.logits).sum() + (g_latent * cache.latent).sum())
 
         grads = backward(params, base, g_logits, g_latent)
-        for param_arr, grad_arr in zip(_flatten(params), grads.arrays()):
+        for param_arr, grad_arr in zip(params.arrays(), grads.arrays()):
             numeric = central_difference(lambda _: objective(), param_arr)
             assert max_rel_error(grad_arr, numeric, floor=1e-6) <= 1e-5
 
@@ -133,7 +131,7 @@ class TestSgdStep:
         for g in grads.arrays():
             g[...] = 1.0
         sgd_step(params, grads, zero_grads_like(params), lr=0.1, momentum=0.0, weight_decay=0.0)
-        for p, b in zip(_flatten(params), _flatten(before)):
+        for p, b in zip(params.arrays(), before.arrays()):
             np.testing.assert_array_equal(p, b - 0.1)
 
     def test_momentum_carries_through_zero_gradient(self):
@@ -143,7 +141,7 @@ class TestSgdStep:
         for v in state.arrays():
             v[...] = 2.0
         sgd_step(params, zero_grads_like(params), state, lr=0.1, momentum=0.9)
-        for p, b in zip(_flatten(params), _flatten(before)):
+        for p, b in zip(params.arrays(), before.arrays()):
             np.testing.assert_allclose(p, b - 0.1 * 0.9 * 2.0, rtol=1e-15)
 
     def test_two_steps_unroll_the_recurrence(self):
@@ -156,25 +154,28 @@ class TestSgdStep:
             g[...] = 0.5
         for _ in range(2):
             sgd_step(params, grads, state, lr=0.2, momentum=0.9, weight_decay=0.0)
-        for p, b in zip(_flatten(params), _flatten(before)):
+        for p, b in zip(params.arrays(), before.arrays()):
             np.testing.assert_allclose(p, b - 0.2 * (0.5 + 1.9 * 0.5), rtol=1e-14)
 
     def test_weight_decay_skips_biases(self):
         params = _small_net(19)
         before = params.copy()
         sgd_step(params, zero_grads_like(params), zero_grads_like(params), lr=0.1, weight_decay=0.5)
-        for w, b in zip(params.weights, before.weights):
+        for w, b in zip([*params.weights, params.head_weight], [*before.weights, before.head_weight]):
             np.testing.assert_allclose(w, b - 0.1 * 0.5 * b, rtol=1e-15)
         for bias, b in zip(params.biases, before.biases):
             np.testing.assert_array_equal(bias, b)
         np.testing.assert_array_equal(params.head_bias, before.head_bias)
 
     def test_non_finite_gradient_raises(self):
-        params = _small_net(20)
-        grads = zero_grads_like(params)
-        grads.weights[0][0, 0] = np.nan
-        with pytest.raises(DivergenceError, match="weights"):
-            sgd_step(params, grads, zero_grads_like(params), lr=0.1)
+        # The message names the array, in the order of MlpParams.arrays().
+        params = _small_net(20, widths=(4, 2))
+        names = ["weights[0]", "weights[1]", "biases[0]", "biases[1]", "head_weight", "head_bias"]
+        for index, name in enumerate(names):
+            grads = zero_grads_like(params)
+            grads.arrays()[index].flat[0] = np.nan
+            with pytest.raises(DivergenceError, match=f"non-finite gradient in {re.escape(name)}$"):
+                sgd_step(params, grads, zero_grads_like(params), lr=0.1)
 
 
 class TestClipGlobalNorm:
@@ -211,7 +212,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(params, path, transition_theta=theta, meta={"note": "fixture"})
         loaded, theta_back, meta = load_checkpoint(path)
-        for a, b in zip(_flatten(loaded), _flatten(params)):
+        for a, b in zip(loaded.arrays(), params.arrays()):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(theta_back, theta)
         assert meta == {"note": "fixture"}
