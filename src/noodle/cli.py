@@ -91,50 +91,40 @@ def generate_dataset_files(out_dir: Path, seed: int, **overrides) -> list[tuple[
     for mode in modes:
         if mode not in OOD_MODES:
             raise ValueError(f"unknown OOD mode {mode!r}; expected one of {OOD_MODES}")
-    if not modes:
-        raise ValueError("need at least one OOD mode")
+    if not modes or len(set(modes)) < len(modes):
+        raise ValueError(f"need one or more distinct OOD modes, got {','.join(modes) or 'none'}")
+    for key in ("per_class", "val_per_class", "test_per_class", "ood_size"):
+        if p[key] < 1:
+            raise ValueError(f"{key} must be >= 1, got {p[key]}")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    total_pc = p["per_class"] + p["val_per_class"] + p["test_per_class"]
+    counts = (p["per_class"], p["val_per_class"], p["test_per_class"])
     full = make_gaussian_mixture(
-        p["classes"], total_pc, p["dim"], p["separation"], p["spread"], rng
+        p["classes"], sum(counts), p["dim"], p["separation"], p["spread"], rng
     )
-
-    def take(offset: int, count: int) -> np.ndarray:
-        # Rows are laid out in class blocks of total_pc; slice each block.
-        picks = []
-        for c in range(p["classes"]):
-            base = c * total_pc + offset
-            picks.append(np.arange(base, base + count))
-        return np.concatenate(picks)
-
-    splits = {
-        "train": take(0, p["per_class"]),
-        "val": take(p["per_class"], p["val_per_class"]),
-        "test_id": take(p["per_class"] + p["val_per_class"], p["test_per_class"]),
-    }
+    # Rows come in one block per class; a split is the same slice of each block.
+    features = full.features.reshape(p["classes"], sum(counts), -1)
+    labels = full.clean_labels.reshape(p["classes"], sum(counts))
+    noise = NoiseSpec("symmetric", p["noise_rate"])
+    bounds = np.cumsum((0, *counts))
     sets = {}
-    for name, idx in splits.items():
-        labels = full.clean_labels[idx]
-        sets[name] = LabeledSet(full.features[idx], labels, labels.copy(), p["classes"])
-    noisy = inject_symmetric_noise(
-        sets["train"].clean_labels, NoiseSpec("symmetric", p["noise_rate"]), p["classes"], rng
-    )
-    sets["train"] = LabeledSet(
-        sets["train"].features, sets["train"].clean_labels, noisy, p["classes"]
-    )
+    for name, lo, hi in zip(("train", "val", "test_id"), bounds, bounds[1:]):
+        clean = labels[:, lo:hi].ravel()
+        noisy = inject_symmetric_noise(clean, noise, p["classes"], rng) if name == "train" else clean
+        sets[name] = LabeledSet(features[:, lo:hi].reshape(clean.size, -1), clean, noisy, p["classes"])
+    # Every draw comes before the first write, so a failing draw leaves no files.
+    ood = {mode: make_ood_set(sets["train"], p["ood_size"], mode, rng) for mode in modes}
 
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest: list[tuple[Path, int]] = []
-    for name in ("train", "val", "test_id"):
+    for name, dataset in sets.items():
         path = out_dir / f"{name}.csv"
-        save_features_csv(sets[name], path)
-        manifest.append((path, len(sets[name])))
-    for mode in modes:
-        features = make_ood_set(sets["train"], p["ood_size"], mode, rng)
+        save_features_csv(dataset, path)
+        manifest.append((path, len(dataset)))
+    for mode, ood_features in ood.items():
         path = out_dir / f"ood_{mode}.csv"
-        save_ood_csv(features, path)
-        manifest.append((path, features.shape[0]))
+        save_ood_csv(ood_features, path)
+        manifest.append((path, ood_features.shape[0]))
     return manifest
 
 
@@ -253,6 +243,14 @@ def evaluate(
     return reports
 
 
+def _check_report_names(ood_paths: Iterable, what: str) -> None:
+    """Each OOD file's stem names its report, so no two files may share one."""
+    stems = [Path(p).stem for p in ood_paths]
+    repeated = sorted({stem for stem in stems if stems.count(stem) > 1})
+    if repeated:
+        raise ValueError(f"{what} share a report name: {', '.join(repeated)}")
+
+
 def run_eval(
     checkpoint_path: Path,
     store_base: Path,
@@ -270,11 +268,13 @@ def run_eval(
     The store must come from the checkpoint's encoder: a store whose latent
     width differs, whose recorded ``encoder_checksum`` is not the
     checkpoint's :func:`params_checksum`, or that has more classes than the
-    checkpoint's head is rejected with ``ValueError``."""
+    checkpoint's head is rejected with ``ValueError``, and so are two OOD
+    files with one stem."""
     if score not in SCORE_KINDS:
         raise ValueError(f"unknown score kind {score!r}; expected one of {SCORE_KINDS}")
     if not ood_paths:
         raise ValueError("need at least one OOD file")
+    _check_report_names(ood_paths, "OOD files")
     for path in [checkpoint_path, Path(str(store_base) + ".csv"), id_test_path, *ood_paths]:
         if not Path(path).exists():
             raise FileNotFoundError(f"missing input file: {path}")
@@ -371,8 +371,9 @@ def validate_experiment_spec(spec, source: str) -> None:
 
     Unknown keys (at the top level, in ``noise``, ``eval`` and each method),
     a ``noise_rate`` in ``dataset`` or a ``seed`` in ``train`` (the runner
-    sets both), repeated or non-integer seeds, a partial dataset file set and
-    a missing dataset file are errors rather than silent defaults.  So is
+    sets both), repeated or non-integer seeds, a partial dataset file set, a
+    missing dataset file and two OOD files with one stem are errors rather
+    than silent defaults.  So is
     anything that would only fail once the cells have trained or the output
     directory is chosen: a method name that is not one path component under
     ``runs/``, a method ``k`` that is not an integer >= 1, an ``eval.tpr``
@@ -431,6 +432,7 @@ def validate_experiment_spec(spec, source: str) -> None:
     for file in [*files, *dataset.get("ood_csvs", [])]:
         if not Path(file).exists():
             raise FileNotFoundError(f"{source}: dataset file missing: {file}")
+    _check_report_names(dataset.get("ood_csvs", []), f"{source}: ood_csvs")
     given = [k for k in DATASET_FILE_KEYS if k in dataset]
     missing = [k for k in DATASET_FILE_KEYS if k not in dataset]
     if given and missing:

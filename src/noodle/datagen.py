@@ -123,14 +123,12 @@ def make_gaussian_mixture(
         raise ValueError("separation and spread must be positive")
 
     means = _spread_out_means(num_classes, dim, separation, rng)
-    features = np.empty((num_classes * per_class, dim))
-    labels = np.empty(num_classes * per_class, dtype=np.int64)
-    for c in range(num_classes):
-        block = slice(c * per_class, (c + 1) * per_class)
-        features[block] = means[c] + spread * rng.standard_normal((per_class, dim))
-        labels[block] = c
+    # One draw in class blocks; the mean is added in place, by broadcast.
+    features = spread * rng.standard_normal((num_classes, per_class, dim))
+    features += means[:, None, :]
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
     return LabeledSet(
-        features=features,
+        features=features.reshape(-1, dim),
         clean_labels=labels,
         noisy_labels=labels.copy(),
         num_classes=num_classes,

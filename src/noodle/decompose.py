@@ -45,20 +45,18 @@ class FeatureSplit:
         return self.basis.shape[1]
 
 
-def normalize_columns(h: np.ndarray, eps: float = NORM_EPS) -> tuple[np.ndarray, np.ndarray]:
+def normalize_columns(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scale each column to unit Euclidean norm.
 
-    Columns with norm <= ``eps`` cannot be meaningfully normalized; they are
+    Columns with norm <= ``NORM_EPS`` cannot be meaningfully normalized; they are
     passed through unchanged and their recorded norm is set to 0 so callers
     can treat them specially (the gradient pullback becomes the identity).
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     h = np.asarray(h, dtype=float)
     if h.ndim != 2:
         raise ValueError("expected a 2-D feature matrix")
     norms = np.linalg.norm(h, axis=0)
-    degenerate = norms <= eps
+    degenerate = norms <= NORM_EPS
     out_norms = np.where(degenerate, 0.0, norms)
     scaled = h / np.where(degenerate, 1.0, norms)
     return scaled, out_norms

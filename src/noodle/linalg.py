@@ -21,9 +21,8 @@ DEFICIENT_PIVOT_TOL = 1e-12
 
 
 @lru_cache(maxsize=64)
-def _qr_plan(d: int, k: int) -> tuple[int, int, np.ndarray]:
-    """Optimal LAPACK workspaces for a ``(d, k)`` QR and the ``(k, k)``
-    upper-triangle mask.
+def _qr_plan(d: int, k: int) -> tuple[int, int]:
+    """Optimal LAPACK workspaces for a ``(d, k)`` QR.
 
     The workspace size picks LAPACK's block size, and above 128 columns the
     blocking changes the rounding; querying it as ``np.linalg.qr`` does keeps
@@ -35,13 +34,11 @@ def _qr_plan(d: int, k: int) -> tuple[int, int, np.ndarray]:
     _, orgqr_work, info = dorgqr(np.zeros((d, k), order="F"), np.zeros(k), lwork=-1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dorgqr workspace query failed with info={info}")
-    upper = np.triu(np.ones((k, k), dtype=bool))
-    upper.flags.writeable = False
-    return int(geqrf_work), int(orgqr_work[0]), upper
+    return int(geqrf_work), int(orgqr_work[0])
 
 
 def qr_thin(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR factorization with a nonnegative-diagonal sign convention.
+    """Orthonormal factor of a thin QR factorization, and its pivots.
 
     Parameters
     ----------
@@ -50,8 +47,8 @@ def qr_thin(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns
     -------
     q : (d, k) C-ordered ndarray with orthonormal columns.
-    r : (k, k) upper-triangular ndarray with ``r[j, j] >= 0``, so the
-        factorization is unique for full-rank input.
+    pivots : (k,) ndarray ``|diag R|``; ``R`` itself is never formed.  A
+        pivot near zero flags a column that depends on the ones before it.
 
     Raises
     ------
@@ -65,10 +62,10 @@ def qr_thin(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The factorization is LAPACK's Householder QR (``dgeqrf`` then
     ``dorgqr``) with the optimal workspace, the same calls
     ``np.linalg.qr(a, mode="reduced")`` makes, so the result equals that
-    one, sign-normalized, bit for bit.  For rank-deficient input the columns
-    of ``q`` spanning the null directions are an arbitrary orthonormal
-    completion; callers that need reproducible bases in that regime must
-    repair them (see :func:`approx_topk_singular_vectors`).
+    one, sign-normalized to ``diag R >= 0``, bit for bit.  For rank-deficient
+    input the columns of ``q`` spanning the null directions are an arbitrary
+    orthonormal completion; callers that need reproducible bases in that
+    regime must repair them (see :func:`approx_topk_singular_vectors`).
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
@@ -77,16 +74,17 @@ def qr_thin(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if k > d:
         raise ValueError(f"qr_thin needs at least as many rows as columns, got {a.shape}")
     if k == 0:
-        return np.empty((d, 0)), np.empty((0, 0))
-    geqrf_work, orgqr_work, upper = _qr_plan(d, k)
+        return np.empty((d, 0)), np.empty(0)
+    geqrf_work, orgqr_work = _qr_plan(d, k)
     packed, tau, _, info = dgeqrf(a, lwork=geqrf_work)
     if info != 0:
         raise np.linalg.LinAlgError(f"dgeqrf failed with info={info}")
     q, _, info = dorgqr(packed, tau, lwork=orgqr_work)
     if info != 0:
         raise np.linalg.LinAlgError(f"dorgqr failed with info={info}")
-    signs = np.where(packed.diagonal() < 0.0, -1.0, 1.0)
-    return np.multiply(q, signs, order="C"), np.where(upper, packed[:k], 0.0) * signs[:, None]
+    diagonal = packed.diagonal()
+    signs = np.where(diagonal < 0.0, -1.0, 1.0)
+    return np.multiply(q, signs, order="C"), np.abs(diagonal)
 
 
 def _fill_deficient_columns(q: np.ndarray, deficient: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -107,10 +105,14 @@ def _fill_deficient_columns(q: np.ndarray, deficient: np.ndarray, rng: np.random
     return q
 
 
-def _random_orthonormal(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = qr_thin(rng.standard_normal((d, k)))
-    deficient = np.abs(r.diagonal()) < DEFICIENT_PIVOT_TOL
-    if deficient.any():  # pragma: no cover - probability zero for Gaussian draws
+def _orthonormalize(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Orthonormal basis of ``a``'s columns, with numerically dependent
+    columns replaced by random directions orthonormal to the rest."""
+    q, pivots = qr_thin(a)
+    deficient = pivots < DEFICIENT_PIVOT_TOL
+    # np.count_nonzero tests this tiny array in one C call, without the
+    # Python-level wrapper of ndarray.any.
+    if np.count_nonzero(deficient):
         q = _fill_deficient_columns(q, deficient, rng)
     return q
 
@@ -122,7 +124,7 @@ def approx_topk_singular_vectors(
 
     Starting from a random orthonormal ``(d, k)`` block ``Q``, repeats
 
-        ``Z = h @ (h.T @ Q)``;  ``Q = qr_thin(Z).Q``
+        ``Z = h @ (h.T @ Q)``;  ``Q, _ = qr_thin(Z)``
 
     ``n_iter`` times.  The iteration never forms ``h @ h.T``, so the cost per
     sweep is ``O(d * n * k)``.  Convergence to the dominant subspace is
@@ -153,18 +155,13 @@ def approx_topk_singular_vectors(
     if n_iter < 1:
         raise ValueError(f"n_iter must be >= 1, got {n_iter}")
 
-    q = _random_orthonormal(d, k, rng)
-    # np.count_nonzero tests these tiny arrays in one C call, without the
-    # Python-level wrapper of ndarray.any.
+    q = _orthonormalize(rng.standard_normal((d, k)), rng)
     for _ in range(n_iter):
         z = h @ (h.T @ q)
         if np.count_nonzero(z) == 0:
             # h is numerically zero; any orthonormal basis is a valid answer.
             break
-        q, r = qr_thin(z)
-        deficient = np.abs(r.diagonal()) < DEFICIENT_PIVOT_TOL
-        if np.count_nonzero(deficient):
-            q = _fill_deficient_columns(q, deficient, rng)
+        q = _orthonormalize(z, rng)
     return q
 
 
@@ -176,16 +173,16 @@ def l21_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, axis=0).sum())
 
 
-def l21_subgradient(m: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+def l21_subgradient(m: np.ndarray) -> np.ndarray:
     """Column-wise subgradient of :func:`l21_norm`.
 
     Column ``j`` of the result is ``m[:, j] / ||m[:, j]||`` when the norm
-    exceeds ``eps`` and the zero vector otherwise (the canonical element of
+    exceeds 1e-12 and the zero vector otherwise (the canonical element of
     the subdifferential at a zero column).
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"l21_subgradient expects a 2-D array, got {m.ndim}-D")
     norms = np.linalg.norm(m, axis=0)
-    safe = np.where(norms > eps, norms, 1.0)
-    return np.where(norms > eps, m / safe, 0.0)
+    nonzero = norms > 1e-12
+    return np.where(nonzero, m / np.where(nonzero, norms, 1.0), 0.0)

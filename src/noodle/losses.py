@@ -160,24 +160,21 @@ def sce_loss(
     labels: np.ndarray,
     alpha: float = SCE_ALPHA,
     beta: float = SCE_BETA,
-    clamp: float = SCE_CLAMP,
 ) -> LossOutput:
     """Symmetric cross-entropy: ``alpha * CE(p, y) + beta * RCE(p, y)``.
 
     The reverse term swaps prediction and target, ``RCE = -(1/B) sum_n sum_k
     p_n[k] * log(onehot_n[k])``, with ``log 0`` replaced by the finite clamp
-    ``A`` (default -4); it collapses to ``-A/B * sum_n (1 - p_n[y_n])``.
+    ``A = SCE_CLAMP`` (-4); it collapses to ``-A/B * sum_n (1 - p_n[y_n])``.
     """
     if alpha < 0 or beta < 0:
         raise ValueError("alpha and beta must be nonnegative")
-    if clamp >= 0:
-        raise ValueError(f"clamp must be negative, got {clamp}")
     probs, labels, k, b = _check_probs(probs, labels)
     ce = cross_entropy(probs, labels)
     picked = probs[labels, np.arange(b)]
-    rce = -clamp / b * float((1.0 - picked).sum())
+    rce = -SCE_CLAMP / b * float((1.0 - picked).sum())
     # d RCE / dp[k, n] = -A/B off the label entry, 0 on it.
-    grad_probs = np.full_like(probs, -clamp / b)
+    grad_probs = np.full_like(probs, -SCE_CLAMP / b)
     grad_probs[labels, np.arange(b)] = 0.0
     grad = alpha * ce.grad_logits + beta * _softmax_vjp(probs, grad_probs)
     return LossOutput(alpha * ce.value + beta * rce, grad_logits=grad)

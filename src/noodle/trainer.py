@@ -186,6 +186,8 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
 
     Raises
     ------
+    ValueError
+        On a bad config, no samples, or a class that no noisy label names.
     DivergenceError
         On a non-finite loss, identifying the offending epoch and batch.
     """
@@ -194,6 +196,9 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
     if n == 0:
         raise ValueError("empty training set")
     num_classes = data.num_classes
+    unlabeled = np.flatnonzero(np.bincount(data.noisy_labels, minlength=num_classes) == 0)
+    if unlabeled.size:  # the store needs every class: fail now, not after training
+        raise ValueError(f"no training labels for class(es) {', '.join(map(str, unlabeled))}")
     if not 1.0 / num_classes < config.t_diag_init:
         raise ValueError(
             f"t_diag_init={config.t_diag_init} must exceed 1/{num_classes} for {num_classes} classes"

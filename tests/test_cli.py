@@ -119,6 +119,23 @@ class TestGenData:
         with pytest.raises(ValueError, match="unknown OOD mode"):
             generate_dataset_files(tmp_path, 0, ood_modes=("nearby",))
 
+    def test_bad_sizes_and_repeated_modes_exit_2_before_any_write(self, tmp_path, capsys):
+        # Unchecked, a zero size fails only after the earlier splits are
+        # written, and a repeated mode writes its file twice and exits 0.
+        base = ["gen-data", "--classes", "3", "--per-class", "10", "--dim", "4",
+                "--val-per-class", "2", "--test-per-class", "3", "--ood-size", "5"]
+        for flag, value, message in (
+            ("--per-class", "0", "per_class must be >= 1, got 0"),
+            ("--val-per-class", "0", "val_per_class must be >= 1, got 0"),
+            ("--test-per-class", "0", "test_per_class must be >= 1, got 0"),
+            ("--ood-size", "0", "ood_size must be >= 1, got 0"),
+            ("--ood-modes", "far_cluster,far_cluster", "distinct OOD modes, got far_cluster,far_cluster"),
+        ):
+            out = tmp_path / flag.strip("-")
+            assert main([*base, flag, value, "--out", str(out)]) == 2, flag
+            assert message in capsys.readouterr().err, flag
+            assert not out.exists(), flag
+
     def test_cli_command_succeeds(self, tmp_path, capsys):
         code = main(
             [
@@ -299,6 +316,21 @@ class TestEvalCommand:
         )
         assert code == 2
         assert "missing input file" in capsys.readouterr().err
+
+    def test_repeated_ood_stem_exits_2_before_any_write(self, tmp_path, data_dir, run_dir, capsys):
+        # Both files would write report_ood_far_cluster.*; unchecked, the
+        # second silently replaces the first.
+        twin = tmp_path / "b" / "ood_far_cluster.csv"
+        twin.parent.mkdir()
+        shutil.copy(data_dir / "ood_far_cluster.csv", twin)
+        out = tmp_path / "eval"
+        command = (
+            f"eval --checkpoint {run_dir}/checkpoint.json --store {run_dir}/store --id-test "
+            f"{data_dir}/test_id.csv --ood {data_dir}/ood_far_cluster.csv --ood {twin} --out {out}"
+        )
+        assert main(command.split()) == 2
+        assert "OOD files share a report name: ood_far_cluster" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_store_from_another_checkpoint_exits_2(self, tmp_path, data_dir, run_dir, capsys):
         # Seed 1 changes the encoder (store encoder_checksum mismatch); the
@@ -488,6 +520,15 @@ class TestExperiment:
         # The file loader and the library runner share one validator, and the
         # runner rejects a bad spec before it writes anything.
         one = {"methods": [{"name": "a"}], "seeds": [0]}
+        # A complete dataset file set whose two OOD files share a stem.
+        twins = {
+            "train_csv": str(tmp_path / "train.csv"),
+            "id_test_csv": str(tmp_path / "test_id.csv"),
+            "ood_csvs": [str(tmp_path / d / "ood_x.csv") for d in ("a", "b")],
+        }
+        for file in [twins["train_csv"], twins["id_test_csv"], *twins["ood_csvs"]]:
+            Path(file).parent.mkdir(exist_ok=True)
+            Path(file).write_text("")
         cases = [
             ({"methods": [], "seeds": [0]}, "at least one method"),
             ({"methods": [{"name": "a"}, {"name": "a"}], "seeds": [0]}, "unique name"),
@@ -516,6 +557,7 @@ class TestExperiment:
             (dict(one, eval={"tpr": 1.5}), r"eval.tpr must be a number in \(0, 1\]"),
             (dict(one, eval={"tpr": "0.9"}), r"eval.tpr must be a number in \(0, 1\]"),
             (dict(one, out=5), "out must be a directory path string"),
+            (dict(one, dataset=twins), "ood_csvs share a report name: ood_x"),
         ]
         path = tmp_path / "bad.json"
         for spec, message in cases:

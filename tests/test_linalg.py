@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noodle import linalg
 from noodle.linalg import (
     approx_topk_singular_vectors,
     l21_norm,
@@ -40,40 +41,42 @@ class TestQrThin:
     @settings(max_examples=300, deadline=None)
     @given(qr_inputs())
     def test_bit_identical_to_numpy_qr(self, a):
-        q, r = qr_thin(a)
+        q, pivots = qr_thin(a)
         q_ref, r_ref = qr_sign_normalized(a)
         np.testing.assert_array_equal(q, q_ref)
-        np.testing.assert_array_equal(r, r_ref)
+        np.testing.assert_array_equal(pivots, np.diagonal(r_ref))
 
     @pytest.mark.parametrize("shape", [(5, 0), (0, 0), (160, 150)])
     def test_edge_and_blocked_shapes_match_numpy_qr(self, shape):
         # Above 128 columns LAPACK blocks the factorization, and the block
         # size follows the workspace, so a short workspace changes the bits.
         a = np.random.default_rng(12).standard_normal(shape)
-        q, r = qr_thin(a)
+        q, pivots = qr_thin(a)
         q_ref, r_ref = qr_sign_normalized(a)
         np.testing.assert_array_equal(q, q_ref)
-        np.testing.assert_array_equal(r, r_ref)
-        assert q.shape == (shape[0], shape[1]) and r.shape == (shape[1], shape[1])
+        np.testing.assert_array_equal(pivots, np.diagonal(r_ref))
+        assert q.shape == (shape[0], shape[1]) and pivots.shape == (shape[1],)
 
     def test_identity(self):
-        q, r = qr_thin(np.eye(3))
+        q, pivots = qr_thin(np.eye(3))
         np.testing.assert_allclose(q, np.eye(3), atol=1e-15)
-        np.testing.assert_allclose(r, np.eye(3), atol=1e-15)
+        np.testing.assert_allclose(pivots, np.ones(3), atol=1e-15)
 
     def test_single_column(self):
-        q, r = qr_thin(np.array([[3.0], [4.0]]))
+        q, pivots = qr_thin(np.array([[3.0], [4.0]]))
         np.testing.assert_allclose(q, [[0.6], [0.8]], rtol=1e-15)
-        np.testing.assert_allclose(r, [[5.0]], rtol=1e-15)
+        np.testing.assert_allclose(pivots, [5.0], rtol=1e-15)
 
     def test_reconstruction_and_orthonormality(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((8, 3))
-        q, r = qr_thin(a)
-        np.testing.assert_allclose(q @ r, a, atol=1e-10 * np.linalg.norm(a))
+        q, pivots = qr_thin(a)
+        np.testing.assert_allclose(q @ (q.T @ a), a, atol=1e-10 * np.linalg.norm(a))
         np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-10)
-        np.testing.assert_allclose(r, np.triu(r), atol=0)
-        assert (np.diagonal(r) >= 0).all()
+        # R = Q^T A is upper triangular with the pivots on its diagonal.
+        r = q.T @ a
+        np.testing.assert_allclose(r, np.triu(r), atol=1e-10 * np.linalg.norm(a))
+        np.testing.assert_allclose(np.diagonal(r), pivots, rtol=1e-10)
 
     def test_random_inputs_stay_within_tolerance(self):
         # Frobenius-relative reconstruction and orthonormality bounds.
@@ -82,10 +85,10 @@ class TestQrThin:
             d = int(rng.integers(2, 20))
             k = int(rng.integers(1, d + 1))
             a = rng.standard_normal((d, k))
-            q, r = qr_thin(a)
-            assert np.linalg.norm(a - q @ r) / np.linalg.norm(a) <= 1e-10
+            q, pivots = qr_thin(a)
+            assert np.linalg.norm(a - q @ (q.T @ a)) / np.linalg.norm(a) <= 1e-10
             assert np.linalg.norm(q.T @ q - np.eye(k)) <= 1e-10
-            assert (np.diagonal(r) >= 0).all()
+            assert (pivots >= 0).all()
 
     def test_wide_input_rejected(self):
         with pytest.raises(ValueError):
@@ -136,6 +139,27 @@ class TestPowerIteration:
     def test_zero_matrix_returns_orthonormal_basis(self):
         q = approx_topk_singular_vectors(np.zeros((6, 9)), 3, 5, np.random.default_rng(4))
         np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-10)
+
+    def test_rank_deficient_sweeps_are_repaired(self, monkeypatch):
+        # A rank-2 h leaves two of the k=4 power-iteration columns with zero
+        # pivots on every sweep, so each sweep replaces them with random
+        # directions orthonormal to the recovered column space.
+        repaired = []
+        fill = linalg._fill_deficient_columns
+
+        def spy(q, deficient, rng):
+            repaired.append(int(np.count_nonzero(deficient)))
+            return fill(q, deficient, rng)
+
+        monkeypatch.setattr(linalg, "_fill_deficient_columns", spy)
+        rng = np.random.default_rng(11)
+        h = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 9))
+        q = approx_topk_singular_vectors(h, 4, 5, np.random.default_rng(0))
+        assert repaired == [2] * 5
+        np.testing.assert_allclose(q.T @ q, np.eye(4), atol=1e-10)
+        np.testing.assert_allclose(q @ (q.T @ h), h, atol=1e-8)
+        again = approx_topk_singular_vectors(h, 4, 5, np.random.default_rng(0))
+        np.testing.assert_array_equal(q, again)
 
     def test_deterministic_under_seed(self):
         h = np.random.default_rng(10).standard_normal((8, 20))

@@ -209,8 +209,6 @@ class TestSce:
         probs = softmax_columns(np.zeros((3, 1)))
         with pytest.raises(ValueError):
             sce_loss(probs, np.array([0]), alpha=-0.1)
-        with pytest.raises(ValueError):
-            sce_loss(probs, np.array([0]), clamp=0.5)
 
 
 class TestGce:

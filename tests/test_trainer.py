@@ -169,6 +169,20 @@ class TestTrainBasics:
         with pytest.raises(ValueError, match="empty"):
             train(data, _toy_config())
 
+    def test_class_without_training_labels_rejected_before_training(self, monkeypatch):
+        # Unchecked, every epoch trains and only the store build then fails.
+        import noodle.trainer
+
+        data = _toy_data(classes=4)
+        data.noisy_labels = np.where(data.noisy_labels == 2, 3, data.noisy_labels)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(noodle.trainer, "forward", no_forward)
+        with pytest.raises(ValueError, match=r"no training labels for class\(es\) 2$"):
+            train(data, _toy_config())
+
     def test_t_diag_init_must_beat_chance(self):
         data = _toy_data(classes=4)
         with pytest.raises(ValueError, match="t_diag_init"):
