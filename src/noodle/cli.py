@@ -14,10 +14,11 @@ environment variables ``NOODLE_OUT`` and ``NOODLE_THREADS`` provide defaults
 for ``--out`` and ``--threads``.
 
 ``run_experiment`` is the one (method x seed) sweep runner, behind ``noodle
-experiment`` and for library callers alike.  It drives the same helper
-functions as the individual commands (including the CSV round trips), so a
-single-method single-seed sweep reproduces a manual gen-data/train/eval chain
-exactly.
+experiment`` and for library callers alike.  ``plan_experiment`` resolves a
+spec into its cells once, so every configuration error is raised before any
+write.  The cells drive the same helper functions as the individual commands
+(including the CSV round trips), so a single-method single-seed sweep
+reproduces a manual gen-data/train/eval chain exactly.
 """
 
 from __future__ import annotations
@@ -155,15 +156,10 @@ TRAIN_FLAGS = {
 }
 
 
-def build_train_config(config_path: str | None, flag_overrides: dict) -> TrainConfig:
-    """Defaults <- JSON config file <- explicit flags, rejecting unknown keys."""
-    doc = {}
-    if config_path:
-        doc = read_json(config_path)
-        if not isinstance(doc, dict):
-            raise ValueError(f"{config_path}: config must be a JSON object")
-    doc.update({k: v for k, v in flag_overrides.items() if v is not None})
-    config = TrainConfig.from_dict(doc)
+def build_train_config(doc: dict, overrides: dict) -> TrainConfig:
+    """Defaults <- ``doc`` <- ``overrides``, rejecting unknown keys and
+    invalid values; the one builder of a ``TrainConfig`` from outside input."""
+    config = TrainConfig.from_dict({**doc, **overrides})
     config.validate()
     return config
 
@@ -202,8 +198,11 @@ def run_training(data_path: Path, config: TrainConfig, out_dir: Path) -> list[Pa
 
 def cmd_train(args: argparse.Namespace) -> int:
     out_dir = _resolve_out(args.out)
-    flag_overrides = {key: getattr(args, key) for key, _ in TRAIN_FLAGS.values()}
-    config = build_train_config(args.config, flag_overrides)
+    doc = read_json(args.config) if args.config else {}
+    if not isinstance(doc, dict):
+        raise ValueError(f"{args.config}: config must be a JSON object")
+    flags = {key: getattr(args, key) for key, _ in TRAIN_FLAGS.values()}
+    config = build_train_config(doc, {k: v for k, v in flags.items() if v is not None})
     for path in run_training(Path(args.data), config, out_dir):
         print(f"wrote {path}")
     return 0
@@ -305,8 +304,7 @@ def run_eval(
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for report in reports:
-        emit_report(report, out_dir / f"report_{report.dataset}.json", "json")
-        emit_report(report, out_dir / f"report_{report.dataset}.csv", "csv")
+        emit_report(report, out_dir)
     rows = [report.summary_row() for report in reports]
     average = {
         "dataset": "average",
@@ -363,21 +361,23 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 SPEC_KEYS = ("format", "version", "dataset", "noise", "train", "methods", "seeds", "out", "eval")
+METHOD_KEYS = ("name", "loss_kind", "lambda", "score", "k")
 DATASET_FILE_KEYS = ("train_csv", "id_test_csv", "ood_csvs")
 
 
-def validate_experiment_spec(spec, source: str) -> None:
-    """Reject a spec the runner would misread; messages start with ``source``.
+def plan_experiment(spec, source: str) -> list[dict]:
+    """Check a spec and resolve it into its cells; messages start with ``source``.
 
-    Unknown keys (at the top level, in ``noise``, ``eval`` and each method),
-    a ``noise_rate`` in ``dataset`` or a ``seed`` in ``train`` (the runner
-    sets both), repeated or non-integer seeds, a partial dataset file set, a
-    missing dataset file and two OOD files with one stem are errors rather
-    than silent defaults.  So is
-    anything that would only fail once the cells have trained or the output
-    directory is chosen: a method name that is not one path component under
-    ``runs/``, a method ``k`` that is not an integer >= 1, an ``eval.tpr``
-    outside (0, 1] and an ``out`` that is not a string."""
+    Unknown keys (top level, ``noise``, ``eval``, each method), a ``noise_rate``
+    in ``dataset`` or a ``seed`` in ``train`` (the runner sets both), repeated
+    or non-integer seeds, a mistyped or missing dataset file, two OOD files
+    with one stem, a partial file set, and generator keys or ``noise`` beside
+    the files are errors, not silent defaults.  So are a method name that is
+    not one path component, and a bad ``k``, ``eval.tpr``, ``out`` or train
+    config, which would only fail once cells run.  Returns one cell per
+    (method, seed), method-major: ``name``, ``seed``, ``config`` (``train`` <-
+    the method's ``loss_kind``/``lambda`` <- the seed, through
+    :func:`build_train_config`), ``score``, ``k`` and ``tpr``."""
     if not isinstance(spec, dict):
         raise ValueError(f"{source}: experiment spec must be a JSON object")
     methods = spec.get("methods", [])
@@ -387,10 +387,11 @@ def validate_experiment_spec(spec, source: str) -> None:
     sections = [spec.get(key, {}) for key in ("dataset", "noise", "train", "eval")]
     if not all(isinstance(doc, dict) for doc in [*sections, *methods]):
         raise ValueError(f"{source}: dataset, noise, train, eval and each method must be objects")
+    dataset, noise, train, eval_doc = sections
     for where, doc, allowed in (
         ("spec", spec, SPEC_KEYS),
-        ("noise", spec.get("noise", {}), ("rate",)),
-        ("eval", spec.get("eval", {}), ("tpr",)),
+        ("noise", noise, ("rate",)),
+        ("eval", eval_doc, ("tpr",)),
     ):
         unknown = sorted(set(doc) - set(allowed))
         if unknown:
@@ -408,65 +409,75 @@ def validate_experiment_spec(spec, source: str) -> None:
             )
     if len(set(names)) != len(names):
         raise ValueError(f"{source}: every method needs a unique name")
+    methods = [{"score": EVAL_DEFAULTS["score"], "k": EVAL_DEFAULTS["k"], **m} for m in methods]
     for m in methods:
-        extra = sorted(set(m) - {"name", "loss_kind", "lambda", "score", "k"})
+        extra = sorted(set(m) - set(METHOD_KEYS))
         if extra:
             raise ValueError(f"{source}: method {m['name']!r} has unknown keys: {', '.join(extra)}")
-        if m.get("score", EVAL_DEFAULTS["score"]) not in SCORE_KINDS:
+        if m["score"] not in SCORE_KINDS:
             raise ValueError(f"{source}: method {m['name']!r} has unknown score kind")
-        k = m.get("k", EVAL_DEFAULTS["k"])
-        if type(k) is not int or k < 1:
-            raise ValueError(f"{source}: method {m['name']!r} needs an integer k >= 1, got {k!r}")
-    tpr = spec.get("eval", {}).get("tpr", EVAL_DEFAULTS["tpr"])
+        if type(m["k"]) is not int or m["k"] < 1:
+            raise ValueError(f"{source}: method {m['name']!r} needs an integer k >= 1, got {m['k']!r}")
+    tpr = eval_doc.get("tpr", EVAL_DEFAULTS["tpr"])
     if type(tpr) not in (int, float) or not 0.0 < tpr <= 1.0:
         raise ValueError(f"{source}: eval.tpr must be a number in (0, 1], got {tpr!r}")
     out = spec.get("out")
     if out is not None and not isinstance(out, str):
         raise ValueError(f"{source}: out must be a directory path string, got {out!r}")
-    dataset = spec.get("dataset", {})
     if "noise_rate" in dataset:
         raise ValueError(f"{source}: the noise rate belongs in noise.rate, not dataset")
-    if "seed" in spec.get("train", {}):
+    if "seed" in train:
         raise ValueError(f"{source}: the training seeds belong in seeds, not train")
     files = [dataset[k] for k in ("train_csv", "id_test_csv") if k in dataset]
-    for file in [*files, *dataset.get("ood_csvs", [])]:
+    ood_csvs = dataset.get("ood_csvs", [])
+    if "ood_csvs" in dataset and (not isinstance(ood_csvs, list) or not ood_csvs):
+        raise ValueError(f"{source}: dataset.ood_csvs must be a non-empty list, got {ood_csvs!r}")
+    for file in [*files, *ood_csvs]:
+        if not isinstance(file, str):
+            raise ValueError(f"{source}: a dataset file must be a path string, got {file!r}")
         if not Path(file).exists():
             raise FileNotFoundError(f"{source}: dataset file missing: {file}")
-    _check_report_names(dataset.get("ood_csvs", []), f"{source}: ood_csvs")
+    _check_report_names(ood_csvs, f"{source}: ood_csvs")
     given = [k for k in DATASET_FILE_KEYS if k in dataset]
     missing = [k for k in DATASET_FILE_KEYS if k not in dataset]
     if given and missing:
         raise ValueError(f"{source}: dataset gives {', '.join(given)} but not {', '.join(missing)}")
+    ignored = sorted(set(dataset) - set(DATASET_FILE_KEYS)) + (["noise"] if noise else [])
+    if given and ignored:
+        raise ValueError(f"{source}: dataset files are given, so {', '.join(ignored)} would be ignored")
+
+    cells = []
+    for m in methods:
+        overrides = {key: m[key] for key in ("loss_kind", "lambda") if key in m}
+        try:
+            configs = [build_train_config(train, {**overrides, "seed": seed}) for seed in seeds]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{source}: method {m['name']!r}: {exc}") from exc
+        resolved = {"name": m["name"], "score": m["score"], "k": m["k"], "tpr": float(tpr)}
+        cells += [dict(resolved, seed=seed, config=config) for seed, config in zip(seeds, configs)]
+    return cells
 
 
 def load_experiment_spec(path: Path) -> dict:
     spec = read_json(path)
-    validate_experiment_spec(spec, str(path))
+    plan_experiment(spec, str(path))
     return spec
 
 
-def _cell_config(spec: dict, method: dict, seed: int) -> TrainConfig:
-    overrides = {key: method[key] for key in ("loss_kind", "lambda") if key in method}
-    config = TrainConfig.from_dict({**spec.get("train", {}), **overrides, "seed": seed})
-    config.validate()
-    return config
-
-
 def _run_cell(cell: dict) -> dict:
-    """One (method, seed) unit: train then eval. Runs in a worker process when
-    threads > 1, so it takes and returns plain picklable dicts."""
+    """One planned cell: train then eval into its ``run_dir``. Runs in a worker
+    process when threads > 1, so it takes and returns plain picklable dicts."""
     try:
-        config = _cell_config(cell["spec"], cell["method"], cell["seed"])
         run_dir = Path(cell["run_dir"])
-        run_training(Path(cell["train_csv"]), config, run_dir)
+        run_training(Path(cell["train_csv"]), cell["config"], run_dir)
         summary = run_eval(
             run_dir / "checkpoint.json",
             run_dir / "store",
             Path(cell["id_test_csv"]),
             [Path(p) for p in cell["ood_csvs"]],
-            cell["method"].get("score", EVAL_DEFAULTS["score"]),
-            cell["method"].get("k", EVAL_DEFAULTS["k"]),
-            float(cell["spec"].get("eval", {}).get("tpr", EVAL_DEFAULTS["tpr"])),
+            cell["score"],
+            cell["k"],
+            cell["tpr"],
             cell["seed"],
             run_dir,
         )
@@ -478,7 +489,7 @@ def _run_cell(cell: dict) -> dict:
 def run_experiment(spec: dict, spec_file: str, out_dir: Path, threads: int) -> dict:
     """Run every (method, seed) cell of ``spec`` and return the comparison.
 
-    The spec is validated first (``spec_file`` names it in error messages and
+    The spec is planned first (``spec_file`` names it in error messages and
     in ``comparison.json``).  Data is a function of the seed alone, so it is
     generated once per seed into ``data/seed<s>/`` (or taken from the spec's
     files) and shared by all methods.  Each cell trains and evaluates into
@@ -486,15 +497,13 @@ def run_experiment(spec: dict, spec_file: str, out_dir: Path, threads: int) -> d
     and does not stop the sweep.  With ``threads`` > 1 the cells run in that
     many worker processes, and every output is byte-identical to a serial run.
     The comparison is also written to ``comparison.json`` and ``.csv``."""
-    validate_experiment_spec(spec, spec_file)
+    cells = plan_experiment(spec, spec_file)
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    seeds = spec["seeds"]
-    methods = spec["methods"]
     dataset = spec.get("dataset", {})
 
     data_files: dict[int, dict] = {}
-    for seed in seeds:
+    for seed in spec["seeds"]:
         if "train_csv" in dataset:
             data_files[seed] = {key: dataset[key] for key in DATASET_FILE_KEYS}
             continue
@@ -507,17 +516,9 @@ def run_experiment(spec: dict, spec_file: str, out_dir: Path, threads: int) -> d
             "ood_csvs": [str(p) for name, p in sorted(paths.items()) if name.startswith("ood_")],
         }
 
-    cells = [
-        {
-            "spec": spec,
-            "method": method,
-            "seed": seed,
-            "run_dir": str(out_dir / "runs" / method["name"] / f"seed{seed}"),
-            **data_files[seed],
-        }
-        for method in methods
-        for seed in seeds
-    ]
+    for cell in cells:
+        run_dir = out_dir / "runs" / cell["name"] / f"seed{cell['seed']}"
+        cell.update(data_files[cell["seed"]], run_dir=str(run_dir))
     if threads > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_cell, cells))
@@ -525,9 +526,8 @@ def run_experiment(spec: dict, spec_file: str, out_dir: Path, threads: int) -> d
         results = [_run_cell(cell) for cell in cells]
 
     rows, by_method = [], {}
-    for method in methods:
-        name = method["name"]
-        mine = [(c["seed"], r) for c, r in zip(cells, results) if c["method"]["name"] == name]
+    for name in [method["name"] for method in spec["methods"]]:
+        mine = [(c["seed"], r) for c, r in zip(cells, results) if c["name"] == name]
         summaries = {seed: r["summary"] for seed, r in mine if r["ok"]}
         failures = {seed: r["error"] for seed, r in mine if not r["ok"]}
         row = {"method": name, "seeds": len(summaries), "failures": len(failures)}

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -136,39 +137,36 @@ def make_report(
     )
 
 
-def emit_report(report: ScoreReport, path: str | os.PathLike, fmt: str = "json") -> None:
-    """Write a report as JSON (full, re-derivable) or as one CSV table row.
+def emit_report(report: ScoreReport, out_dir: str | os.PathLike) -> None:
+    """Write ``report_<dataset>.json`` and ``report_<dataset>.csv`` to ``out_dir``.
 
     The JSON document always includes the raw score arrays; floats use
     shortest round-trip formatting, so re-parsing recomputes the metrics
-    bit-identically.  The CSV layout is one row per evaluated OOD set under
-    the header in ``REPORT_CSV_HEADER``.
+    bit-identically.  The CSV file is one row under ``REPORT_CSV_HEADER``.
     """
-    if fmt not in ("json", "csv"):
-        raise ValueError(f"unknown report format {fmt!r}")
+    path = Path(out_dir) / f"report_{report.dataset}.json"
     try:
-        if fmt == "json":
-            write_json(
-                path,
-                {
-                    "format": REPORT_FORMAT,
-                    "version": 1,
-                    "dataset": report.dataset,
-                    "seed": report.seed,
-                    "config_hash": report.config_hash,
-                    "tpr": report.tpr,
-                    "metrics": {
-                        "fpr95": report.fpr95,
-                        "auroc": report.auroc,
-                        "id_accuracy": report.id_accuracy,
-                    },
-                    "id_scores": report.id_scores.tolist(),
-                    "ood_scores": report.ood_scores.tolist(),
+        write_json(
+            path,
+            {
+                "format": REPORT_FORMAT,
+                "version": 1,
+                "dataset": report.dataset,
+                "seed": report.seed,
+                "config_hash": report.config_hash,
+                "tpr": report.tpr,
+                "metrics": {
+                    "fpr95": report.fpr95,
+                    "auroc": report.auroc,
+                    "id_accuracy": report.id_accuracy,
                 },
-            )
-        else:
-            row = (*report.summary_row().values(), report.seed, report.config_hash)
-            write_rows(path, REPORT_CSV_HEADER, [row])
+                "id_scores": report.id_scores.tolist(),
+                "ood_scores": report.ood_scores.tolist(),
+            },
+        )
+        path = path.with_name(f"report_{report.dataset}.csv")
+        row = (*report.summary_row().values(), report.seed, report.config_hash)
+        write_rows(path, REPORT_CSV_HEADER, [row])
     except OSError as exc:
         raise OSError(f"cannot write report {path}: {exc}") from exc
 

@@ -1,8 +1,9 @@
 """End-to-end command-line behavior on miniature datasets.
 
 Every test drives the real entry points (`main` or the underlying run
-helpers) against files in a tmp directory; nothing is mocked.  Dataset and
-training sizes are kept tiny so the whole module runs in seconds.
+helpers) against files in a tmp directory; the one substitute is a diverging
+`train` that makes a sweep cell fail at run time.  Dataset and training sizes
+are kept tiny so the whole module runs in seconds.
 """
 
 from __future__ import annotations
@@ -24,18 +25,22 @@ import noodle
 from noodle.cli import (
     COMPARISON_CSV_HEADER,
     GEN_DEFAULTS,
+    METHOD_KEYS,
+    SPEC_KEYS,
     build_parser,
     generate_dataset_files,
     load_experiment_spec,
     main,
+    plan_experiment,
     run_eval,
     run_experiment,
     run_training,
 )
 from noodle.datagen import load_features_csv
 from noodle.metrics import REPORT_CSV_HEADER, auroc, fpr_at_tpr, load_report
+from noodle.model import DivergenceError
 from noodle.scoring import build_store, save_store
-from noodle.trainer import TrainConfig
+from noodle.trainer import TrainConfig, train
 
 GEN_SMALL = dict(
     classes=3,
@@ -424,6 +429,13 @@ def test_readme_cli_reference_and_config_fields_match_the_code():
     listed = text.split("`TrainConfig` fields (all overridable): `", 1)[1].split("`", 1)[0]
     assert sorted(re.split(r",\s*", listed)) == sorted(f.name for f in dataclasses.fields(TrainConfig))
 
+    # The sweep spec example shows every spec key and every method key, and plans.
+    sweeps = text.split("## Experiment sweeps", 1)[1]
+    example = json.loads(sweeps.split("```json", 1)[1].split("```", 1)[0])
+    assert sorted(example) == sorted(SPEC_KEYS)
+    assert sorted({key for method in example["methods"] for key in method}) == sorted(METHOD_KEYS)
+    plan_experiment(example, "README.md")
+
 
 def _experiment_spec(tmp_path, seeds=(0,), methods=None):
     spec = {
@@ -499,25 +511,34 @@ class TestExperiment:
         ) == 0
         assert (a / "comparison.json").read_bytes() == (b / "comparison.json").read_bytes()
 
-    def test_cell_failure_is_reported_not_fatal(self, tmp_path, capsys):
+    def test_cell_failure_is_reported_not_fatal(self, tmp_path, monkeypatch, capsys):
+        # The "bad" method's loss diverges at run time; the serial run keeps
+        # the patched `train` in this process.
+        def diverging_train(data, config):
+            if config.loss_kind == "cm":
+                raise DivergenceError("loss diverged")
+            return train(data, config)
+
+        monkeypatch.setattr("noodle.cli.train", diverging_train)
         spec_path, _ = _experiment_spec(
             tmp_path,
             methods=[
                 {"name": "good", "loss_kind": "ce", "lambda": 0.0, "score": "knn", "k": 10},
-                {"name": "bad", "loss_kind": "cm", "lambda": -1.0, "score": "knn", "k": 10},
+                {"name": "bad", "loss_kind": "cm", "lambda": 0.001, "score": "knn", "k": 10},
             ],
         )
-        code = main(["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "out")])
+        argv = ["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "out"), "--threads", "1"]
+        code = main(argv)
         assert code == 0
         assert "1 cell(s) failed" in capsys.readouterr().err
         doc = json.loads((tmp_path / "out" / "comparison.json").read_text())
         rows = {row["method"]: row for row in doc["rows"]}
         assert rows["good"]["failures"] == 0 and rows["good"]["seeds"] == 1
         assert rows["bad"]["failures"] == 1 and rows["bad"]["seeds"] == 0
-        assert "lambda" in doc["methods"]["bad"]["failures"]["0"]
+        assert doc["methods"]["bad"]["failures"]["0"] == "DivergenceError: loss diverged"
 
     def test_spec_validation(self, tmp_path):
-        # The file loader and the library runner share one validator, and the
+        # The file loader and the library runner share one planner, and the
         # runner rejects a bad spec before it writes anything.
         one = {"methods": [{"name": "a"}], "seeds": [0]}
         # A complete dataset file set whose two OOD files share a stem.
@@ -529,6 +550,7 @@ class TestExperiment:
         for file in [twins["train_csv"], twins["id_test_csv"], *twins["ood_csvs"]]:
             Path(file).parent.mkdir(exist_ok=True)
             Path(file).write_text("")
+        files = dict(twins, ood_csvs=twins["ood_csvs"][:1])
         cases = [
             ({"methods": [], "seeds": [0]}, "at least one method"),
             ({"methods": [{"name": "a"}, {"name": "a"}], "seeds": [0]}, "unique name"),
@@ -558,6 +580,21 @@ class TestExperiment:
             (dict(one, eval={"tpr": "0.9"}), r"eval.tpr must be a number in \(0, 1\]"),
             (dict(one, out=5), "out must be a directory path string"),
             (dict(one, dataset=twins), "ood_csvs share a report name: ood_x"),
+            # The train section and each method's config are built here too,
+            # so none of these fails only inside the cells.
+            (dict(one, train={"epoch": 2}), "method 'a': unknown config keys: epoch"),
+            (dict(one, train={"epochs": -1}), "method 'a': invalid config: epochs must be >= 0"),
+            (dict(one, train={"lr": "fast"}), "method 'a': '<=' not supported"),
+            (dict(one, methods=[{"name": "a", "loss_kind": "bogus"}]), "loss_kind must be one of"),
+            (dict(one, methods=[{"name": "a", "lambda": -1.0}]), "lambda must be >= 0, got -1.0"),
+            (dict(one, methods=[{"name": "a", "lambda": None}]), "method 'a': '<' not supported"),
+            (dict(one, dataset=dict(files, train_csv=5)), "dataset file must be a path string, got 5"),
+            (dict(one, dataset=dict(files, id_test_csv=5)), "dataset file must be a path string, got 5"),
+            (dict(one, dataset=dict(files, ood_csvs=[5])), "dataset file must be a path string, got 5"),
+            (dict(one, dataset=dict(files, ood_csvs=files["ood_csvs"][0])), "must be a non-empty list"),
+            (dict(one, dataset=dict(files, ood_csvs=[])), "must be a non-empty list"),
+            (dict(one, dataset=dict(files, classes=10, dim=99)), "classes, dim would be ignored"),
+            (dict(one, dataset=files, noise={"rate": 0.9}), "so noise would be ignored"),
         ]
         path = tmp_path / "bad.json"
         for spec, message in cases:

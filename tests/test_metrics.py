@@ -182,8 +182,8 @@ class TestReports:
 
     def test_json_document_is_byte_stable(self, tmp_path):
         report = self._golden()
-        path = tmp_path / "report.json"
-        emit_report(report, path)
+        emit_report(report, tmp_path)
+        path = tmp_path / "report_toy.json"
         expected = {
             "format": "noodle-report",
             "version": 1,
@@ -198,10 +198,8 @@ class TestReports:
         assert path.read_text() == json.dumps(expected, sort_keys=True, indent=1) + "\n"
 
     def test_csv_row_layout(self, tmp_path):
-        report = self._golden()
-        path = tmp_path / "report.csv"
-        emit_report(report, path, fmt="csv")
-        lines = path.read_text().splitlines()
+        emit_report(self._golden(), tmp_path)
+        lines = (tmp_path / "report_toy.csv").read_text().splitlines()
         assert lines[0] == REPORT_CSV_HEADER
         assert lines[1] == "toy,2,2,0.5,0.75,0.875,11,deadbeef"
 
@@ -211,33 +209,29 @@ class TestReports:
         rng = np.random.default_rng(6)
         id_scores, ood_scores = _tied_pair(rng)
         report = make_report("rt", id_scores, ood_scores, 0.9, 3, "c0ffee")
-        path = tmp_path / "r.json"
-        emit_report(report, path)
+        emit_report(report, tmp_path)
+        path = tmp_path / "report_rt.json"
         loaded = load_report(path)
         np.testing.assert_array_equal(loaded.id_scores, id_scores)
         assert fpr_at_tpr(loaded.id_scores, loaded.ood_scores, loaded.tpr) == report.fpr95
         assert auroc(loaded.id_scores, loaded.ood_scores) == report.auroc
-        emit_report(loaded, tmp_path / "again.json")
-        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+        (tmp_path / "again").mkdir()
+        emit_report(loaded, tmp_path / "again")
+        assert (tmp_path / "again" / "report_rt.json").read_bytes() == path.read_bytes()
 
     def test_custom_tpr_is_respected_and_persisted(self, tmp_path):
         id_scores = np.arange(1.0, 11.0)
         ood_scores = np.array([1.5, 9.5])
         report = make_report("t", id_scores, ood_scores, 1.0, 0, "h", tpr=0.5)
         assert report.fpr95 == fpr_at_tpr(id_scores, ood_scores, 0.5)
-        path = tmp_path / "r.json"
-        emit_report(report, path)
-        assert load_report(path).tpr == 0.5
+        emit_report(report, tmp_path)
+        assert load_report(tmp_path / "report_t.json").tpr == 0.5
 
     def test_foreign_document_rejected(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text('{"format": "something-else"}\n')
         with pytest.raises(ValueError, match="not a score report"):
             load_report(path)
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown report format"):
-            emit_report(self._golden(), tmp_path / "r.xml", fmt="xml")
 
     def test_header_constant(self):
         assert REPORT_CSV_HEADER == "dataset,n_id,n_ood,fpr95,auroc,id_accuracy,seed,config_hash"
