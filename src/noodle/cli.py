@@ -44,7 +44,7 @@ from .datagen import (
     save_features_csv,
     save_ood_csv,
 )
-from .files import read_json, write_json, write_rows
+from .files import read_json, type_problem, write_json, write_rows
 from .losses import LOSS_KINDS
 from .metrics import REPORT_CSV_HEADER, ScoreReport, emit_report, id_accuracy, make_report
 from .model import DivergenceError, MlpParams, forward, load_checkpoint, save_checkpoint
@@ -88,6 +88,9 @@ def generate_dataset_files(out_dir: Path, seed: int, **overrides) -> list[tuple[
     if unknown:
         raise ValueError(f"unknown generator parameters: {', '.join(unknown)}")
     p.update(overrides)
+    for key, like in GEN_DEFAULTS.items():
+        if problem := type_problem(key, p[key], like):
+            raise ValueError(problem)
     modes = tuple(p["ood_modes"])
     for mode in modes:
         if mode not in OOD_MODES:
@@ -421,6 +424,8 @@ def plan_experiment(spec, source: str) -> list[dict]:
     tpr = eval_doc.get("tpr", EVAL_DEFAULTS["tpr"])
     if type(tpr) not in (int, float) or not 0.0 < tpr <= 1.0:
         raise ValueError(f"{source}: eval.tpr must be a number in (0, 1], got {tpr!r}")
+    if problem := type_problem("noise.rate", noise.get("rate", 0.0), 0.0):
+        raise ValueError(f"{source}: {problem}")
     out = spec.get("out")
     if out is not None and not isinstance(out, str):
         raise ValueError(f"{source}: out must be a directory path string, got {out!r}")
@@ -451,7 +456,7 @@ def plan_experiment(spec, source: str) -> list[dict]:
         overrides = {key: m[key] for key in ("loss_kind", "lambda") if key in m}
         try:
             configs = [build_train_config(train, {**overrides, "seed": seed}) for seed in seeds]
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{source}: method {m['name']!r}: {exc}") from exc
         resolved = {"name": m["name"], "score": m["score"], "k": m["k"], "tpr": float(tpr)}
         cells += [dict(resolved, seed=seed, config=config) for seed, config in zip(seeds, configs)]

@@ -6,6 +6,10 @@ iteration, and the matrix is split into the in-subspace part and the residual:
 
     id_part = Q Q^T normalized,   ood_part = normalized - id_part.
 
+Normalizing puts every sample's residual column on one scale for the
+column-sparse L2,1 penalty, the column-outlier model of Outlier Pursuit
+(Xu, Caramanis & Sanghavi 2010); it is not optional.
+
 The basis is a *constant* of the backward pass (stop-gradient): regularizer
 gradients flow through the projector and the column normalization, never
 through the power iteration or QR.  Differentiating the iteration itself is
@@ -30,15 +34,14 @@ class FeatureSplit:
     """Outcome of one decomposition.
 
     ``col_norms[j] == 0`` flags a degenerate column that was passed through
-    normalization unscaled; ``col_norms`` is ``None`` when normalization was
-    disabled entirely.
+    normalization unscaled.
     """
 
     basis: np.ndarray        # (latent_dim, k_rank), orthonormal columns
     id_part: np.ndarray      # (latent_dim, batch)
     ood_part: np.ndarray     # (latent_dim, batch)
-    normalized: np.ndarray   # the matrix that was actually split
-    col_norms: np.ndarray | None
+    normalized: np.ndarray   # the column-normalized matrix that was split
+    col_norms: np.ndarray    # (batch,), each column's norm before scaling
 
     @property
     def k_rank(self) -> int:
@@ -67,9 +70,8 @@ def split_features(
     k_rank: int,
     n_iter: int,
     rng: np.random.Generator,
-    normalize: bool = True,
 ) -> FeatureSplit:
-    """Decompose latents into a dominant-subspace part and a residual.
+    """Column-normalize latents and split them into a subspace part and a residual.
 
     Args:
         h: (latent_dim, batch) latent feature matrix, one sample per column.
@@ -78,13 +80,9 @@ def split_features(
         n_iter: power-iteration sweeps, >= 1.
         rng: drives the random subspace initialization; the split is a
             deterministic function of (h, k_rank, n_iter, rng state).
-        normalize: column-normalize before decomposing (the default and the
-            documented pipeline; disable only for diagnostics).
     """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2:
-        raise ValueError("expected a 2-D feature matrix")
-    cap = min(h.shape)
+    normalized, norms = normalize_columns(h)
+    cap = min(normalized.shape)
     if k_rank < 1:
         raise ValueError(f"k_rank must be >= 1, got {k_rank}")
     if k_rank > cap:
@@ -92,11 +90,6 @@ def split_features(
             f"k_rank={k_rank} exceeds min(shape)={cap}; clamping", RuntimeWarning, stacklevel=2
         )
         k_rank = cap
-
-    if normalize:
-        normalized, norms = normalize_columns(h)
-    else:
-        normalized, norms = h, None
     basis = approx_topk_singular_vectors(normalized, k_rank, n_iter, rng)
     id_part = basis @ (basis.T @ normalized)
     return FeatureSplit(basis, id_part, normalized - id_part, normalized, norms)
@@ -116,11 +109,8 @@ def grad_through_split(split: FeatureSplit, grad_ood: np.ndarray) -> np.ndarray:
     if grad_ood.shape != split.ood_part.shape:
         raise ValueError(f"gradient shape {grad_ood.shape} != {split.ood_part.shape}")
     g = grad_ood - split.basis @ (split.basis.T @ grad_ood)
-    if split.col_norms is None:
-        return g
-    norms = split.col_norms
-    scaled = norms > 0
+    scaled = split.col_norms > 0
     # For scaled columns `normalized` holds the unit directions.
     radial = (split.normalized * g).sum(axis=0)
-    pulled = (g - split.normalized * radial) / np.where(scaled, norms, 1.0)
+    pulled = (g - split.normalized * radial) / np.where(scaled, split.col_norms, 1.0)
     return np.where(scaled, pulled, g)

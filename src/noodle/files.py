@@ -30,6 +30,24 @@ def read_json(path: str | os.PathLike):
         return json.load(fh)
 
 
+_TYPE_NAMES = {int: "integer", float: "number", str: "string"}
+
+
+def type_problem(key: str, value, like) -> str | None:
+    """The error for a JSON ``value`` that cannot stand where the default
+    ``like`` does, else None.  Nothing is converted: a bool is never a number,
+    an int stands for a float, and a tuple ``like`` takes a list or tuple
+    whose items each fit ``like[0]``."""
+    if isinstance(like, tuple):
+        fits = isinstance(value, (list, tuple)) and not any(type_problem(key, v, like[0]) for v in value)
+        kind = f"a list of {_TYPE_NAMES[type(like[0])]}s"
+    else:
+        allowed = (int, float) if isinstance(like, float) else type(like)
+        fits = isinstance(value, allowed) and not isinstance(value, bool)
+        kind = ("an " if isinstance(like, int) else "a ") + _TYPE_NAMES[type(like)]
+    return None if fits else f"{key} must be {kind}, got {value!r}"
+
+
 def write_rows(path: str | os.PathLike, header: str, rows: Iterable[Sequence]) -> None:
     """A CSV of summary rows under ``header`` (``str`` of a float is its repr)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

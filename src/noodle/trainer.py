@@ -22,6 +22,7 @@ import numpy as np
 
 from .datagen import LabeledSet
 from .decompose import grad_through_split, split_features
+from .files import type_problem
 from .losses import (
     GCE_Q,
     LOSS_KINDS,
@@ -64,7 +65,6 @@ class TrainConfig:
     lam: float = 0.001            # sparsity weight on the residual
     k_rank: int | None = None     # None -> number of classes
     pi_iters: int = 10
-    normalize: bool = True
     seed: int = 0
     widths: tuple[int, ...] = DEFAULT_WIDTHS
     t_diag_init: float = 0.99
@@ -74,11 +74,18 @@ class TrainConfig:
     gce_q: float = GCE_Q
     cov_reg: float = DEFAULT_COV_REG
 
-    def __post_init__(self) -> None:
-        self.widths = tuple(int(w) for w in self.widths)
-
     def validate(self) -> None:
-        problems = []
+        # Types first, without converting, so that the range checks compare numbers.
+        problems = [
+            type_problem(_LAMBDA_KEY if f.name == "lam" else f.name, getattr(self, f.name), f.default)
+            for f in fields(self)
+            if f.name != "k_rank"
+        ]
+        if self.k_rank is not None:  # null means the class count
+            problems.append(type_problem("k_rank", self.k_rank, 1))
+        problems = [problem for problem in problems if problem]
+        if problems:
+            raise ValueError("invalid config: " + "; ".join(problems))
         if self.epochs < 0:
             problems.append(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -130,7 +137,7 @@ class TrainConfig:
         kwargs = {k: v for k, v in doc.items() if k != "version"}
         if _LAMBDA_KEY in kwargs:
             kwargs["lam"] = kwargs.pop(_LAMBDA_KEY)
-        if "widths" in kwargs:
+        if isinstance(kwargs.get("widths"), list):
             kwargs["widths"] = tuple(kwargs["widths"])
         return cls(**kwargs)
 
@@ -187,9 +194,10 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
     Raises
     ------
     ValueError
-        On a bad config, no samples, or a class that no noisy label names.
+        On a bad config, no samples, a class that no noisy label names, or a
+        subspace rank (``k_rank``, else the class count) above the latent width.
     DivergenceError
-        On a non-finite loss, identifying the offending epoch and batch.
+        On non-finite logits or loss, identifying the offending epoch and batch.
     """
     config.validate()
     n = len(data)
@@ -204,21 +212,29 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
             f"t_diag_init={config.t_diag_init} must exceed 1/{num_classes} for {num_classes} classes"
         )
 
+    k_rank = config.k_rank if config.k_rank is not None else num_classes
+    if k_rank > config.widths[-1]:
+        raise ValueError(
+            f"subspace rank {k_rank} (k_rank, or the class count when k_rank is null) "
+            f"exceeds the latent width {config.widths[-1]}"
+        )
+
     streams = derive_streams(config.seed)
     params = init_mlp(data.dim, num_classes, streams.init, config.widths)
     transition = init_near_identity(num_classes, config.t_diag_init)
     opt_state = zero_grads_like(params)
     theta_state = np.zeros_like(transition.theta)
     batch_size = min(config.batch_size, n)
-    k_rank = config.k_rank if config.k_rank is not None else num_classes
 
     trace: list[float] = []
     for epoch in range(config.epochs):
         order = streams.shuffle.permutation(n)
         batch_losses: list[float] = []
-        for b_start in range(0, n, batch_size):
+        for batch, b_start in enumerate(range(0, n, batch_size)):
             idx = order[b_start : b_start + batch_size]
             cache = forward(params, data.features[idx])
+            if not np.isfinite(cache.logits).all():
+                raise DivergenceError(f"non-finite logits at epoch {epoch}, batch {batch}")
             corrected = classification_loss(
                 config.loss_kind,
                 cache.probs,
@@ -229,16 +245,12 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
                 gce_q=config.gce_q,
             )
             if config.lam > 0.0:
-                split = split_features(
-                    cache.latent, k_rank, config.pi_iters, streams.decompose, config.normalize
-                )
+                split = split_features(cache.latent, k_rank, config.pi_iters, streams.decompose)
                 total = joint_loss(corrected, sparsity_loss(split.ood_part), config.lam)
             else:
                 split, total = None, corrected
             if not np.isfinite(total.value):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, batch {b_start // batch_size}"
-                )
+                raise DivergenceError(f"non-finite loss at epoch {epoch}, batch {batch}")
             grad_latent = None if split is None else grad_through_split(split, total.grad_latent)
             grads = backward(params, cache, total.grad_logits, grad_latent)
             clip_global_norm(grads, config.grad_clip, extra=total.grad_theta)
@@ -273,7 +285,7 @@ def extract_reference_store(
         rng = derive_streams(config.seed).store
     cache = forward(params, data.features)
     k_rank = config.k_rank if config.k_rank is not None else data.num_classes
-    split = split_features(cache.latent, k_rank, config.pi_iters, rng, config.normalize)
+    split = split_features(cache.latent, k_rank, config.pi_iters, rng)
     meta = {
         "encoder_checksum": params_checksum(params),
         "config_hash": config.config_hash(),

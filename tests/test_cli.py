@@ -16,6 +16,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,23 @@ class TestGenData:
             generate_dataset_files(tmp_path, 0, classses=3)
         with pytest.raises(ValueError, match="unknown OOD mode"):
             generate_dataset_files(tmp_path, 0, ood_modes=("nearby",))
+
+    def test_mistyped_values_rejected_before_any_write(self, tmp_path):
+        # Unchecked, a string class count was a TypeError traceback and a
+        # string noise rate was converted by float().  An int stands for a float.
+        generate_dataset_files(tmp_path / "ok", 0, **dict(GEN_SMALL, separation=6, noise_rate=0))
+        for key, value, message in (
+            ("classes", "3", "classes must be an integer, got '3'"),
+            ("per_class", True, "per_class must be an integer, got True"),
+            ("separation", "6", "separation must be a number, got '6'"),
+            ("noise_rate", "0.4", "noise_rate must be a number, got '0.4'"),
+            ("ood_modes", "far_cluster", "ood_modes must be a list of strings, got 'far_cluster'"),
+            ("ood_modes", ["far_cluster", 1], "ood_modes must be a list of strings"),
+        ):
+            out = tmp_path / key
+            with pytest.raises(ValueError, match=re.escape(message)):
+                generate_dataset_files(out, 0, **dict(GEN_SMALL, **{key: value}))
+            assert not out.exists(), key
 
     def test_bad_sizes_and_repeated_modes_exit_2_before_any_write(self, tmp_path, capsys):
         # Unchecked, a zero size fails only after the earlier splits are
@@ -235,6 +253,26 @@ class TestTrainCommand:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_runs_exit_before_any_write(self, tmp_path, data_dir, capsys):
+        # A mistyped config value was a TypeError traceback (exit 1), a rank
+        # above the latent width was clamped with a warning, and a diverging
+        # run exited 2 on a NaN softmax instead of 3.
+        config_path = tmp_path / "cfg.json"
+        for doc, flags, code, message in (
+            ({"lr": "fast"}, [], 2, "lr must be a number, got 'fast'"),
+            ({"widths": [16, 8.0]}, [], 2, "widths must be a list of integers"),
+            ({}, ["--k-rank", "40"], 2, "subspace rank 40 (k_rank, or the class count when k_rank"),
+            ({}, ["--lr", "1e30"], 3, "error: non-finite logits at epoch "),
+        ):
+            config_path.write_text(json.dumps(doc))
+            out = tmp_path / "out"
+            argv = ["train", "--data", str(data_dir / "train.csv"), "--out", str(out)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert main([*argv, "--config", str(config_path), *flags]) == code, message
+            assert message in capsys.readouterr().err
+            assert not out.exists(), message
 
 
 class TestEvalCommand:
@@ -537,6 +575,19 @@ class TestExperiment:
         assert rows["bad"]["failures"] == 1 and rows["bad"]["seeds"] == 0
         assert doc["methods"]["bad"]["failures"]["0"] == "DivergenceError: loss diverged"
 
+    def test_diverging_cell_is_recorded_as_divergence_error(self, tmp_path, capsys):
+        hot = {"name": "hot", "loss_kind": "cm", "lambda": 0.001, "score": "knn", "k": 10}
+        spec_path, spec = _experiment_spec(tmp_path, methods=[hot])
+        spec["train"]["lr"] = 1e30
+        spec_path.write_text(json.dumps(spec))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 0
+        assert "1 cell(s) failed" in capsys.readouterr().err
+        doc = json.loads((tmp_path / "out" / "comparison.json").read_text())
+        error = doc["methods"]["hot"]["failures"]["0"]
+        assert error.startswith("DivergenceError: non-finite logits at epoch 0, batch "), error
+
     def test_spec_validation(self, tmp_path):
         # The file loader and the library runner share one planner, and the
         # runner rejects a bad spec before it writes anything.
@@ -584,10 +635,14 @@ class TestExperiment:
             # so none of these fails only inside the cells.
             (dict(one, train={"epoch": 2}), "method 'a': unknown config keys: epoch"),
             (dict(one, train={"epochs": -1}), "method 'a': invalid config: epochs must be >= 0"),
-            (dict(one, train={"lr": "fast"}), "method 'a': '<=' not supported"),
+            (dict(one, train={"lr": "fast"}), "method 'a': invalid config: lr must be a number, got 'fast'"),
+            (dict(one, train={"epochs": True}), "epochs must be an integer, got True"),
+            (dict(one, train={"normalize": False}), "method 'a': unknown config keys: normalize"),
+            (dict(one, noise={"rate": "0.4"}), "noise.rate must be a number, got '0.4'"),
+            (dict(one, noise={"rate": True}), "noise.rate must be a number, got True"),
             (dict(one, methods=[{"name": "a", "loss_kind": "bogus"}]), "loss_kind must be one of"),
             (dict(one, methods=[{"name": "a", "lambda": -1.0}]), "lambda must be >= 0, got -1.0"),
-            (dict(one, methods=[{"name": "a", "lambda": None}]), "method 'a': '<' not supported"),
+            (dict(one, methods=[{"name": "a", "lambda": None}]), "method 'a': .*lambda must be a number"),
             (dict(one, dataset=dict(files, train_csv=5)), "dataset file must be a path string, got 5"),
             (dict(one, dataset=dict(files, id_test_csv=5)), "dataset file must be a path string, got 5"),
             (dict(one, dataset=dict(files, ood_csvs=[5])), "dataset file must be a path string, got 5"),
@@ -613,6 +668,7 @@ class TestExperiment:
             {"methods": [{"name": "../escape"}], "seeds": [0]},
             {"methods": [{"name": "a", "k": 0}], "seeds": [0]},
             {"methods": [{"name": "a"}], "seeds": [0], "eval": {"tpr": 0.0}},
+            {"methods": [{"name": "a"}], "seeds": [0], "dataset": {"classes": "3"}},
         ]
         path = tmp_path / "spec.json"
         for spec in bad:

@@ -66,24 +66,25 @@ class TestSplitFeatures:
         rng = np.random.default_rng(1)
         basis = np.linalg.qr(rng.standard_normal((8, 2)))[0]
         h = basis @ rng.standard_normal((2, 12))
-        split = split_features(h, 2, 15, rng, normalize=False)
+        split = split_features(h, 2, 15, rng)
         assert np.abs(split.ood_part).max() <= 1e-8
 
     def test_full_rank_request_reconstructs_exactly(self):
         rng = np.random.default_rng(2)
         h = rng.standard_normal((4, 10))
-        split = split_features(h, 4, 10, rng, normalize=False)
+        split = split_features(h, 4, 10, rng)
         assert np.abs(split.ood_part).max() <= 1e-10
-        np.testing.assert_allclose(split.id_part, h, atol=1e-10)
+        np.testing.assert_allclose(split.id_part, split.normalized, atol=1e-10)
 
     def test_residual_matches_best_rank_k_on_gapped_spectra(self):
         # With a multiplicative spectral gap the iteration converges, so the
-        # residual energy equals the optimal rank-k approximation error.
+        # residual energy equals the optimal rank-k approximation error of the
+        # normalized matrix.
         rng = np.random.default_rng(3)
         for trial in range(5):
             h = gap_conditioned(10, 30, 3, 4.0, rng)
-            split = split_features(h, 3, 25, rng, normalize=False)
-            optimal = np.linalg.norm(h - best_rank_k(h, 3))
+            split = split_features(h, 3, 25, rng)
+            optimal = np.linalg.norm(split.normalized - best_rank_k(split.normalized, 3))
             achieved = np.linalg.norm(split.ood_part)
             assert abs(achieved - optimal) <= 1e-6, trial
 
@@ -91,8 +92,8 @@ class TestSplitFeatures:
         rng = np.random.default_rng(4)
         for trial in range(20):
             h = rng.standard_normal((7, 11))
-            split = split_features(h, 3, 4, rng, normalize=False)
-            optimal = np.linalg.norm(h - best_rank_k(h, 3))
+            split = split_features(h, 3, 4, rng)
+            optimal = np.linalg.norm(split.normalized - best_rank_k(split.normalized, 3))
             assert np.linalg.norm(split.ood_part) >= optimal - 1e-10, trial
 
     @settings(max_examples=200, deadline=None)
@@ -121,13 +122,6 @@ class TestSplitFeatures:
         split = split_features(h, 2, 5, rng)
         np.testing.assert_allclose(np.linalg.norm(split.normalized, axis=0), 1.0, atol=1e-12)
         np.testing.assert_allclose(split.normalized * split.col_norms, h, atol=1e-12)
-
-    def test_normalize_false_passes_raw_matrix(self):
-        rng = np.random.default_rng(7)
-        h = rng.standard_normal((5, 7))
-        split = split_features(h, 2, 5, rng, normalize=False)
-        assert split.col_norms is None
-        np.testing.assert_array_equal(split.normalized, h)
 
     def test_degenerate_column_survives_the_pipeline(self):
         rng = np.random.default_rng(8)
@@ -163,43 +157,30 @@ class TestSplitFeatures:
 
 
 class TestGradThroughSplit:
-    def _sparsity_of_residual(self, h, basis, normalize=True):
-        if normalize:
-            normalized, _ = normalize_columns(h)
-        else:
-            normalized = h
+    def _sparsity_of_residual(self, h, basis):
+        normalized, _ = normalize_columns(h)
         residual = normalized - basis @ (basis.T @ normalized)
         return l21_norm(residual) / h.shape[1]
 
-    def test_matches_finite_differences_with_frozen_basis(self):
-        rng = np.random.default_rng(13)
-        h = rng.standard_normal((5, 3)) + 0.5
+    def _check_against_finite_differences(self, seed, shape, shift):
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal(shape) + shift
         split = split_features(h, 2, 10, rng)
         # Residual columns must be well away from the L2,1 kink.
         assert np.linalg.norm(split.ood_part, axis=0).min() > 1e-3
-        analytic = grad_through_split(split, l21_subgradient(split.ood_part) / 3)
+        analytic = grad_through_split(split, l21_subgradient(split.ood_part) / shape[1])
         numeric = central_difference(
             lambda x: self._sparsity_of_residual(x, split.basis), h.copy()
         )
         assert max_rel_error(analytic, numeric) <= 1e-5
 
-    def test_matches_finite_differences_without_normalization(self):
-        rng = np.random.default_rng(14)
-        h = rng.standard_normal((6, 4))
-        split = split_features(h, 2, 10, rng, normalize=False)
-        assert np.linalg.norm(split.ood_part, axis=0).min() > 1e-3
-        analytic = grad_through_split(split, l21_subgradient(split.ood_part) / 4)
-        numeric = central_difference(
-            lambda x: self._sparsity_of_residual(x, split.basis, normalize=False), h.copy()
-        )
-        assert max_rel_error(analytic, numeric) <= 1e-5
+    def test_matches_finite_differences_with_frozen_basis(self):
+        self._check_against_finite_differences(13, (5, 3), 0.5)
 
-    def test_gradient_lives_outside_the_subspace(self):
-        rng = np.random.default_rng(15)
-        h = rng.standard_normal((7, 5))
-        split = split_features(h, 3, 8, rng, normalize=False)
-        g = grad_through_split(split, rng.standard_normal((7, 5)))
-        assert np.abs(split.basis.T @ g).max() <= 1e-12
+    def test_matches_finite_differences_without_normalization(self):
+        # Zero-mean input that is not normalized beforehand: the split
+        # normalizes it itself, so the pullback must undo that step too.
+        self._check_against_finite_differences(14, (6, 4), 0.0)
 
     def test_degenerate_column_gets_identity_pullback(self):
         rng = np.random.default_rng(16)

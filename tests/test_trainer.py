@@ -7,6 +7,7 @@ epochs) so the whole module stays under a few seconds.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from noodle.datagen import NoiseSpec, inject_symmetric_noise, make_gaussian_mixture
+from noodle.losses import LOSS_KINDS
 from noodle.model import DivergenceError, forward, init_mlp
 from noodle.trainer import (
     SeedStreams,
@@ -89,6 +91,24 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="t_diag_init"):
             bad.validate()
 
+    def test_validate_checks_types_without_converting(self):
+        for name, value, message in (
+            ("lr", "fast", "lr must be a number, got 'fast'"),
+            ("epochs", 2.0, "epochs must be an integer, got 2.0"),
+            ("epochs", True, "epochs must be an integer, got True"),
+            ("lam", None, "lambda must be a number, got None"),
+            ("loss_kind", 1, "loss_kind must be a string, got 1"),
+            ("k_rank", 2.0, "k_rank must be an integer, got 2.0"),
+            ("widths", 16, "widths must be a list of integers, got 16"),
+            ("widths", (16, 8.0), "widths must be a list of integers, got (16, 8.0)"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                replace(_toy_config(), **{name: value}).validate()
+        # An int stands for a float and stays an int, so the hash sees 0.
+        config = TrainConfig.from_dict({"lambda": 0, "k_rank": None})
+        config.validate()
+        assert type(config.to_dict()["lambda"]) is int
+
 
 class TestSeedStreams:
     def test_streams_are_deterministic(self):
@@ -151,15 +171,15 @@ class TestTrainBasics:
             assert b <= a + 1e-6
 
     def test_overflowing_loss_raises_divergence_error(self):
-        # With normalization off, a huge feature scale overflows the residual
-        # norm on the first batch; the abort names the epoch and batch.
+        # A huge first step overflows the logits of the second batch for
+        # every loss kind, before a loss sees a NaN softmax; the abort names
+        # the epoch and batch.
         data = _toy_data()
-        data.features = data.features * 1e160
-        config = _toy_config(normalize=False, lam=0.001)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(DivergenceError, match="epoch 0, batch 0"):
-                train(data, config)
+        for kind in LOSS_KINDS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                with pytest.raises(DivergenceError, match="^non-finite logits at epoch 0, batch 1$"):
+                    train(data, _toy_config(loss_kind=kind, lr=1e300))
 
     def test_empty_training_set_rejected(self):
         data = _toy_data()
@@ -182,6 +202,20 @@ class TestTrainBasics:
         monkeypatch.setattr(noodle.trainer, "forward", no_forward)
         with pytest.raises(ValueError, match=r"no training labels for class\(es\) 2$"):
             train(data, _toy_config())
+
+    def test_rank_above_the_latent_width_rejected_before_training(self, monkeypatch):
+        # Unchecked, the split clamps the rank to the width and the residual
+        # is identically zero: the penalty silently does nothing.
+        import noodle.trainer
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(noodle.trainer, "forward", no_forward)
+        with pytest.raises(ValueError, match=r"subspace rank 9 .* exceeds the latent width 8$"):
+            train(_toy_data(), _toy_config(k_rank=9))
+        with pytest.raises(ValueError, match=r"subspace rank 4 .* exceeds the latent width 3$"):
+            train(_toy_data(classes=4), _toy_config(widths=(16, 3)))
 
     def test_t_diag_init_must_beat_chance(self):
         data = _toy_data(classes=4)
