@@ -17,7 +17,7 @@ from pathlib import Path
 
 from noodle.cli import evaluate, generate_dataset_files
 from noodle.datagen import load_features_csv, load_ood_csv
-from noodle.scoring import detect, select_threshold
+from noodle.scoring import select_threshold
 from noodle.trainer import TrainConfig, train
 
 GEN = dict(
@@ -82,10 +82,10 @@ def main():
         tau = select_threshold(id_scores, 0.95)
         print()
         print(f"threshold at 95% TPR: tau = {tau:.4f} (rule: ID iff score >= tau)")
-        print(f"  ID test scores  kept: {detect(id_scores, tau).mean():6.1%}   "
+        print(f"  ID test scores  kept: {(id_scores >= tau).mean():6.1%}   "
               f"range [{id_scores.min():.3f}, {id_scores.max():.3f}]")
         for r in reports:
-            print(f"  {r.dataset:15s} kept: {detect(r.ood_scores, tau).mean():6.1%}   "
+            print(f"  {r.dataset:15s} kept: {(r.ood_scores >= tau).mean():6.1%}   "
                   f"range [{r.ood_scores.min():.3f}, {r.ood_scores.max():.3f}]")
         print()
         print("a kept OOD fraction is exactly the false positive rate the")

@@ -33,7 +33,7 @@ from .losses import (
     sce_loss,
     sparsity_loss,
 )
-from .metrics import ScoreReport, auroc, emit_report, fpr_at_tpr, id_accuracy, load_report, make_report
+from .metrics import ScoreReport, auroc, emit_report, fpr_at_tpr, id_accuracy, make_report
 from .model import (
     DivergenceError,
     MlpParams,
@@ -48,7 +48,6 @@ from .scoring import (
     EmbeddingStore,
     batch_scores,
     build_store,
-    detect,
     load_store,
     save_store,
     select_threshold,

@@ -242,14 +242,12 @@ def classification_loss(
     probs: np.ndarray,
     labels: np.ndarray,
     transition: TransitionMatrix | None = None,
-    sce_alpha: float = SCE_ALPHA,
-    sce_beta: float = SCE_BETA,
-    gce_q: float = GCE_Q,
 ) -> LossOutput:
     """Dispatch to the loss named by ``kind`` (one of ``ce, cm, sce, gce``).
 
     ``cm`` is the transition-matrix corrected cross-entropy and requires a
-    TransitionMatrix; the others ignore it.
+    TransitionMatrix; the others ignore it.  ``sce`` and ``gce`` run at their
+    published parameters ``SCE_ALPHA``, ``SCE_BETA`` and ``GCE_Q``.
     """
     if kind == "ce":
         return cross_entropy(probs, labels)
@@ -258,7 +256,7 @@ def classification_loss(
             raise ValueError("loss kind 'cm' needs a transition matrix")
         return forward_corrected_ce(probs, transition, labels)
     if kind == "sce":
-        return sce_loss(probs, labels, alpha=sce_alpha, beta=sce_beta)
+        return sce_loss(probs, labels)
     if kind == "gce":
-        return gce_loss(probs, labels, q=gce_q)
+        return gce_loss(probs, labels)
     raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .files import read_json, write_json, write_rows
+from .files import write_json, write_rows
 from .scoring import reject_nan, select_threshold
 
 REPORT_FORMAT = "noodle-report"
@@ -170,20 +170,3 @@ def emit_report(report: ScoreReport, out_dir: str | os.PathLike) -> None:
     except OSError as exc:
         raise OSError(f"cannot write report {path}: {exc}") from exc
 
-
-def load_report(path: str | os.PathLike) -> ScoreReport:
-    """Read back a JSON report."""
-    doc = read_json(path)
-    if doc.get("format") != REPORT_FORMAT:
-        raise ValueError(f"{path}: not a score report")
-    return ScoreReport(
-        dataset=doc["dataset"],
-        id_scores=np.array(doc["id_scores"], dtype=float),
-        ood_scores=np.array(doc["ood_scores"], dtype=float),
-        fpr95=doc["metrics"]["fpr95"],
-        auroc=doc["metrics"]["auroc"],
-        id_accuracy=doc["metrics"]["id_accuracy"],
-        seed=doc["seed"],
-        config_hash=doc["config_hash"],
-        tpr=doc["tpr"],
-    )

@@ -250,16 +250,6 @@ def select_threshold(id_scores: np.ndarray, tpr: float = 0.95) -> float:
     return float(np.partition(scores, n - m)[n - m])
 
 
-def detect(score, tau: float):
-    """Inclusive decision rule: ID iff ``score >= tau``.
-
-    Accepts a scalar (returns bool) or an array (returns a bool array).
-    """
-    arr = np.asarray(score, dtype=float)
-    result = arr >= tau
-    return bool(result) if arr.ndim == 0 else result
-
-
 # ---------------------------------------------------------------------------
 # Persistence: <base>.csv holds labels + embeddings, <base>.json the rest.
 

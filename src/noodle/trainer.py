@@ -24,10 +24,7 @@ from .datagen import LabeledSet
 from .decompose import grad_through_split, split_features
 from .files import type_problem
 from .losses import (
-    GCE_Q,
     LOSS_KINDS,
-    SCE_ALPHA,
-    SCE_BETA,
     TransitionMatrix,
     classification_loss,
     init_near_identity,
@@ -45,11 +42,14 @@ from .model import (
     sgd_step,
     zero_grads_like,
 )
-from .scoring import DEFAULT_COV_REG, EmbeddingStore, build_store
+from .scoring import EmbeddingStore, build_store
 
 # JSON config key for the sparsity weight; `lambda` is a Python keyword, so
 # the dataclass field is `lam` while the external name stays `lambda`.
 _LAMBDA_KEY = "lambda"
+
+# Global gradient-norm limit of every SGD step (network and transition logits jointly).
+GRAD_CLIP = 10.0
 
 
 @dataclass
@@ -68,11 +68,6 @@ class TrainConfig:
     seed: int = 0
     widths: tuple[int, ...] = DEFAULT_WIDTHS
     t_diag_init: float = 0.99
-    grad_clip: float = 10.0
-    sce_alpha: float = SCE_ALPHA
-    sce_beta: float = SCE_BETA
-    gce_q: float = GCE_Q
-    cov_reg: float = DEFAULT_COV_REG
 
     def validate(self) -> None:
         # Types first, without converting, so that the range checks compare numbers.
@@ -106,16 +101,8 @@ class TrainConfig:
             problems.append(f"pi_iters must be >= 1, got {self.pi_iters}")
         if not 0.0 < self.t_diag_init < 1.0:
             problems.append(f"t_diag_init must be in (0, 1), got {self.t_diag_init}")
-        if self.grad_clip <= 0:
-            problems.append(f"grad_clip must be positive, got {self.grad_clip}")
         if len(self.widths) < 1 or min(self.widths) < 1:
             problems.append(f"widths must be positive, got {self.widths}")
-        if self.sce_alpha < 0 or self.sce_beta < 0:
-            problems.append("sce_alpha and sce_beta must be >= 0")
-        if not 0.0 < self.gce_q <= 1.0:
-            problems.append(f"gce_q must be in (0, 1], got {self.gce_q}")
-        if self.cov_reg <= 0:
-            problems.append(f"cov_reg must be positive, got {self.cov_reg}")
         if problems:
             raise ValueError("invalid config: " + "; ".join(problems))
 
@@ -197,7 +184,8 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
         On a bad config, no samples, a class that no noisy label names, or a
         subspace rank (``k_rank``, else the class count) above the latent width.
     DivergenceError
-        On non-finite logits or loss, identifying the offending epoch and batch.
+        On non-finite logits or loss, identifying the offending epoch and
+        batch, or when no training latent can be normalized for the store.
     """
     config.validate()
     n = len(data)
@@ -227,44 +215,40 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
     batch_size = min(config.batch_size, n)
 
     trace: list[float] = []
-    for epoch in range(config.epochs):
-        order = streams.shuffle.permutation(n)
-        batch_losses: list[float] = []
-        for batch, b_start in enumerate(range(0, n, batch_size)):
-            idx = order[b_start : b_start + batch_size]
-            cache = forward(params, data.features[idx])
-            if not np.isfinite(cache.logits).all():
-                raise DivergenceError(f"non-finite logits at epoch {epoch}, batch {batch}")
-            corrected = classification_loss(
-                config.loss_kind,
-                cache.probs,
-                data.noisy_labels[idx],
-                transition,
-                sce_alpha=config.sce_alpha,
-                sce_beta=config.sce_beta,
-                gce_q=config.gce_q,
-            )
-            if config.lam > 0.0:
-                split = split_features(cache.latent, k_rank, config.pi_iters, streams.decompose)
-                total = joint_loss(corrected, sparsity_loss(split.ood_part), config.lam)
-            else:
-                split, total = None, corrected
-            if not np.isfinite(total.value):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}, batch {batch}")
-            grad_latent = None if split is None else grad_through_split(split, total.grad_latent)
-            grads = backward(params, cache, total.grad_logits, grad_latent)
-            clip_global_norm(grads, config.grad_clip, extra=total.grad_theta)
-            sgd_step(params, grads, opt_state, config.lr, config.momentum, config.weight_decay)
-            if total.grad_theta is not None:
-                # Same optimizer, shared lr; no weight decay on the transition
-                # logits (decay would pull T toward uniform).
-                theta_state *= config.momentum
-                theta_state += total.grad_theta
-                transition.theta -= config.lr * theta_state
-            batch_losses.append(total.value)
-        trace.append(float(np.mean(batch_losses)))
-
-    store = extract_reference_store(params, data, config, rng=streams.store)
+    # A diverging run overflows before the explicit checks here and in the
+    # store raise; NumPy's warnings would only be noise before that error.
+    with np.errstate(all="ignore"):
+        for epoch in range(config.epochs):
+            order = streams.shuffle.permutation(n)
+            batch_losses: list[float] = []
+            for batch, b_start in enumerate(range(0, n, batch_size)):
+                idx = order[b_start : b_start + batch_size]
+                cache = forward(params, data.features[idx])
+                if not np.isfinite(cache.logits).all():
+                    raise DivergenceError(f"non-finite logits at epoch {epoch}, batch {batch}")
+                corrected = classification_loss(
+                    config.loss_kind, cache.probs, data.noisy_labels[idx], transition
+                )
+                if config.lam > 0.0:
+                    split = split_features(cache.latent, k_rank, config.pi_iters, streams.decompose)
+                    total = joint_loss(corrected, sparsity_loss(split.ood_part), config.lam)
+                else:
+                    split, total = None, corrected
+                if not np.isfinite(total.value):
+                    raise DivergenceError(f"non-finite loss at epoch {epoch}, batch {batch}")
+                grad_latent = None if split is None else grad_through_split(split, total.grad_latent)
+                grads = backward(params, cache, total.grad_logits, grad_latent)
+                clip_global_norm(grads, GRAD_CLIP, extra=total.grad_theta)
+                sgd_step(params, grads, opt_state, config.lr, config.momentum, config.weight_decay)
+                if total.grad_theta is not None:
+                    # Same optimizer, shared lr; no weight decay on the transition
+                    # logits (decay would pull T toward uniform).
+                    theta_state *= config.momentum
+                    theta_state += total.grad_theta
+                    transition.theta -= config.lr * theta_state
+                batch_losses.append(total.value)
+            trace.append(float(np.mean(batch_losses)))
+        store = extract_reference_store(params, data, config, rng=streams.store)
     return TrainResult(params, transition, trace, store)
 
 
@@ -280,15 +264,22 @@ def extract_reference_store(
     Labels stored are the (noisy) training labels; the clean ones are not
     available to the method.  ``rng`` defaults to the store stream of
     ``config.seed`` so a standalone call matches what :func:`train` builds.
+    When no latent survives the split's normalization, because each is zero
+    (dead ReLUs) or its norm overflows (a huge learning rate gets there),
+    the network diverged and :class:`DivergenceError` names the epoch count.
     """
     if rng is None:
         rng = derive_streams(config.seed).store
     cache = forward(params, data.features)
     k_rank = config.k_rank if config.k_rank is not None else data.num_classes
     split = split_features(cache.latent, k_rank, config.pi_iters, rng)
+    if not split.normalized.any():
+        raise DivergenceError(
+            f"every training latent is zero or overflows after {config.epochs} epoch(s)"
+        )
     meta = {
         "encoder_checksum": params_checksum(params),
         "config_hash": config.config_hash(),
         "n_train": len(data),
     }
-    return build_store(split.id_part, data.noisy_labels, config.cov_reg, meta)
+    return build_store(split.id_part, data.noisy_labels, meta=meta)

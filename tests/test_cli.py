@@ -38,7 +38,8 @@ from noodle.cli import (
     run_training,
 )
 from noodle.datagen import load_features_csv
-from noodle.metrics import REPORT_CSV_HEADER, auroc, fpr_at_tpr, load_report
+from noodle.files import read_json
+from noodle.metrics import REPORT_CSV_HEADER, auroc, fpr_at_tpr
 from noodle.model import DivergenceError
 from noodle.scoring import build_store, save_store
 from noodle.trainer import TrainConfig, train
@@ -247,6 +248,25 @@ class TestTrainCommand:
         assert code == 2
         assert "learning_rate" in capsys.readouterr().err
 
+    def test_fixed_constants_exit_2_before_any_write(self, tmp_path, data_dir, capsys):
+        # The robust losses' parameters, the clip norm and the store ridge are
+        # constants now; a config or spec that still sets one is rejected.
+        config_path = tmp_path / "cfg.json"
+        out = tmp_path / "out"
+        for key, value in (
+            ("sce_alpha", 0.1), ("sce_beta", 1.0), ("gce_q", 0.7), ("grad_clip", 10.0), ("cov_reg", 1e-3)
+        ):
+            config_path.write_text(json.dumps(dict(TRAIN_SMALL, **{key: value})))
+            argv = ["train", "--data", str(data_dir / "train.csv"), "--out", str(out)]
+            assert main([*argv, "--config", str(config_path)]) == 2, key
+            assert f"error: unknown config keys: {key}\n" == capsys.readouterr().err
+            spec_path, spec = _experiment_spec(tmp_path)
+            spec["train"][key] = value
+            spec_path.write_text(json.dumps(spec))
+            assert main(["experiment", "--spec", str(spec_path), "--out", str(out)]) == 2, key
+            assert f"method 'noodle': unknown config keys: {key}\n" in capsys.readouterr().err
+            assert not out.exists(), key
+
     def test_missing_data_file_exits_2(self, tmp_path, capsys):
         code = main(
             ["train", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]
@@ -257,7 +277,8 @@ class TestTrainCommand:
     def test_bad_runs_exit_before_any_write(self, tmp_path, data_dir, capsys):
         # A mistyped config value was a TypeError traceback (exit 1), a rank
         # above the latent width was clamped with a warning, and a diverging
-        # run exited 2 on a NaN softmax instead of 3.
+        # run exited 2 on a NaN softmax instead of 3, then printed NumPy
+        # warnings before its error line (a traceback with warnings as errors).
         config_path = tmp_path / "cfg.json"
         for doc, flags, code, message in (
             ({"lr": "fast"}, [], 2, "lr must be a number, got 'fast'"),
@@ -269,9 +290,10 @@ class TestTrainCommand:
             out = tmp_path / "out"
             argv = ["train", "--data", str(data_dir / "train.csv"), "--out", str(out)]
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
+                warnings.simplefilter("error")
                 assert main([*argv, "--config", str(config_path), *flags]) == code, message
-            assert message in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
             assert not out.exists(), message
 
 
@@ -312,9 +334,10 @@ class TestEvalCommand:
             0,
             tmp_path,
         )
-        report = load_report(tmp_path / "report_ood_far_cluster.json")
-        assert fpr_at_tpr(report.id_scores, report.ood_scores, report.tpr) == report.fpr95
-        assert auroc(report.id_scores, report.ood_scores) == report.auroc
+        doc = read_json(tmp_path / "report_ood_far_cluster.json")
+        id_scores, ood_scores = np.array(doc["id_scores"]), np.array(doc["ood_scores"])
+        assert fpr_at_tpr(id_scores, ood_scores, doc["tpr"]) == doc["metrics"]["fpr95"]
+        assert auroc(id_scores, ood_scores) == doc["metrics"]["auroc"]
 
     def test_id_set_against_itself_scores_exactly_half(self, tmp_path, data_dir, run_dir):
         # Identical score samples: every pair ties, AUROC must be 0.5 exactly.

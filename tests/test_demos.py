@@ -1,4 +1,4 @@
-"""The demos print the numbers they document."""
+"""Every demo runs to completion, and the sweep demo prints the numbers it documents."""
 
 from __future__ import annotations
 
@@ -7,18 +7,33 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import noodle
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_noise_sweep_demo_prints_its_table():
+def _run_demo(name: str, *args: str) -> subprocess.CompletedProcess:
     import_path = [str(Path(noodle.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, import_path))}
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "04_noise_sweep.py"), "--rates", "0.0,0.4"],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "demos" / f"{name}.py"), *args],
         capture_output=True, text=True, timeout=120, env=env,
     )
+
+
+@pytest.mark.parametrize(
+    "name", ["01_subspace_recovery", "02_label_noise_and_correction", "03_train_and_detect"]
+)
+def test_demo_runs(name):
+    result = _run_demo(name)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout
+
+
+def test_noise_sweep_demo_prints_its_table():
+    result = _run_demo("04_noise_sweep", "--rates", "0.0,0.4")
     assert result.returncode == 0, result.stderr
     rows = [line.split() for line in result.stdout.splitlines()[1:5]]
     assert rows == [

@@ -1,6 +1,7 @@
 """Every name imported under ``src/noodle``, ``tests`` and ``demos`` is used
 (the package ``__init__`` files are exempt, since their imports are
-re-exports), and the CLI starts without loading ``scipy.stats``."""
+re-exports), every re-export of the package is used by the package, a demo
+or the benchmark, and the CLI starts without loading ``scipy.stats``."""
 
 from __future__ import annotations
 
@@ -39,6 +40,40 @@ def test_no_unused_imports():
     ]
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert not unused, unused
+
+
+def _referenced_names(path: Path) -> set[str]:
+    """Names and attributes a file reads, except inside the top-level
+    function or class that they name (a definition does not use itself)."""
+    names = set()
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        reads = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(stmt)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        }
+        names |= reads - {getattr(stmt, "name", None)}
+    return names
+
+
+def test_every_reexport_is_used():
+    # A public name that only tests read is dead surface: a re-export must
+    # be used by the package itself, a demo or the benchmark.
+    init = ast.parse((ROOT / "src/noodle/__init__.py").read_text(encoding="utf-8"))
+    exported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    users = [
+        path
+        for top in ("src/noodle", "demos", "bench")
+        for path in sorted((ROOT / top).rglob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    used = set().union(*map(_referenced_names, users))
+    assert sorted(exported - used) == []
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

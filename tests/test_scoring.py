@@ -19,7 +19,6 @@ from noodle.scoring import (
     EmbeddingStore,
     batch_scores,
     build_store,
-    detect,
     load_store,
     save_store,
     select_threshold,
@@ -360,18 +359,6 @@ class TestSelectThreshold:
         for tpr in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 select_threshold(np.array([1.0]), tpr)
-
-
-class TestDetect:
-    def test_inclusive_boundary(self):
-        assert detect(1.0, 1.0) is True
-        assert detect(np.nextafter(1.0, -np.inf), 1.0) is False
-        assert detect(2.0, 1.0) is True
-
-    def test_array_form(self):
-        out = detect(np.array([0.5, 1.0, 1.5]), 1.0)
-        assert out.dtype == bool
-        np.testing.assert_array_equal(out, [False, True, True])
 
 
 class TestPersistence:

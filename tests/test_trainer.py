@@ -173,13 +173,19 @@ class TestTrainBasics:
     def test_overflowing_loss_raises_divergence_error(self):
         # A huge first step overflows the logits of the second batch for
         # every loss kind, before a loss sees a NaN softmax; the abort names
-        # the epoch and batch.
+        # the epoch and batch.  A smaller huge step leaves finite logits but
+        # latents whose norms overflow, so the store's split normalizes every
+        # one to zero.  No NumPy warning comes before either error.
         data = _toy_data()
-        for kind in LOSS_KINDS:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                with pytest.raises(DivergenceError, match="^non-finite logits at epoch 0, batch 1$"):
-                    train(data, _toy_config(loss_kind=kind, lr=1e300))
+        for lr, message in (
+            (1e300, r"^non-finite logits at epoch 0, batch 1$"),
+            (1e100, r"^every training latent is zero or overflows after 3 epoch\(s\)$"),
+        ):
+            for kind in LOSS_KINDS:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(DivergenceError, match=message):
+                        train(data, _toy_config(loss_kind=kind, lr=lr))
 
     def test_empty_training_set_rejected(self):
         data = _toy_data()
@@ -320,6 +326,15 @@ class TestReferenceStore:
         assert result.store.meta["encoder_checksum"] == params_checksum(result.params)
         assert result.store.meta["config_hash"] == config.config_hash()
         assert result.store.meta["n_train"] == len(data)
+
+    def test_dead_network_raises_divergence_error(self):
+        # All-zero latents leave the store nothing: a failed run, not a store problem.
+        data = _toy_data()
+        config = _toy_config()
+        params = init_mlp(data.dim, data.num_classes, np.random.default_rng(0), config.widths)
+        params.weights[-1][:] = 0.0
+        with pytest.raises(DivergenceError, match=r"^every training latent is zero or overflows after 3 epoch"):
+            extract_reference_store(params, data, config)
 
     def test_store_uses_noisy_labels(self):
         data = _toy_data(seed=8, noise_rate=0.4)
