@@ -12,8 +12,6 @@ Three acts:
 Run:  python3 demos/02_label_noise_and_correction.py
 """
 
-import warnings
-
 import numpy as np
 
 from noodle.datagen import NoiseSpec, inject_symmetric_noise, make_gaussian_mixture
@@ -64,9 +62,7 @@ def main():
     base = TrainConfig(epochs=60, widths=(48, 24, 12), t_diag_init=0.65, seed=0)
     for kind, lam in (("ce", 0.0), ("cm", 0.001)):
         config = TrainConfig.from_dict({**base.to_dict(), "loss_kind": kind, "lambda": lam})
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            result = train(data, config)
+        result = train(data, config)
         probs = forward(result.params, data.features).probs
         clean_acc = float((probs.argmax(axis=0) == data.clean_labels).mean())
         noisy_acc = float((probs.argmax(axis=0) == data.noisy_labels).mean())

@@ -12,7 +12,6 @@ Run:  python3 demos/03_train_and_detect.py [--seed N]
 
 import argparse
 import tempfile
-import warnings
 from pathlib import Path
 
 from noodle.cli import evaluate, generate_dataset_files
@@ -44,9 +43,7 @@ def run_method(data_dir, loss_kind, lam, seed):
         epochs=60,
         widths=(64, 32, 16),
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        result = train(load_features_csv(data_dir / "train.csv"), config)
+    result = train(load_features_csv(data_dir / "train.csv"), config)
     ood_sets = [(mode, load_ood_csv(data_dir / f"ood_{mode}.csv")) for mode in GEN["ood_modes"]]
     test = load_features_csv(data_dir / "test_id.csv")
     return evaluate(result.params, result.store, test, ood_sets, "knn", KNN_K, 0.95, seed,

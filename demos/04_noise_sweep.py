@@ -11,7 +11,6 @@ Run:  python3 demos/04_noise_sweep.py [--seed N] [--rates 0.0,0.2,0.4]
 
 import argparse
 import tempfile
-import warnings
 from pathlib import Path
 
 from noodle.cli import run_experiment
@@ -46,9 +45,7 @@ def main():
         for rate in rates:
             spec = {"dataset": GEN, "noise": {"rate": rate}, "train": TRAIN,
                     "methods": METHODS, "seeds": [args.seed]}
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                comparison = run_experiment(spec, "noise_sweep", Path(td) / f"rate{rate}", 1)
+            comparison = run_experiment(spec, "noise_sweep", Path(td) / f"rate{rate}", 1)
             for row in comparison["rows"]:
                 print(f"{rate:6.2f}  {row['method']:8s} {row['fpr95_mean']:7.4f} "
                       f"{row['auroc_mean']:7.4f} {row['id_acc_mean']:7.4f}")

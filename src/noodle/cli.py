@@ -567,7 +567,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     spec_path = Path(args.spec)
     spec = load_experiment_spec(spec_path)
     out_dir = Path(args.out) if args.out else Path(spec.get("out") or _require_out())
-    threads = int(os.environ.get("NOODLE_THREADS", "1")) if args.threads is None else args.threads
+    threads = _env_threads() if args.threads is None else args.threads
     comparison = run_experiment(spec, spec_path.name, out_dir, threads)
 
     failures = sum(row["failures"] for row in comparison["rows"])
@@ -592,6 +592,14 @@ def _require_out() -> str:
     if not out:
         raise ValueError("no output directory: pass --out or set NOODLE_OUT")
     return out
+
+
+def _env_threads() -> int:
+    raw = os.environ.get("NOODLE_THREADS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"NOODLE_THREADS must be an integer, got {raw!r}") from None
 
 
 def _resolve_out(flag_value: str | None) -> Path:

@@ -19,7 +19,6 @@ this is used; the projector-with-frozen-Q gradient is the documented contract.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,21 +74,15 @@ def split_features(
 
     Args:
         h: (latent_dim, batch) latent feature matrix, one sample per column.
-        k_rank: target subspace dimension; values above min(latent_dim, batch)
-            are clamped with a warning (this happens on small final batches).
+        k_rank: target subspace dimension, >= 1; values above min(latent_dim, batch)
+            are clamped (this happens on small final batches).
         n_iter: power-iteration sweeps, >= 1.
         rng: drives the random subspace initialization; the split is a
             deterministic function of (h, k_rank, n_iter, rng state).
     """
     normalized, norms = normalize_columns(h)
-    cap = min(normalized.shape)
-    if k_rank < 1:
-        raise ValueError(f"k_rank must be >= 1, got {k_rank}")
-    if k_rank > cap:
-        warnings.warn(
-            f"k_rank={k_rank} exceeds min(shape)={cap}; clamping", RuntimeWarning, stacklevel=2
-        )
-        k_rank = cap
+    # A batch narrower than k_rank (an epoch's last) is split at its own rank.
+    k_rank = min(k_rank, *normalized.shape)
     basis = approx_topk_singular_vectors(normalized, k_rank, n_iter, rng)
     id_part = basis @ (basis.T @ normalized)
     return FeatureSplit(basis, id_part, normalized - id_part, normalized, norms)

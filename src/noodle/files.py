@@ -30,6 +30,13 @@ def read_json(path: str | os.PathLike):
         return json.load(fh)
 
 
+def require_keys(doc: dict, keys: Sequence[str], path: str | os.PathLike) -> None:
+    """Raise a ValueError naming ``path`` and the first of ``keys`` not in ``doc``."""
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{path}: missing key {key!r}")
+
+
 _TYPE_NAMES = {int: "integer", float: "number", str: "string"}
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .files import read_json, write_json
+from .files import read_json, require_keys, write_json
 
 DEFAULT_WIDTHS = (64, 64, 32)
 
@@ -255,6 +255,9 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[MlpParams, np.ndarray | No
     doc = read_json(path)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a checkpoint file")
+    require_keys(
+        doc, ("in_dim", "widths", "num_classes", "weights", "biases", "head_weight", "head_bias"), path
+    )
     params = MlpParams(
         [np.array(w, dtype=float) for w in doc["weights"]],
         [np.array(b, dtype=float) for b in doc["biases"]],

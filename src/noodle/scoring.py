@@ -10,13 +10,12 @@ baselines.  Neighbor search is exact: scores equal a brute-force full sort.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .decompose import normalize_columns
-from .files import read_json, read_table, write_json, write_table
+from .files import read_json, read_table, require_keys, write_json, write_table
 
 SCORE_KINDS = ("knn", "mahalanobis", "msp", "energy")
 
@@ -89,7 +88,7 @@ def build_store(
         meta: free-form provenance (encoder checksum, config hash).
 
     Samples whose latent column has zero norm (dead ReLU paths) cannot live
-    on the unit sphere and are dropped with a warning and counted in
+    on the unit sphere and are dropped and counted in
     ``meta["dropped_zero_norm"]``; the remaining rows must cover every class.
 
     Raises:
@@ -109,12 +108,6 @@ def build_store(
     normalized, norms = normalize_columns(id_latents)
     alive = norms > 0
     dropped = int((~alive).sum())
-    if dropped:
-        warnings.warn(
-            f"dropping {dropped} zero-norm latent sample(s) from the store",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     embeddings = normalized.T[alive]
     labels = labels[alive]
     n = labels.size
@@ -274,6 +267,7 @@ def load_store(base_path: str | os.PathLike) -> EmbeddingStore:
     doc = read_json(base + ".json")
     if doc.get("format") != STORE_FORMAT:
         raise ValueError(f"{base}.json: not a store sidecar")
+    require_keys(doc, ("latent_dim", "class_means", "shared_precision"), base + ".json")
     (labels,), embeddings = read_table(base + ".csv", ("label",), "e")
     if embeddings.shape[1] != doc["latent_dim"]:
         raise ValueError(

@@ -216,7 +216,7 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
 
     trace: list[float] = []
     # A diverging run overflows before the explicit checks here and in the
-    # store raise; NumPy's warnings would only be noise before that error.
+    # store raise; NumPy's floating-point messages would only be noise before that error.
     with np.errstate(all="ignore"):
         for epoch in range(config.epochs):
             order = streams.shuffle.permutation(n)

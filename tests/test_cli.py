@@ -603,9 +603,7 @@ class TestExperiment:
         spec_path, spec = _experiment_spec(tmp_path, methods=[hot])
         spec["train"]["lr"] = 1e30
         spec_path.write_text(json.dumps(spec))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert main(["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 0
+        assert main(["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 0
         assert "1 cell(s) failed" in capsys.readouterr().err
         doc = json.loads((tmp_path / "out" / "comparison.json").read_text())
         error = doc["methods"]["hot"]["failures"]["0"]
@@ -732,9 +730,12 @@ class TestExperiment:
         assert main([*argv, "--threads", "0"]) == 2
         monkeypatch.setenv("NOODLE_THREADS", "-1")
         assert main(argv) == 2
+        monkeypatch.setenv("NOODLE_THREADS", "two")
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert "threads must be at least 1, got 0" in err
         assert "threads must be at least 1, got -1" in err
+        assert "error: NOODLE_THREADS must be an integer, got 'two'\n" in err
         assert not out.exists()
 
 
@@ -773,22 +774,32 @@ def test_console_script_smoke(tmp_path):
         command = [sys.executable, "-m", "noodle.cli"]
     import_path = [str(Path(noodle.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, import_path))}
-    result = subprocess.run(
-        [
-            *command,
-            "gen-data",
-            "--out", str(tmp_path),
-            "--classes", "3",
-            "--per-class", "5",
-            "--dim", "4",
-            "--val-per-class", "2",
-            "--test-per-class", "2",
-            "--ood-size", "5",
-        ],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=env,
+
+    def run(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [*command, *args], capture_output=True, text=True, timeout=120, env=env
+        )
+
+    result = run(
+        "gen-data",
+        "--out", str(tmp_path),
+        "--classes", "3",
+        "--per-class", "5",
+        "--dim", "4",
+        "--val-per-class", "2",
+        "--test-per-class", "2",
+        "--ood-size", "5",
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "train.csv").exists()
+    # 15 rows at batch 7 leave a final batch of 1 column against k_rank 3: the
+    # split clamps without a word on stderr (in-process warnings never reach capsys).
+    result = run(
+        "train",
+        "--data", str(tmp_path / "train.csv"),
+        "--out", str(tmp_path / "run"),
+        "--epochs", "2",
+        "--batch-size", "7",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""

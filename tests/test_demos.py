@@ -1,4 +1,5 @@
-"""Every demo runs to completion, and the sweep demo prints the numbers it documents."""
+"""Every demo runs to completion with warnings as errors, and the sweep demo prints
+the numbers it documents."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ def _run_demo(name: str, *args: str) -> subprocess.CompletedProcess:
     import_path = [str(Path(noodle.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, import_path))}
     return subprocess.run(
-        [sys.executable, str(ROOT / "demos" / f"{name}.py"), *args],
+        [sys.executable, "-W", "error", str(ROOT / "demos" / f"{name}.py"), *args],
         capture_output=True, text=True, timeout=120, env=env,
     )
 

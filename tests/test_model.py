@@ -3,6 +3,7 @@ and checkpoint persistence."""
 
 from __future__ import annotations
 
+import json
 import re
 
 import numpy as np
@@ -233,13 +234,21 @@ class TestCheckpoint:
 
         good = tmp_path / "ckpt.json"
         save_checkpoint(_small_net(26), good)
-        import json
-
         doc = json.loads(good.read_text(encoding="utf-8"))
         doc["in_dim"] = 99
         good.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ValueError, match="shapes"):
             load_checkpoint(good)
+
+    def test_missing_key_names_file_and_key(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(_small_net(27), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        del doc["head_bias"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: missing key 'head_bias'"
 
 
 def test_init_mlp_bounds_and_validation():

@@ -3,6 +3,7 @@ detection, and store persistence."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -76,13 +77,11 @@ class TestBuildStore:
         np.testing.assert_array_equal(store.shared_precision, store.shared_precision.T)
         assert (np.linalg.eigvalsh(store.shared_precision) > 0).all()
 
-    def test_zero_norm_samples_dropped_with_warning(self):
-        latents = np.eye(3) @ np.ones((3, 6))
+    def test_zero_norm_samples_dropped_and_counted(self):
         latents = np.random.default_rng(2).standard_normal((3, 6))
         labels = np.array([0, 1, 0, 1, 0, 1])
         latents[:, 4] = 0.0
-        with pytest.warns(RuntimeWarning, match="dropping 1"):
-            store = build_store(latents, labels)
+        store = build_store(latents, labels)
         assert len(store) == 5
         assert store.meta["dropped_zero_norm"] == 1
 
@@ -90,9 +89,8 @@ class TestBuildStore:
         latents = np.random.default_rng(3).standard_normal((3, 4))
         latents[:, 3] = 0.0
         labels = np.array([0, 0, 0, 1])
-        with pytest.warns(RuntimeWarning):
-            with pytest.raises(ValueError, match="class 1"):
-                build_store(latents, labels)
+        with pytest.raises(ValueError, match="class 1"):
+            build_store(latents, labels)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="at least 3"):
@@ -405,6 +403,17 @@ class TestPersistence:
         sidecar.write_text(sidecar.read_text().replace("noodle-store", "other"))
         with pytest.raises(ValueError, match="not a store sidecar"):
             load_store(tmp_path / "s")
+
+    def test_sidecar_missing_key_names_file_and_key(self, tmp_path):
+        store, _ = _random_store(16)
+        save_store(store, tmp_path / "s")
+        sidecar = tmp_path / "s.json"
+        doc = json.loads(sidecar.read_text())
+        del doc["latent_dim"]
+        sidecar.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as err:
+            load_store(tmp_path / "s")
+        assert str(err.value) == f"{sidecar}: missing key 'latent_dim'"
 
     def test_corrupt_header_rejected(self, tmp_path):
         store, _ = _random_store(17)
