@@ -202,8 +202,6 @@ def run_training(data_path: Path, config: TrainConfig, out_dir: Path) -> list[Pa
 def cmd_train(args: argparse.Namespace) -> int:
     out_dir = _resolve_out(args.out)
     doc = read_json(args.config) if args.config else {}
-    if not isinstance(doc, dict):
-        raise ValueError(f"{args.config}: config must be a JSON object")
     flags = {key: getattr(args, key) for key, _ in TRAIN_FLAGS.values()}
     config = build_train_config(doc, {k: v for k, v in flags.items() if v is not None})
     for path in run_training(Path(args.data), config, out_dir):
@@ -660,7 +658,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError) as exc:  # JSONDecodeError is a ValueError
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

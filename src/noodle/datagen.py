@@ -241,21 +241,13 @@ def save_ood_csv(features: np.ndarray, path: str | os.PathLike) -> None:
     write_table(path, _LABEL_COLUMNS, "f", (sentinel, sentinel), features)
 
 
-def load_features_csv(path: str | os.PathLike, num_classes: int | None = None) -> LabeledSet:
-    """Read a labeled CSV back into a :class:`LabeledSet`.
-
-    When ``num_classes`` is omitted it is inferred as ``max(label) + 1`` (with
-    a floor of 2); pass it explicitly to validate files against a known class
-    count.
-    """
+def load_features_csv(path: str | os.PathLike) -> LabeledSet:
+    """Read a labeled CSV back into a :class:`LabeledSet` whose class count is
+    ``max(label) + 1``, with a floor of 2."""
     (clean, noisy), features = read_table(path, _LABEL_COLUMNS, "f")
     if clean.min() < 0 or noisy.min() < 0:
         raise ValueError(f"{path}: negative labels in an ID file")
-    inferred = int(max(clean.max(), noisy.max())) + 1
-    if num_classes is None:
-        num_classes = max(inferred, 2)
-    elif inferred > num_classes:
-        raise ValueError(f"{path}: labels require >= {inferred} classes, got {num_classes}")
+    num_classes = max(int(max(clean.max(), noisy.max())) + 1, 2)
     return LabeledSet(features, clean, noisy, num_classes)
 
 

@@ -25,9 +25,17 @@ def write_json(path: str | os.PathLike, doc) -> None:
         fh.write("\n")
 
 
-def read_json(path: str | os.PathLike):
+def read_json(path: str | os.PathLike) -> dict:
+    """The object a JSON file holds; malformed JSON or any other document is a
+    ValueError naming ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    return doc
 
 
 def require_keys(doc: dict, keys: Sequence[str], path: str | os.PathLike) -> None:

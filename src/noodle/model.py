@@ -51,14 +51,6 @@ class MlpParams:
     def widths(self) -> tuple[int, ...]:
         return tuple(w.shape[0] for w in self.weights)
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.head_weight.copy(),
-            self.head_bias.copy(),
-        )
-
     def arrays(self) -> list[np.ndarray]:
         """Every array, in the one fixed order: weights, biases, head weight,
         head bias.  Checksums, norms and the optimizer all walk this order."""

@@ -5,6 +5,11 @@ detection rule is ``ID iff score >= tau`` with an inclusive boundary.  The
 primary score is the k-th nearest neighbor distance on unit-normalized
 embeddings; Mahalanobis, max-softmax, and energy scores are provided as
 baselines.  Neighbor search is exact: scores equal a brute-force full sort.
+
+The store's class means and shared precision are a pure function of its unit
+rows and labels.  They are derived from those rows when the store is built
+and again when it is loaded, so the saved files hold the rows and the
+provenance only.
 """
 
 from __future__ import annotations
@@ -20,9 +25,11 @@ from .files import read_json, read_table, require_keys, write_json, write_table
 SCORE_KINDS = ("knn", "mahalanobis", "msp", "energy")
 
 STORE_FORMAT = "noodle-store"
+STORE_VERSION = 2
 
 DEFAULT_KNN_K = 50
-DEFAULT_COV_REG = 1e-3
+# Ridge strength of the shared covariance, relative to its mean eigenvalue.
+COV_REG = 1e-3
 
 # A zero-latent query cannot be placed on the unit sphere; it is scored at the
 # sphere's diameter, i.e. farther than any real embedding can be.
@@ -61,60 +68,21 @@ class EmbeddingStore:
         norms = np.linalg.norm(self.embeddings, axis=1)
         if not np.allclose(norms, 1.0, atol=1e-9):
             raise ValueError("store embeddings must have unit norm")
-        p = self.shared_precision
-        if not np.allclose(p, p.T, atol=1e-9):
-            raise ValueError("shared precision must be symmetric")
-        try:
-            np.linalg.cholesky((p + p.T) / 2.0)
-        except np.linalg.LinAlgError:
-            raise ValueError("shared precision must be positive definite") from None
 
 
-def build_store(
-    id_latents: np.ndarray,
-    labels: np.ndarray,
-    cov_reg: float = DEFAULT_COV_REG,
-    meta: dict | None = None,
-) -> EmbeddingStore:
-    """Build the reference store from cleaned training latents.
-
-    Args:
-        id_latents: (latent_dim, n) matrix, one training sample per column
-            (the in-subspace part of the training features).
-        labels: length-n integer labels; every class in [0, max+1) must occur.
-        cov_reg: ridge strength; the pooled within-class covariance is
-            regularized as ``S + cov_reg * (tr S / latent_dim) * I`` before
-            inversion, which keeps the conditioning scale-free.
-        meta: free-form provenance (encoder checksum, config hash).
-
-    Samples whose latent column has zero norm (dead ReLU paths) cannot live
-    on the unit sphere and are dropped and counted in
-    ``meta["dropped_zero_norm"]``; the remaining rows must cover every class.
-
-    Raises:
-        ValueError: on an empty class or fewer than num_classes + 1 samples
-            after the degenerate drop.
-    """
-    if cov_reg <= 0:
-        raise ValueError(f"cov_reg must be positive, got {cov_reg}")
-    id_latents = np.asarray(id_latents, dtype=float)
-    labels = np.asarray(labels, dtype=np.int64)
-    if id_latents.ndim != 2 or labels.shape != (id_latents.shape[1],):
-        raise ValueError("need (latent_dim, n) latents and n labels")
-    if labels.min() < 0:
+def _statistics(
+    embeddings: np.ndarray, labels: np.ndarray, num_classes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The class means of the unit ``embeddings`` rows and the shared precision
+    of their pooled within-class covariance ``S``, inverted as
+    ``S + COV_REG * (tr S / latent_dim) * I`` (a scale-free ridge) and
+    symmetrized.  Every class in ``[0, num_classes)`` must have a row, and
+    there must be at least ``num_classes + 1`` rows."""
+    if (labels < 0).any():
         raise ValueError("labels must be nonnegative")
-    num_classes = int(labels.max()) + 1
-
-    normalized, norms = normalize_columns(id_latents)
-    alive = norms > 0
-    dropped = int((~alive).sum())
-    embeddings = normalized.T[alive]
-    labels = labels[alive]
-    n = labels.size
+    n, dim = embeddings.shape
     if n < num_classes + 1:
         raise ValueError(f"need at least {num_classes + 1} usable samples, got {n}")
-
-    dim = embeddings.shape[1]
     class_means = np.empty((num_classes, dim))
     for c in range(num_classes):
         members = embeddings[labels == c]
@@ -126,12 +94,42 @@ def build_store(
     cov = (centered.T @ centered) / n
     trace = float(np.trace(cov))
     scale = trace / dim if trace > 0 else 1.0
-    regularized = cov + cov_reg * scale * np.eye(dim)
-    precision = np.linalg.inv(regularized)
-    # Symmetrize away inversion round-off so the PD invariant is exact.
-    precision = (precision + precision.T) / 2.0
+    precision = np.linalg.inv(cov + COV_REG * scale * np.eye(dim))
+    # Symmetrize away inversion round-off so the precision is exactly symmetric.
+    return class_means, (precision + precision.T) / 2.0
 
-    meta = {**(meta or {}), "dropped_zero_norm": dropped}
+
+def build_store(
+    id_latents: np.ndarray, labels: np.ndarray, meta: dict | None = None
+) -> EmbeddingStore:
+    """Build the reference store from cleaned training latents.
+
+    Args:
+        id_latents: (latent_dim, n) matrix, one training sample per column
+            (the in-subspace part of the training features).
+        labels: length-n integer labels; every class in [0, max+1) must occur.
+        meta: free-form provenance (encoder checksum, config hash).
+
+    Samples whose latent column has zero norm (dead ReLU paths) cannot live
+    on the unit sphere and are dropped and counted in
+    ``meta["dropped_zero_norm"]``; the remaining rows must cover every class.
+    The class means and shared precision are derived from those rows, as
+    :func:`load_store` derives them again from the saved rows.
+
+    Raises:
+        ValueError: on a negative label, an empty class or fewer than
+            num_classes + 1 samples after the degenerate drop.
+    """
+    id_latents = np.asarray(id_latents, dtype=float)
+    labels = np.asarray(labels, dtype=np.int64)
+    if id_latents.ndim != 2 or labels.shape != (id_latents.shape[1],):
+        raise ValueError("need (latent_dim, n) latents and n labels")
+    num_classes = int(labels.max()) + 1
+    normalized, norms = normalize_columns(id_latents)
+    alive = norms > 0
+    embeddings, labels = normalized.T[alive], labels[alive]
+    class_means, precision = _statistics(embeddings, labels, num_classes)
+    meta = {**(meta or {}), "dropped_zero_norm": int((~alive).sum())}
     store = EmbeddingStore(embeddings, labels, class_means, precision, meta)
     store.validate()
     return store
@@ -244,41 +242,33 @@ def select_threshold(id_scores: np.ndarray, tpr: float = 0.95) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: <base>.csv holds labels + embeddings, <base>.json the rest.
+# Persistence: <base>.csv holds labels + embeddings, the source of the
+# statistics; <base>.json holds the format, its version and the provenance.
 
 
 def save_store(store: EmbeddingStore, base_path: str | os.PathLike) -> None:
     base = os.fspath(base_path)
     write_table(base + ".csv", ("label",), "e", (store.labels,), store.embeddings)
-    doc = {
-        "format": STORE_FORMAT,
-        "version": 1,
-        "latent_dim": store.latent_dim,
-        "num_classes": store.num_classes,
-        "class_means": store.class_means.tolist(),
-        "shared_precision": store.shared_precision.tolist(),
-        "meta": store.meta,
-    }
-    write_json(base + ".json", doc)
+    write_json(base + ".json", {"format": STORE_FORMAT, "version": STORE_VERSION, "meta": store.meta})
 
 
 def load_store(base_path: str | os.PathLike) -> EmbeddingStore:
+    """Inverse of :func:`save_store`: the rows come from the CSV and the
+    statistics are derived from them as :func:`build_store` derives them."""
     base = os.fspath(base_path)
     doc = read_json(base + ".json")
     if doc.get("format") != STORE_FORMAT:
         raise ValueError(f"{base}.json: not a store sidecar")
-    require_keys(doc, ("latent_dim", "class_means", "shared_precision"), base + ".json")
-    (labels,), embeddings = read_table(base + ".csv", ("label",), "e")
-    if embeddings.shape[1] != doc["latent_dim"]:
+    require_keys(doc, ("version", "meta"), base + ".json")
+    if doc["version"] != STORE_VERSION:
         raise ValueError(
-            f"{base}.csv: embedding width {embeddings.shape[1]} != sidecar {doc['latent_dim']}"
+            f"{base}.json: store version {doc['version']!r} is not {STORE_VERSION}; retrain the store"
         )
-    store = EmbeddingStore(
-        embeddings,
-        labels,
-        np.array(doc["class_means"], dtype=float),
-        np.array(doc["shared_precision"], dtype=float),
-        doc.get("meta", {}),
-    )
-    store.validate()
+    (labels,), embeddings = read_table(base + ".csv", ("label",), "e")
+    try:
+        class_means, precision = _statistics(embeddings, labels, int(labels.max()) + 1)
+        store = EmbeddingStore(embeddings, labels, class_means, precision, doc["meta"])
+        store.validate()
+    except ValueError as exc:
+        raise ValueError(f"{base}.csv: {exc}") from None
     return store

@@ -116,12 +116,11 @@ class TrainConfig:
     def from_dict(cls, doc: dict) -> "TrainConfig":
         """Build from an external JSON dict; unknown keys are an error so
         typos never silently fall back to defaults."""
-        known = {f.name for f in fields(cls)} - {"lam"}
-        known |= {_LAMBDA_KEY, "version"}
+        known = {f.name for f in fields(cls)} - {"lam"} | {_LAMBDA_KEY}
         unknown = sorted(set(doc) - known)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        kwargs = {k: v for k, v in doc.items() if k != "version"}
+        kwargs = dict(doc)
         if _LAMBDA_KEY in kwargs:
             kwargs["lam"] = kwargs.pop(_LAMBDA_KEY)
         if isinstance(kwargs.get("widths"), list):

@@ -16,7 +16,6 @@ import re
 import shutil
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -289,12 +288,25 @@ class TestTrainCommand:
             config_path.write_text(json.dumps(doc))
             out = tmp_path / "out"
             argv = ["train", "--data", str(data_dir / "train.csv"), "--out", str(out)]
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert main([*argv, "--config", str(config_path), *flags]) == code, message
+            assert main([*argv, "--config", str(config_path), *flags]) == code, message
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
             assert not out.exists(), message
+
+    def test_non_object_config_exits_2(self, tmp_path, data_dir, capsys):
+        # A JSON list was an AttributeError traceback (exit 1), and a parse
+        # error did not name the file.
+        config_path = tmp_path / "cfg.json"
+        out = tmp_path / "out"
+        argv = ["train", "--data", str(data_dir / "train.csv"), "--out", str(out)]
+        for text, message in (
+            ("[]\n", "not a JSON object"),
+            ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ):
+            config_path.write_text(text)
+            assert main([*argv, "--config", str(config_path)]) == 2
+            assert capsys.readouterr().err == f"error: {config_path}: {message}\n"
+            assert not out.exists()
 
 
 class TestEvalCommand:
@@ -434,6 +446,39 @@ class TestEvalCommand:
         )
         assert main(command.split()) == 2
         assert "store has 4 classes, checkpoint head has 3" in capsys.readouterr().err
+
+    def test_bad_checkpoint_or_store_file_exits_2(self, tmp_path, data_dir, run_dir, capsys):
+        # A JSON list was an AttributeError traceback (exit 1).  The store's
+        # statistics come from store.csv, so a class gap or a negative label is
+        # named in that file; a version-1 sidecar must be retrained.
+        def gap(lines):
+            return [lines[0], *(("0" + line[1:]) if line.startswith("1,") else line for line in lines[1:])]
+
+        def negative(lines):
+            return [lines[0], "-1" + lines[1][1:], *lines[2:]]
+
+        def version1(lines):
+            return [line.replace('"version": 2', '"version": 1') for line in lines]
+
+        for name, file, edit, message in (
+            ("list_checkpoint", "checkpoint.json", lambda lines: ["[]"], "not a JSON object"),
+            ("list_sidecar", "store.json", lambda lines: ["[]"], "not a JSON object"),
+            ("gap", "store.csv", gap, "class 1 has no samples"),
+            ("negative", "store.csv", negative, "labels must be nonnegative"),
+            ("version1", "store.json", version1, "store version 1 is not 2; retrain the store"),
+        ):
+            copy = tmp_path / name
+            shutil.copytree(run_dir, copy)
+            path = copy / file
+            path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+            out = tmp_path / f"eval_{name}"
+            command = (
+                f"eval --checkpoint {copy}/checkpoint.json --store {copy}/store --id-test "
+                f"{data_dir}/test_id.csv --ood {data_dir}/ood_far_cluster.csv --out {out}"
+            )
+            assert main(command.split()) == 2, name
+            assert capsys.readouterr().err == f"error: {path}: {message}\n", name
+            assert not out.exists(), name
 
     def test_unknown_score_kind_rejected(self, tmp_path, data_dir, run_dir):
         with pytest.raises(ValueError, match="unknown score kind"):
@@ -800,6 +845,17 @@ def test_console_script_smoke(tmp_path):
         "--out", str(tmp_path / "run"),
         "--epochs", "2",
         "--batch-size", "7",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    result = run(
+        "eval",
+        "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+        "--store", str(tmp_path / "run" / "store"),
+        "--id-test", str(tmp_path / "test_id.csv"),
+        "--ood", str(tmp_path / "ood_far_cluster.csv"),
+        "--k", "3",
+        "--out", str(tmp_path / "eval"),
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""

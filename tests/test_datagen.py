@@ -216,8 +216,6 @@ class TestCsvRoundTrip:
         path = tmp_path / "labels.csv"
         path.write_text("label,noisy_label,f0\n3,0,1.0\n", encoding="utf-8")
         assert load_features_csv(path).num_classes == 4  # inferred
-        with pytest.raises(ValueError):
-            load_features_csv(path, num_classes=2)
         path.write_text("label,noisy_label,f0\n-1,0,1.0\n", encoding="utf-8")
         with pytest.raises(ValueError):
             load_features_csv(path)

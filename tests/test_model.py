@@ -3,6 +3,7 @@ and checkpoint persistence."""
 
 from __future__ import annotations
 
+import copy
 import json
 import re
 
@@ -55,7 +56,7 @@ class TestForward:
         x = np.random.default_rng(3).standard_normal((7, 3))
         cache = forward(params, x)
         np.testing.assert_allclose(cache.probs.sum(axis=0), 1.0, atol=1e-12)
-        shifted = params.copy()
+        shifted = copy.deepcopy(params)
         shifted.head_bias += 13.75  # constant logit shift
         cache2 = forward(shifted, x)
         np.testing.assert_allclose(cache2.probs, cache.probs, atol=1e-12)
@@ -127,7 +128,7 @@ class TestBackward:
 class TestSgdStep:
     def test_vanilla_reduction(self):
         params = _small_net(16)
-        before = params.copy()
+        before = copy.deepcopy(params)
         grads = zero_grads_like(params)
         for g in grads.arrays():
             g[...] = 1.0
@@ -137,7 +138,7 @@ class TestSgdStep:
 
     def test_momentum_carries_through_zero_gradient(self):
         params = _small_net(17)
-        before = params.copy()
+        before = copy.deepcopy(params)
         state = zero_grads_like(params)
         for v in state.arrays():
             v[...] = 2.0
@@ -148,7 +149,7 @@ class TestSgdStep:
     def test_two_steps_unroll_the_recurrence(self):
         # v1 = g, v2 = 0.9 g + g; cumulative displacement -lr (g + 1.9 g).
         params = _small_net(18)
-        before = params.copy()
+        before = copy.deepcopy(params)
         state = zero_grads_like(params)
         grads = zero_grads_like(params)
         for g in grads.arrays():
@@ -160,7 +161,7 @@ class TestSgdStep:
 
     def test_weight_decay_skips_biases(self):
         params = _small_net(19)
-        before = params.copy()
+        before = copy.deepcopy(params)
         sgd_step(params, zero_grads_like(params), zero_grads_like(params), lr=0.1, weight_decay=0.5)
         for w, b in zip([*params.weights, params.head_weight], [*before.weights, before.head_weight]):
             np.testing.assert_allclose(w, b - 0.1 * 0.5 * b, rtol=1e-15)
