@@ -44,12 +44,12 @@ from .datagen import (
     save_features_csv,
     save_ood_csv,
 )
-from .files import read_json, type_problem, write_json, write_rows
+from .files import array_checksum, read_json, require_keys, type_problem, write_json, write_rows
 from .losses import LOSS_KINDS
 from .metrics import REPORT_CSV_HEADER, ScoreReport, emit_report, id_accuracy, make_report
 from .model import DivergenceError, MlpParams, forward, load_checkpoint, save_checkpoint
 from .scoring import DEFAULT_KNN_K, SCORE_KINDS, EmbeddingStore, batch_scores, load_store, save_store
-from .trainer import TrainConfig, params_checksum, train
+from .trainer import TrainConfig, train
 
 EXPERIMENT_FORMAT = "noodle-experiment"
 
@@ -168,7 +168,9 @@ def build_train_config(doc: dict, overrides: dict) -> TrainConfig:
 
 
 def run_training(data_path: Path, config: TrainConfig, out_dir: Path) -> list[Path]:
-    """Train on a CSV and persist checkpoint, store, and loss trace."""
+    """Train on a CSV and persist checkpoint, store, and loss trace.  The
+    checkpoint's meta records the store's checksum and how many training
+    samples the store dropped."""
     data = load_features_csv(data_path)
     result = train(data, config)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -182,6 +184,8 @@ def run_training(data_path: Path, config: TrainConfig, out_dir: Path) -> list[Pa
             "config": config.to_dict(),
             "config_hash": config.config_hash(),
             "data_file": data_path.name,
+            "store_checksum": array_checksum(result.store.labels, result.store.embeddings),
+            "store_dropped": len(data) - len(result.store),
         },
     )
     store_base = out_dir / "store"
@@ -196,7 +200,7 @@ def run_training(data_path: Path, config: TrainConfig, out_dir: Path) -> list[Pa
             "epoch_mean_loss": result.loss_trace,
         },
     )
-    return [checkpoint, Path(str(store_base) + ".csv"), Path(str(store_base) + ".json"), trace_path]
+    return [checkpoint, Path(str(store_base) + ".csv"), trace_path]
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -265,11 +269,10 @@ def run_eval(
     """Score the ID test set against every OOD file; write one report per OOD
     set plus a combined table with an average row.  Returns the summary dict.
 
-    The store must come from the checkpoint's encoder: a store whose latent
-    width differs, whose recorded ``encoder_checksum`` is not the
-    checkpoint's :func:`params_checksum`, or that has more classes than the
-    checkpoint's head is rejected with ``ValueError``, and so are two OOD
-    files with one stem."""
+    The store must be the one trained with the checkpoint: its checksum must
+    equal the checkpoint meta's ``store_checksum``, so a store of another
+    width, class count, encoder or run is rejected with ``ValueError``, and so
+    are a checkpoint without that key and two OOD files with one stem."""
     if score not in SCORE_KINDS:
         raise ValueError(f"unknown score kind {score!r}; expected one of {SCORE_KINDS}")
     if not ood_paths:
@@ -280,22 +283,11 @@ def run_eval(
             raise FileNotFoundError(f"missing input file: {path}")
 
     params, _, meta = load_checkpoint(checkpoint_path)
+    require_keys(meta, ("store_checksum",), checkpoint_path)
     store = load_store(store_base)
-    if store.latent_dim != params.latent_dim:
+    if array_checksum(store.labels, store.embeddings) != meta["store_checksum"]:
         raise ValueError(
-            f"{store_base}: store latent_dim {store.latent_dim} != "
-            f"checkpoint latent_dim {params.latent_dim}"
-        )
-    if store.num_classes > params.num_classes:
-        raise ValueError(
-            f"{store_base}: store has {store.num_classes} classes, "
-            f"checkpoint head has {params.num_classes}"
-        )
-    encoder_checksum = store.meta.get("encoder_checksum")
-    if encoder_checksum is not None and encoder_checksum != params_checksum(params):
-        raise ValueError(
-            f"{store_base}: store encoder_checksum does not match {checkpoint_path}; "
-            "the store was built from another checkpoint"
+            f"{store_base}.csv: not the store trained with {checkpoint_path} (store_checksum differs)"
         )
     config_hash = meta.get("config_hash", "")
     ood_sets = ((Path(p).stem, load_ood_csv(p)) for p in ood_paths)
@@ -632,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("eval", help="score ID/OOD files and emit reports")
     e.add_argument("--checkpoint", required=True)
-    e.add_argument("--store", required=True, help="store base path (without .csv/.json)")
+    e.add_argument("--store", required=True, help="store base path (without .csv)")
     e.add_argument("--id-test", required=True)
     e.add_argument("--ood", action="append", required=True, help="repeatable OOD CSV path")
     e.add_argument("--score", choices=SCORE_KINDS, default=EVAL_DEFAULTS["score"])

@@ -6,10 +6,13 @@
   ``<prefix>0..<prefix>{d-1}`` printed as ``%.16e`` (17 significant digits
   round-trip any float64).  The parser is strict and names the file and line.
 - Summary rows: CSV lines whose floats print in shortest round-trip form.
+- Checksums: a SHA-256 over arrays' shapes and bytes, which ties a
+  checkpoint to the parameters it holds and to the store it was trained with.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from typing import Iterable, Sequence
@@ -17,6 +20,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 FLOAT_FMT = "%.16e"
+
+
+def array_checksum(*arrays: np.ndarray) -> str:
+    """SHA-256 over each array's ``str(shape)`` and contiguous bytes, in order."""
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(str(arr.shape).encode())
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
 
 
 def write_json(path: str | os.PathLike, doc) -> None:

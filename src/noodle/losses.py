@@ -24,8 +24,8 @@ LOSS_KINDS = ("ce", "cm", "sce", "gce")
 
 PROB_FLOOR = 1e-300
 
-# Defaults for the two symmetric/generalized CE hybrids, taken from the
-# methods that introduced them.
+# The fixed parameters of the two symmetric/generalized CE hybrids, taken
+# from the methods that introduced them.
 SCE_ALPHA = 0.1
 SCE_BETA = 1.0
 SCE_CLAMP = -4.0
@@ -155,20 +155,15 @@ def forward_corrected_ce(
     return LossOutput(value, grad_logits=_softmax_vjp(probs, grad_probs), grad_theta=grad_theta)
 
 
-def sce_loss(
-    probs: np.ndarray,
-    labels: np.ndarray,
-    alpha: float = SCE_ALPHA,
-    beta: float = SCE_BETA,
-) -> LossOutput:
-    """Symmetric cross-entropy: ``alpha * CE(p, y) + beta * RCE(p, y)``.
+def sce_loss(probs: np.ndarray, labels: np.ndarray) -> LossOutput:
+    """Symmetric cross-entropy: ``alpha * CE(p, y) + beta * RCE(p, y)`` at
+    ``alpha = SCE_ALPHA`` and ``beta = SCE_BETA``.
 
     The reverse term swaps prediction and target, ``RCE = -(1/B) sum_n sum_k
     p_n[k] * log(onehot_n[k])``, with ``log 0`` replaced by the finite clamp
     ``A = SCE_CLAMP`` (-4); it collapses to ``-A/B * sum_n (1 - p_n[y_n])``.
     """
-    if alpha < 0 or beta < 0:
-        raise ValueError("alpha and beta must be nonnegative")
+    alpha, beta = SCE_ALPHA, SCE_BETA
     probs, labels, k, b = _check_probs(probs, labels)
     ce = cross_entropy(probs, labels)
     picked = probs[labels, np.arange(b)]
@@ -180,14 +175,14 @@ def sce_loss(
     return LossOutput(alpha * ce.value + beta * rce, grad_logits=grad)
 
 
-def gce_loss(probs: np.ndarray, labels: np.ndarray, q: float = GCE_Q) -> LossOutput:
-    """Generalized cross-entropy ``(1/B) sum_n (1 - p_n[y_n]^q) / q``.
+def gce_loss(probs: np.ndarray, labels: np.ndarray) -> LossOutput:
+    """Generalized cross-entropy ``(1/B) sum_n (1 - p_n[y_n]^q) / q`` at
+    ``q = GCE_Q``.
 
-    Interpolates between CE (the q -> 0 limit, not implemented as a limit)
-    and a mean-absolute-error-like loss at q = 1.
+    ``q`` interpolates between CE (the q -> 0 limit) and a
+    mean-absolute-error-like loss at q = 1.
     """
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"q must be in (0, 1], got {q}")
+    q = GCE_Q
     probs, labels, k, b = _check_probs(probs, labels)
     cols = np.arange(b)
     picked = np.maximum(probs[labels, cols], PROB_FLOOR)

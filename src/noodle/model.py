@@ -268,4 +268,7 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[MlpParams, np.ndarray | No
     theta_arr = None if theta is None else np.array(theta, dtype=float)
     if theta_arr is not None and theta_arr.shape != (params.num_classes, params.num_classes):
         raise ValueError(f"{path}: transition matrix shape {theta_arr.shape} is not square in classes")
-    return params, theta_arr, doc.get("meta", {})
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: meta is not a JSON object")
+    return params, theta_arr, meta

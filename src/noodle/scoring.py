@@ -8,24 +8,21 @@ baselines.  Neighbor search is exact: scores equal a brute-force full sort.
 
 The store's class means and shared precision are a pure function of its unit
 rows and labels.  They are derived from those rows when the store is built
-and again when it is loaded, so the saved files hold the rows and the
-provenance only.
+and again when it is loaded, so a saved store is one CSV of its rows.  The
+checkpoint trained with a store records its checksum (see ``cli.run_eval``).
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .decompose import normalize_columns
-from .files import read_json, read_table, require_keys, write_json, write_table
+from .files import read_table, write_table
 
 SCORE_KINDS = ("knn", "mahalanobis", "msp", "energy")
-
-STORE_FORMAT = "noodle-store"
-STORE_VERSION = 2
 
 DEFAULT_KNN_K = 50
 # Ridge strength of the shared covariance, relative to its mean eigenvalue.
@@ -51,7 +48,6 @@ class EmbeddingStore:
     labels: np.ndarray            # (n,)
     class_means: np.ndarray       # (num_classes, latent_dim), means of unit rows
     shared_precision: np.ndarray  # (latent_dim, latent_dim)
-    meta: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return self.embeddings.shape[0]
@@ -99,22 +95,20 @@ def _statistics(
     return class_means, (precision + precision.T) / 2.0
 
 
-def build_store(
-    id_latents: np.ndarray, labels: np.ndarray, meta: dict | None = None
-) -> EmbeddingStore:
+def build_store(id_latents: np.ndarray, labels: np.ndarray) -> EmbeddingStore:
     """Build the reference store from cleaned training latents.
 
     Args:
         id_latents: (latent_dim, n) matrix, one training sample per column
             (the in-subspace part of the training features).
         labels: length-n integer labels; every class in [0, max+1) must occur.
-        meta: free-form provenance (encoder checksum, config hash).
 
-    Samples whose latent column has zero norm (dead ReLU paths) cannot live
-    on the unit sphere and are dropped and counted in
-    ``meta["dropped_zero_norm"]``; the remaining rows must cover every class.
-    The class means and shared precision are derived from those rows, as
-    :func:`load_store` derives them again from the saved rows.
+    Samples whose latent column has a zero norm (dead ReLU paths) or a norm
+    that is not finite (it overflows) cannot live on the unit sphere and are
+    dropped, silently: ``n - len(store)`` counts them.  The remaining rows
+    must cover every class.  The class means and shared precision are derived
+    from those rows, as :func:`load_store` derives them again from the saved
+    rows.
 
     Raises:
         ValueError: on a negative label, an empty class or fewer than
@@ -125,12 +119,13 @@ def build_store(
     if id_latents.ndim != 2 or labels.shape != (id_latents.shape[1],):
         raise ValueError("need (latent_dim, n) latents and n labels")
     num_classes = int(labels.max()) + 1
-    normalized, norms = normalize_columns(id_latents)
-    alive = norms > 0
+    # An overflowing norm is dropped below, so its overflow is no news.
+    with np.errstate(over="ignore", invalid="ignore"):
+        normalized, norms = normalize_columns(id_latents)
+    alive = (norms > 0) & np.isfinite(norms)
     embeddings, labels = normalized.T[alive], labels[alive]
     class_means, precision = _statistics(embeddings, labels, num_classes)
-    meta = {**(meta or {}), "dropped_zero_norm": int((~alive).sum())}
-    store = EmbeddingStore(embeddings, labels, class_means, precision, meta)
+    store = EmbeddingStore(embeddings, labels, class_means, precision)
     store.validate()
     return store
 
@@ -242,33 +237,23 @@ def select_threshold(id_scores: np.ndarray, tpr: float = 0.95) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: <base>.csv holds labels + embeddings, the source of the
-# statistics; <base>.json holds the format, its version and the provenance.
+# Persistence: <base>.csv holds labels + embeddings, the whole store; the
+# statistics are derived from it.
 
 
 def save_store(store: EmbeddingStore, base_path: str | os.PathLike) -> None:
-    base = os.fspath(base_path)
-    write_table(base + ".csv", ("label",), "e", (store.labels,), store.embeddings)
-    write_json(base + ".json", {"format": STORE_FORMAT, "version": STORE_VERSION, "meta": store.meta})
+    write_table(os.fspath(base_path) + ".csv", ("label",), "e", (store.labels,), store.embeddings)
 
 
 def load_store(base_path: str | os.PathLike) -> EmbeddingStore:
-    """Inverse of :func:`save_store`: the rows come from the CSV and the
+    """Inverse of :func:`save_store`: the rows come from ``<base>.csv`` and the
     statistics are derived from them as :func:`build_store` derives them."""
-    base = os.fspath(base_path)
-    doc = read_json(base + ".json")
-    if doc.get("format") != STORE_FORMAT:
-        raise ValueError(f"{base}.json: not a store sidecar")
-    require_keys(doc, ("version", "meta"), base + ".json")
-    if doc["version"] != STORE_VERSION:
-        raise ValueError(
-            f"{base}.json: store version {doc['version']!r} is not {STORE_VERSION}; retrain the store"
-        )
-    (labels,), embeddings = read_table(base + ".csv", ("label",), "e")
+    path = os.fspath(base_path) + ".csv"
+    (labels,), embeddings = read_table(path, ("label",), "e")
     try:
         class_means, precision = _statistics(embeddings, labels, int(labels.max()) + 1)
-        store = EmbeddingStore(embeddings, labels, class_means, precision, doc["meta"])
+        store = EmbeddingStore(embeddings, labels, class_means, precision)
         store.validate()
     except ValueError as exc:
-        raise ValueError(f"{base}.csv: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
     return store

@@ -22,7 +22,7 @@ import numpy as np
 
 from .datagen import LabeledSet
 from .decompose import grad_through_split, split_features
-from .files import type_problem
+from .files import array_checksum, type_problem
 from .losses import (
     LOSS_KINDS,
     TransitionMatrix,
@@ -160,11 +160,7 @@ def derive_streams(seed: int) -> SeedStreams:
 
 def params_checksum(params: MlpParams) -> str:
     """SHA-256 over shapes and raw bytes of all parameter arrays."""
-    digest = hashlib.sha256()
-    for arr in params.arrays():
-        digest.update(str(arr.shape).encode())
-        digest.update(np.ascontiguousarray(arr).tobytes())
-    return digest.hexdigest()
+    return array_checksum(*params.arrays())
 
 
 def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
@@ -276,9 +272,4 @@ def extract_reference_store(
         raise DivergenceError(
             f"every training latent is zero or overflows after {config.epochs} epoch(s)"
         )
-    meta = {
-        "encoder_checksum": params_checksum(params),
-        "config_hash": config.config_hash(),
-        "n_train": len(data),
-    }
-    return build_store(split.id_part, data.noisy_labels, meta=meta)
+    return build_store(split.id_part, data.noisy_labels)

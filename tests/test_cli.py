@@ -37,10 +37,10 @@ from noodle.cli import (
     run_training,
 )
 from noodle.datagen import load_features_csv
-from noodle.files import read_json
+from noodle.files import array_checksum, read_json
 from noodle.metrics import REPORT_CSV_HEADER, auroc, fpr_at_tpr
 from noodle.model import DivergenceError
-from noodle.scoring import build_store, save_store
+from noodle.scoring import build_store, load_store, save_store
 from noodle.trainer import TrainConfig, train
 
 GEN_SMALL = dict(
@@ -188,8 +188,8 @@ class TestGenData:
 
 class TestTrainCommand:
     def test_produces_all_artifacts(self, run_dir):
-        for name in ("checkpoint.json", "store.csv", "store.json", "trace.json"):
-            assert (run_dir / name).exists(), name
+        names = sorted(path.name for path in run_dir.iterdir())
+        assert names == ["checkpoint.json", "store.csv", "trace.json"]
         trace = json.loads((run_dir / "trace.json").read_text())
         assert trace["format"] == "noodle-trace"
         assert len(trace["epoch_mean_loss"]) == TRAIN_SMALL["epochs"]
@@ -197,8 +197,16 @@ class TestTrainCommand:
     def test_rerun_is_byte_identical(self, tmp_path, data_dir, run_dir):
         config = TrainConfig.from_dict(TRAIN_SMALL)
         run_training(data_dir / "train.csv", config, tmp_path)
-        for name in ("checkpoint.json", "store.csv", "store.json", "trace.json"):
+        for name in ("checkpoint.json", "store.csv", "trace.json"):
             assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+    def test_checkpoint_meta_binds_the_store(self, data_dir, run_dir):
+        # The checkpoint names its store and counts the training samples the store left out.
+        meta = read_json(run_dir / "checkpoint.json")["meta"]
+        store = load_store(run_dir / "store")
+        assert meta["store_checksum"] == array_checksum(store.labels, store.embeddings)
+        assert meta["store_dropped"] == len(load_features_csv(data_dir / "train.csv")) - len(store)
+        assert meta["config_hash"] == TrainConfig.from_dict(TRAIN_SMALL).config_hash()
 
     def test_cli_flags_override_config_file(self, tmp_path, data_dir):
         config_path = tmp_path / "cfg.json"
@@ -410,62 +418,77 @@ class TestEvalCommand:
         assert "OOD files share a report name: ood_far_cluster" in capsys.readouterr().err
         assert not out.exists()
 
+    def _eval_exits_2_naming_both(self, checkpoint, store_base, data_dir, out, capsys):
+        command = (
+            f"eval --checkpoint {checkpoint} --store {store_base} --id-test "
+            f"{data_dir}/test_id.csv --ood {data_dir}/ood_far_cluster.csv --out {out}"
+        )
+        assert main(command.split()) == 2
+        assert capsys.readouterr().err == (
+            f"error: {store_base}.csv: not the store trained with {checkpoint} "
+            "(store_checksum differs)\n"
+        )
+        assert not out.exists()
+
     def test_store_from_another_checkpoint_exits_2(self, tmp_path, data_dir, run_dir, capsys):
-        # Seed 1 changes the encoder (store encoder_checksum mismatch); the
-        # narrower widths also change the latent dimension.
-        for name, overrides, message in (
-            ("seed1", {"seed": 1}, "encoder_checksum does not match"),
-            ("narrow", {"widths": [16, 4]}, "latent_dim 4 != checkpoint latent_dim 8"),
-        ):
+        # Seed 1 changes the encoder; the narrower widths also change the latent dimension.
+        for name, overrides in (("seed1", {"seed": 1}), ("narrow", {"widths": [16, 4]})):
             other = tmp_path / name
             run_training(
                 data_dir / "train.csv", TrainConfig.from_dict({**TRAIN_SMALL, **overrides}), other
             )
-            code = main(
-                [
-                    "eval",
-                    "--checkpoint", str(run_dir / "checkpoint.json"),
-                    "--store", str(other / "store"),
-                    "--id-test", str(data_dir / "test_id.csv"),
-                    "--ood", str(data_dir / "ood_far_cluster.csv"),
-                    "--out", str(tmp_path / f"eval_{name}"),
-                ]
+            out = tmp_path / f"eval_{name}"
+            self._eval_exits_2_naming_both(
+                run_dir / "checkpoint.json", other / "store", data_dir, out, capsys
             )
-            assert code == 2, name
-            assert message in capsys.readouterr().err, name
+
+    def test_store_csv_copied_from_another_run_exits_2(self, tmp_path, data_dir, run_dir, capsys):
+        # Run B (`ce`) has the width and classes of run A (`cm`), so with B's
+        # store.csv in A's directory only the checksum tells the two apart.
+        a, b = tmp_path / "a", tmp_path / "b"
+        shutil.copytree(run_dir, a)
+        config = TrainConfig.from_dict({**TRAIN_SMALL, "loss_kind": "ce"})
+        run_training(data_dir / "train.csv", config, b)
+        shutil.copyfile(b / "store.csv", a / "store.csv")
+        out = tmp_path / "eval"
+        self._eval_exits_2_naming_both(a / "checkpoint.json", a / "store", data_dir, out, capsys)
 
     def test_store_with_more_classes_than_the_head_exits_2(
         self, tmp_path, data_dir, run_dir, capsys
     ):
-        # No encoder_checksum in the store's meta, so only the class count can tell.
         latents = np.random.default_rng(0).standard_normal((8, 40)) + 0.5
         save_store(build_store(latents, np.arange(40) % 4), tmp_path / "store")
-        command = (
-            f"eval --checkpoint {run_dir}/checkpoint.json --store {tmp_path}/store --id-test "
-            f"{data_dir}/test_id.csv --ood {data_dir}/ood_far_cluster.csv --out {tmp_path}/eval"
+        self._eval_exits_2_naming_both(
+            run_dir / "checkpoint.json", tmp_path / "store", data_dir, tmp_path / "eval", capsys
         )
-        assert main(command.split()) == 2
-        assert "store has 4 classes, checkpoint head has 3" in capsys.readouterr().err
 
     def test_bad_checkpoint_or_store_file_exits_2(self, tmp_path, data_dir, run_dir, capsys):
-        # A JSON list was an AttributeError traceback (exit 1).  The store's
-        # statistics come from store.csv, so a class gap or a negative label is
-        # named in that file; a version-1 sidecar must be retrained.
+        # A JSON list, or a meta that is not an object, was a traceback (exit 1).
+        # The store's statistics come from store.csv, so a class gap or a
+        # negative label is named in that file; a checkpoint that records no
+        # store checksum, such as one written before it did, must be retrained.
         def gap(lines):
             return [lines[0], *(("0" + line[1:]) if line.startswith("1,") else line for line in lines[1:])]
 
         def negative(lines):
             return [lines[0], "-1" + lines[1][1:], *lines[2:]]
 
-        def version1(lines):
-            return [line.replace('"version": 2', '"version": 1') for line in lines]
+        def checkpoint_edit(change):
+            def edit(lines):
+                doc = json.loads("\n".join(lines))
+                change(doc)
+                return [json.dumps(doc)]
 
+            return edit
+
+        unbound = checkpoint_edit(lambda doc: doc["meta"].pop("store_checksum"))
         for name, file, edit, message in (
             ("list_checkpoint", "checkpoint.json", lambda lines: ["[]"], "not a JSON object"),
-            ("list_sidecar", "store.json", lambda lines: ["[]"], "not a JSON object"),
+            ("unbound", "checkpoint.json", unbound, "missing key 'store_checksum'"),
+            ("number_meta", "checkpoint.json", checkpoint_edit(lambda doc: doc.update(meta=5)),
+             "meta is not a JSON object"),
             ("gap", "store.csv", gap, "class 1 has no samples"),
             ("negative", "store.csv", negative, "labels must be nonnegative"),
-            ("version1", "store.json", version1, "store version 1 is not 2; retrain the store"),
         ):
             copy = tmp_path / name
             shutil.copytree(run_dir, copy)

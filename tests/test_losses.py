@@ -14,6 +14,7 @@ import pytest
 
 from noodle.linalg import l21_norm, l21_subgradient
 from noodle.losses import (
+    GCE_Q,
     LOSS_KINDS,
     TransitionMatrix,
     classification_loss,
@@ -185,14 +186,6 @@ class TestInitNearIdentity:
 
 
 class TestSce:
-    def test_beta_zero_reduces_to_scaled_ce(self):
-        logits, labels = _random_instance(7)
-        probs = softmax_columns(logits)
-        out = sce_loss(probs, labels, alpha=0.3, beta=0.0)
-        plain = cross_entropy(probs, labels)
-        assert out.value == 0.3 * plain.value
-        np.testing.assert_array_equal(out.grad_logits, 0.3 * plain.grad_logits)
-
     def test_exact_onehot_gives_zero(self):
         labels = np.array([2, 0])
         probs = np.zeros((3, 2))
@@ -205,34 +198,24 @@ class TestSce:
         numeric = _fd_logit_grad(lambda p: sce_loss(p, labels).value, logits)
         assert max_rel_error(out.grad_logits, numeric) <= 1e-5
 
-    def test_parameter_validation(self):
-        probs = softmax_columns(np.zeros((3, 1)))
-        with pytest.raises(ValueError):
-            sce_loss(probs, np.array([0]), alpha=-0.1)
-
 
 class TestGce:
-    def test_q_one_onehot_is_zero(self):
+    def test_onehot_is_zero(self):
         labels = np.array([1])
         probs = np.zeros((3, 1))
         probs[1, 0] = 1.0
-        assert gce_loss(probs, labels, q=1.0).value == 0.0
+        assert gce_loss(probs, labels).value == 0.0
 
-    def test_q_one_uniform_four_classes(self):
+    def test_uniform_four_classes(self):
+        # (1 - 0.25**q) / q for both samples.
         probs = np.full((4, 2), 0.25)
-        assert gce_loss(probs, np.array([0, 3]), q=1.0).value == 0.75
+        assert gce_loss(probs, np.array([0, 3])).value == (1.0 - 0.25**GCE_Q) / GCE_Q
 
     def test_gradient_matches_finite_differences(self):
         logits, labels = _random_instance(9)
-        out = gce_loss(softmax_columns(logits), labels, q=0.7)
-        numeric = _fd_logit_grad(lambda p: gce_loss(p, labels, q=0.7).value, logits)
+        out = gce_loss(softmax_columns(logits), labels)
+        numeric = _fd_logit_grad(lambda p: gce_loss(p, labels).value, logits)
         assert max_rel_error(out.grad_logits, numeric) <= 1e-5
-
-    def test_q_range_validation(self):
-        probs = softmax_columns(np.zeros((3, 1)))
-        for q in (0.0, 1.5, -0.2):
-            with pytest.raises(ValueError):
-                gce_loss(probs, np.array([0]), q=q)
 
 
 class TestSparsityLoss:

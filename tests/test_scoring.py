@@ -3,7 +3,6 @@ detection, and store persistence."""
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -14,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from noodle import scoring
 from noodle.decompose import normalize_columns
+from noodle.files import array_checksum
 from noodle.scoring import (
     DEFAULT_KNN_K,
     ZERO_QUERY_SCORE,
@@ -82,7 +82,16 @@ class TestBuildStore:
         latents[:, 4] = 0.0
         store = build_store(latents, labels)
         assert len(store) == 5
-        assert store.meta["dropped_zero_norm"] == 1
+        np.testing.assert_array_equal(store.labels, [0, 1, 0, 1, 1])
+
+    def test_overflowing_norms_are_dropped_without_a_warning(self):
+        # Each entry is finite, but 1.35e154 squared overflows, so the norm is
+        # inf; the suite turns a RuntimeWarning into a failure.
+        latents = np.random.default_rng(4).standard_normal((2, 8))
+        latents[:, 2:6] = [[1.0], [1.35e154]]
+        store = build_store(latents, np.arange(8) % 2)
+        assert len(store) == 4
+        np.testing.assert_array_equal(store.labels, [0, 1, 0, 1])
 
     def test_class_emptied_by_drop_is_an_error(self):
         latents = np.random.default_rng(3).standard_normal((3, 4))
@@ -100,12 +109,6 @@ class TestBuildStore:
             build_store(np.eye(3), np.array([0, -1, 2]))
         with pytest.raises(ValueError):
             build_store(np.eye(3), np.array([0, 1]))
-
-    def test_meta_is_copied(self):
-        meta = {"tag": "x"}
-        store = build_store(np.eye(4), np.array([0, 1, 2, 0]), meta=meta)
-        meta["tag"] = "mutated"
-        assert store.meta["tag"] == "x"
 
 
 def _score(kind, store, column, k=DEFAULT_KNN_K):
@@ -367,23 +370,39 @@ class TestPersistence:
         # included: the statistics derived on load equal those of the build.
         n = rows.shape[0]
         latents = np.hstack([np.ones((n, 1)), rows / (1.0 + np.abs(rows).max())]).T
-        store = build_store(latents, np.arange(n) % classes, meta={"config_hash": "abc123"})
+        store = build_store(latents, np.arange(n) % classes)
         base = tmp_path_factory.mktemp("store")
         save_store(store, base / "a")
         loaded = load_store(base / "a")
         for name in ("embeddings", "labels", "class_means", "shared_precision"):
             bits = [getattr(s, name).view(np.int64) for s in (loaded, store)]
             np.testing.assert_array_equal(*bits)
-        assert loaded.meta == store.meta
         save_store(loaded, base / "b")
-        for suffix in (".csv", ".json"):
-            assert (base / f"a{suffix}").read_bytes() == (base / f"b{suffix}").read_bytes()
+        assert (base / "a.csv").read_bytes() == (base / "b.csv").read_bytes()
 
-    def test_sidecar_holds_only_format_version_and_meta(self, tmp_path):
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=arrays(np.float64, st.tuples(st.integers(0, 30), st.integers(1, 6)), elements=FINITE),
+        classes=st.integers(1, 3),
+    )
+    def test_round_trip_keeps_the_checksum(self, tmp_path_factory, rows, classes):
+        # Raw latents of any finite size, zero and overflowing columns
+        # included (build_store drops those), after one column per class
+        # plus one that every build keeps.
+        n, dim = rows.shape
+        latents = np.hstack([np.ones((dim, classes + 1)), rows.T])
+        labels = np.concatenate([np.arange(classes + 1), np.arange(n)]) % classes
+        store = build_store(latents, labels)
+        base = tmp_path_factory.mktemp("store")
+        save_store(store, base / "s")
+        loaded = load_store(base / "s")
+        checksums = [array_checksum(s.labels, s.embeddings) for s in (loaded, store)]
+        assert checksums[0] == checksums[1]
+
+    def test_save_writes_only_the_csv(self, tmp_path):
         store, _ = _random_store(14)
         save_store(store, tmp_path / "s")
-        doc = json.loads((tmp_path / "s.json").read_text())
-        assert doc == {"format": "noodle-store", "version": 2, "meta": store.meta}
+        assert [path.name for path in tmp_path.iterdir()] == ["s.csv"]
 
     def test_scores_identical_after_reload(self, tmp_path):
         store, rng = _random_store(15)
@@ -395,25 +414,6 @@ class TestPersistence:
                 batch_scores(kind, loaded, queries, None, None, 5),
                 batch_scores(kind, store, queries, None, None, 5),
             )
-
-    def test_foreign_sidecar_rejected(self, tmp_path):
-        store, _ = _random_store(16)
-        save_store(store, tmp_path / "s")
-        sidecar = tmp_path / "s.json"
-        sidecar.write_text(sidecar.read_text().replace("noodle-store", "other"))
-        with pytest.raises(ValueError, match="not a store sidecar"):
-            load_store(tmp_path / "s")
-
-    def test_sidecar_missing_key_names_file_and_key(self, tmp_path):
-        store, _ = _random_store(16)
-        save_store(store, tmp_path / "s")
-        sidecar = tmp_path / "s.json"
-        doc = json.loads(sidecar.read_text())
-        del doc["version"]
-        sidecar.write_text(json.dumps(doc))
-        with pytest.raises(ValueError) as err:
-            load_store(tmp_path / "s")
-        assert str(err.value) == f"{sidecar}: missing key 'version'"
 
     def test_corrupt_header_rejected(self, tmp_path):
         store, _ = _random_store(17)

@@ -316,14 +316,6 @@ class TestReferenceStore:
         np.testing.assert_array_equal(redo.embeddings, result.store.embeddings)
         np.testing.assert_array_equal(redo.shared_precision, result.store.shared_precision)
 
-    def test_store_meta_carries_provenance(self):
-        data = _toy_data(seed=7)
-        config = _toy_config()
-        result = train(data, config)
-        assert result.store.meta["encoder_checksum"] == params_checksum(result.params)
-        assert result.store.meta["config_hash"] == config.config_hash()
-        assert result.store.meta["n_train"] == len(data)
-
     def test_dead_network_raises_divergence_error(self):
         # All-zero latents leave the store nothing: a failed run, not a store problem.
         data = _toy_data()
