@@ -5,7 +5,8 @@ orientation: a batch of latent vectors is a ``(dim, n_samples)`` matrix whose
 columns are samples.  The only nontrivial kernel is
 :func:`approx_topk_singular_vectors`, a randomized power iteration that
 recovers an orthonormal basis for the dominant left singular subspace without
-forming a full SVD.
+forming a full SVD.  Its thin QR calls LAPACK through
+``numpy.linalg.lapack_lite``, so the package needs NumPy alone.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dorgqr
+from numpy.linalg.lapack_lite import dgeqrf, dorgqr
 
 # Columns whose QR pivot falls below this magnitude are treated as numerically
 # dependent and replaced with fresh random directions.
@@ -21,20 +22,24 @@ DEFICIENT_PIVOT_TOL = 1e-12
 
 
 @lru_cache(maxsize=64)
-def _qr_plan(d: int, k: int) -> tuple[int, int]:
-    """Optimal LAPACK workspaces for a ``(d, k)`` QR.
+def _qr_plan(d: int, k: int) -> int:
+    """Workspace length for a ``(d, k)`` :func:`qr_thin`: the larger of the
+    optimal workspaces that ``dgeqrf`` and ``dorgqr`` report.
 
-    The workspace size picks LAPACK's block size, and above 128 columns the
-    blocking changes the rounding; querying it as ``np.linalg.qr`` does keeps
-    :func:`qr_thin` bit-identical to it on every shape.
+    The workspace picks LAPACK's block size, and above 128 columns the
+    blocking changes the rounding.  A workspace no shorter than each
+    routine's optimum gives each the block size ``np.linalg.qr`` runs it
+    with, which keeps :func:`qr_thin` bit-identical to it on every shape.
     """
-    geqrf_work, info = dgeqrf_lwork(d, k)
+    packed, tau, work = np.empty((k, d)), np.empty(k), np.empty(1)
+    info = dgeqrf(d, k, packed, d, tau, work, -1, 0)["info"]
     if info != 0:
         raise np.linalg.LinAlgError(f"dgeqrf workspace query failed with info={info}")
-    _, orgqr_work, info = dorgqr(np.zeros((d, k), order="F"), np.zeros(k), lwork=-1)
+    geqrf_work = work[0]
+    info = dorgqr(d, k, k, packed, d, tau, work, -1, 0)["info"]
     if info != 0:
         raise np.linalg.LinAlgError(f"dorgqr workspace query failed with info={info}")
-    return int(geqrf_work), int(orgqr_work[0])
+    return int(max(geqrf_work, work[0]))
 
 
 def qr_thin(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -42,7 +47,7 @@ def qr_thin(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Parameters
     ----------
-    a : (d, k) ndarray with ``k <= d``.
+    a : (d, k) ndarray with ``k <= d``.  It is never written to.
 
     Returns
     -------
@@ -60,12 +65,13 @@ def qr_thin(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Notes
     -----
     The factorization is LAPACK's Householder QR (``dgeqrf`` then
-    ``dorgqr``) with the optimal workspace, the same calls
-    ``np.linalg.qr(a, mode="reduced")`` makes, so the result equals that
-    one, sign-normalized to ``diag R >= 0``, bit for bit.  For rank-deficient
-    input the columns of ``q`` spanning the null directions are an arbitrary
-    orthonormal completion; callers that need reproducible bases in that
-    regime must repair them (see :func:`approx_topk_singular_vectors`).
+    ``dorgqr``) with the optimal workspace, from NumPy's own LAPACK: the
+    same library and calls ``np.linalg.qr(a, mode="reduced")`` makes, so
+    the result equals that one, sign-normalized to ``diag R >= 0``, bit for
+    bit.  For rank-deficient input the columns of ``q`` spanning the null
+    directions are an arbitrary orthonormal completion; callers that need
+    reproducible bases in that regime must repair them (see
+    :func:`approx_topk_singular_vectors`).
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
@@ -75,16 +81,26 @@ def qr_thin(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"qr_thin needs at least as many rows as columns, got {a.shape}")
     if k == 0:
         return np.empty((d, 0)), np.empty(0)
-    geqrf_work, orgqr_work = _qr_plan(d, k)
-    packed, tau, _, info = dgeqrf(a, lwork=geqrf_work)
+    lwork = _qr_plan(d, k)
+    # lapack_lite takes C-contiguous arrays and checks no size, so every
+    # buffer is sized here.  The C-ordered (k, d) copy of a.T is LAPACK's
+    # column-major (d, k) a, factored in place.
+    packed, tau, work = a.T.copy(), np.empty(k), np.empty(lwork)
+    info = dgeqrf(d, k, packed, d, tau, work, lwork, 0)["info"]
     if info != 0:
         raise np.linalg.LinAlgError(f"dgeqrf failed with info={info}")
-    q, _, info = dorgqr(packed, tau, lwork=orgqr_work)
+    # Read R's diagonal before dorgqr overwrites it.  diag < |diag| holds
+    # exactly where diag < 0 (not at -0.0 or NaN) and, unlike a comparison
+    # with the scalar 0.0, costs no scalar conversion on this hot path.
+    diagonal = packed.diagonal()
+    pivots = np.abs(diagonal)
+    flip = np.less(diagonal, pivots)[:, None]
+    info = dorgqr(d, k, k, packed, d, tau, work, lwork, 0)["info"]
     if info != 0:
         raise np.linalg.LinAlgError(f"dorgqr failed with info={info}")
-    diagonal = packed.diagonal()
-    signs = np.where(diagonal < 0.0, -1.0, 1.0)
-    return np.multiply(q, signs, order="C"), np.abs(diagonal)
+    # Row j of packed is column j of Q.
+    np.negative(packed, out=packed, where=flip)
+    return packed.T.copy(), pivots
 
 
 def _fill_deficient_columns(q: np.ndarray, deficient: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -72,8 +72,10 @@ def _statistics(
     """The class means of the unit ``embeddings`` rows and the shared precision
     of their pooled within-class covariance ``S``, inverted as
     ``S + COV_REG * (tr S / latent_dim) * I`` (a scale-free ridge) and
-    symmetrized.  Every class in ``[0, num_classes)`` must have a row, and
-    there must be at least ``num_classes + 1`` rows."""
+    symmetrized.  A ridge below the smallest normal float (a zero trace, or
+    one so small that the product underflows) is ``COV_REG`` instead, since
+    its inverse would overflow.  Every class in ``[0, num_classes)`` must
+    have a row, and there must be at least ``num_classes + 1`` rows."""
     if (labels < 0).any():
         raise ValueError("labels must be nonnegative")
     n, dim = embeddings.shape
@@ -88,9 +90,10 @@ def _statistics(
 
     centered = embeddings - class_means[labels]
     cov = (centered.T @ centered) / n
-    trace = float(np.trace(cov))
-    scale = trace / dim if trace > 0 else 1.0
-    precision = np.linalg.inv(cov + COV_REG * scale * np.eye(dim))
+    ridge = COV_REG * (float(np.trace(cov)) / dim)
+    if ridge < np.finfo(float).tiny:
+        ridge = COV_REG
+    precision = np.linalg.inv(cov + ridge * np.eye(dim))
     # Symmetrize away inversion round-off so the precision is exactly symmetric.
     return class_means, (precision + precision.T) / 2.0
 

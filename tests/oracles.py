@@ -175,8 +175,10 @@ def pooled_regularized_covariance(
         centered = members - members.mean(axis=0)
         cov += centered.T @ centered
     cov /= n
-    scale = np.trace(cov) / dim if np.trace(cov) > 0 else 1.0
-    return cov + cov_reg * scale * np.eye(dim)
+    ridge = cov_reg * np.trace(cov) / dim
+    if ridge < np.finfo(float).tiny:
+        ridge = cov_reg
+    return cov + ridge * np.eye(dim)
 
 
 def logsumexp_mp(logits: np.ndarray, dps: int = 50) -> float:

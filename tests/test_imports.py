@@ -1,15 +1,19 @@
 """Every name imported under ``src/noodle``, ``tests`` and ``demos`` is used
 (the package ``__init__`` files are exempt, since their imports are
 re-exports), every re-export of the package is used by the package, a demo
-or the benchmark, and the CLI starts without loading ``scipy.stats``."""
+or the benchmark, the package imports exactly the third-party modules that
+``pyproject.toml`` declares, and importing it loads no ``scipy`` module."""
 
 from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import noodle
 
@@ -76,14 +80,45 @@ def test_every_reexport_is_used():
     assert sorted(exported - used) == []
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # Importing scipy.stats would more than double every command's start-up;
-    # the one scipy module the package needs at run time is scipy.linalg.lapack.
+def _imported_modules(path: Path) -> set[str]:
+    """Top-level names of the modules a file imports, relative imports aside."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {
+        re.split(r"[<>=!~\[;\s]", requirement, maxsplit=1)[0].lower().replace("-", "_")
+        for requirement in project["dependencies"]
+    }
+    imported = set().union(*map(_imported_modules, sorted((ROOT / "src/noodle").rglob("*.py"))))
+    third_party = imported - set(sys.stdlib_module_names) - {"__future__", "noodle"}
+    assert third_party == declared
+
+
+def test_package_import_loads_no_scipy():
+    # The package runs on NumPy alone, LAPACK included; scipy.linalg alone
+    # more than doubled every command's start-up and loaded a second BLAS.
     import_path = [str(Path(noodle.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, import_path))}
-    probe = "import sys, noodle.cli; print([m for m in sys.modules if m.startswith('scipy.stats')])"
+    probe = (
+        "import sys\n"
+        "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import noodle\n"
+        "print(scipy())\n"
+        "import noodle.cli\n"
+        "print(scipy())\n"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env=env
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.split("\n") == ["[]", "[]", ""]

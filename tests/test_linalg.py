@@ -46,9 +46,11 @@ class TestQrThin:
         np.testing.assert_array_equal(q, q_ref)
         np.testing.assert_array_equal(pivots, np.diagonal(r_ref))
 
-    @pytest.mark.parametrize("shape", [(5, 0), (0, 0), (160, 150)])
+    @pytest.mark.parametrize(
+        "shape", [(5, 0), (0, 0), (160, 150), (1, 1), (64, 64), (129, 129), (300, 129)]
+    )
     def test_edge_and_blocked_shapes_match_numpy_qr(self, shape):
-        # Above 128 columns LAPACK blocks the factorization, and the block
+        # From 129 columns on LAPACK blocks the factorization, and the block
         # size follows the workspace, so a short workspace changes the bits.
         a = np.random.default_rng(12).standard_normal(shape)
         q, pivots = qr_thin(a)
@@ -56,6 +58,22 @@ class TestQrThin:
         np.testing.assert_array_equal(q, q_ref)
         np.testing.assert_array_equal(pivots, np.diagonal(r_ref))
         assert q.shape == (shape[0], shape[1]) and pivots.shape == (shape[1],)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_input_is_never_written(self, layout):
+        # LAPACK factors in place; a buffer that aliases the input must show
+        # here, whichever layout would let the input pass as LAPACK's own.
+        base = np.random.default_rng(13).standard_normal((40, 10))
+        a = {"C": base, "F": np.asfortranarray(base), "strided": base[::2, ::2]}[layout]
+        before = a.copy()
+        owner = a if a.base is None else a.base
+        owner_bytes = owner.tobytes(order="A")
+        q, pivots = qr_thin(a)
+        assert owner.tobytes(order="A") == owner_bytes
+        np.testing.assert_array_equal(a, before)
+        q_ref, r_ref = qr_sign_normalized(before)
+        np.testing.assert_array_equal(q, q_ref)
+        np.testing.assert_array_equal(pivots, np.diagonal(r_ref))
 
     def test_identity(self):
         q, pivots = qr_thin(np.eye(3))

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -15,6 +15,7 @@ from noodle import scoring
 from noodle.decompose import normalize_columns
 from noodle.files import array_checksum
 from noodle.scoring import (
+    COV_REG,
     DEFAULT_KNN_K,
     ZERO_QUERY_SCORE,
     EmbeddingStore,
@@ -75,6 +76,17 @@ class TestBuildStore:
         store, _ = _random_store(1)
         np.testing.assert_array_equal(store.shared_precision, store.shared_precision.T)
         assert (np.linalg.eigvalsh(store.shared_precision) > 0).all()
+
+    def test_underflowing_ridge_falls_back_to_the_unscaled_one(self):
+        # One sample leaves the class mean by about 6e-161, so the trace of
+        # the within-class covariance is a positive subnormal and the scaled
+        # ridge underflows to zero; the ridge is COV_REG, as for a zero trace.
+        latents = np.array([[1.0, 1.0, 1.0, 1.0], [5.99566506e-161, 0.0, 0.0, 0.0]])
+        store = build_store(latents, np.zeros(4, dtype=int))
+        assert 0.0 < np.trace(np.cov(store.embeddings.T, bias=True)) < np.finfo(float).tiny
+        oracle_cov = pooled_regularized_covariance(store.embeddings, store.labels, COV_REG)
+        np.testing.assert_allclose(store.shared_precision, np.linalg.inv(oracle_cov), rtol=1e-12)
+        np.testing.assert_allclose(store.shared_precision, np.eye(2) / COV_REG, rtol=1e-12)
 
     def test_zero_norm_samples_dropped_and_counted(self):
         latents = np.random.default_rng(2).standard_normal((3, 6))
@@ -365,6 +377,8 @@ class TestPersistence:
         rows=arrays(np.float64, st.tuples(st.integers(4, 40), st.integers(1, 9)), elements=FINITE),
         classes=st.integers(1, 3),
     )
+    # A within-class spread whose scaled ridge underflows to zero.
+    @example(rows=np.array([[5.99566506e-161], [0.0], [0.0], [0.0]]), classes=1)
     def test_round_trip_is_bit_exact(self, tmp_path_factory, rows, classes):
         # Latents with entries of every magnitude below one, subnormals
         # included: the statistics derived on load equal those of the build.
