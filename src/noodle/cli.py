@@ -159,14 +159,6 @@ TRAIN_FLAGS = {
 }
 
 
-def build_train_config(doc: dict, overrides: dict) -> TrainConfig:
-    """Defaults <- ``doc`` <- ``overrides``, rejecting unknown keys and
-    invalid values; the one builder of a ``TrainConfig`` from outside input."""
-    config = TrainConfig.from_dict({**doc, **overrides})
-    config.validate()
-    return config
-
-
 def run_training(data_path: Path, config: TrainConfig, out_dir: Path) -> list[Path]:
     """Train on a CSV and persist checkpoint, store, and loss trace.  The
     checkpoint's meta records the store's checksum and how many training
@@ -207,7 +199,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir = _resolve_out(args.out)
     doc = read_json(args.config) if args.config else {}
     flags = {key: getattr(args, key) for key, _ in TRAIN_FLAGS.values()}
-    config = build_train_config(doc, {k: v for k, v in flags.items() if v is not None})
+    config = TrainConfig.from_dict({**doc, **{k: v for k, v in flags.items() if v is not None}})
     for path in run_training(Path(args.data), config, out_dir):
         print(f"wrote {path}")
     return 0
@@ -370,7 +362,7 @@ def plan_experiment(spec, source: str) -> list[dict]:
     config, which would only fail once cells run.  Returns one cell per
     (method, seed), method-major: ``name``, ``seed``, ``config`` (``train`` <-
     the method's ``loss_kind``/``lambda`` <- the seed, through
-    :func:`build_train_config`), ``score``, ``k`` and ``tpr``."""
+    ``TrainConfig.from_dict``), ``score``, ``k`` and ``tpr``."""
     if not isinstance(spec, dict):
         raise ValueError(f"{source}: experiment spec must be a JSON object")
     methods = spec.get("methods", [])
@@ -445,7 +437,7 @@ def plan_experiment(spec, source: str) -> list[dict]:
     for m in methods:
         overrides = {key: m[key] for key in ("loss_kind", "lambda") if key in m}
         try:
-            configs = [build_train_config(train, {**overrides, "seed": seed}) for seed in seeds]
+            configs = [TrainConfig.from_dict({**train, **overrides, "seed": seed}) for seed in seeds]
         except ValueError as exc:
             raise ValueError(f"{source}: method {m['name']!r}: {exc}") from exc
         resolved = {"name": m["name"], "score": m["score"], "k": m["k"], "tpr": float(tpr)}

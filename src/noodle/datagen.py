@@ -21,14 +21,15 @@ from .files import read_table, write_table
 OOD_MODES = ("far_cluster", "uniform_shell")
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseSpec:
-    """Label corruption model. ``rate`` is the probability a label is flipped."""
+    """Label corruption model. ``rate`` is the probability a label is flipped;
+    checked on construction."""
 
     kind: str = "symmetric"
     rate: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind != "symmetric":
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.rate <= 1.0:
@@ -205,7 +206,6 @@ def inject_symmetric_noise(
     ``num_classes - 1`` classes.  Expected flip fraction is exactly the rate
     and the replacement is uniform over wrong classes.
     """
-    spec.validate()
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1:
         raise ValueError("labels must be 1-D")
@@ -243,12 +243,14 @@ def save_ood_csv(features: np.ndarray, path: str | os.PathLike) -> None:
 
 def load_features_csv(path: str | os.PathLike) -> LabeledSet:
     """Read a labeled CSV back into a :class:`LabeledSet` whose class count is
-    ``max(label) + 1``, with a floor of 2."""
+    ``max(label) + 1``, with a floor of 2; a negative label is a ValueError
+    naming ``path``."""
     (clean, noisy), features = read_table(path, _LABEL_COLUMNS, "f")
-    if clean.min() < 0 or noisy.min() < 0:
-        raise ValueError(f"{path}: negative labels in an ID file")
     num_classes = max(int(max(clean.max(), noisy.max())) + 1, 2)
-    return LabeledSet(features, clean, noisy, num_classes)
+    try:
+        return LabeledSet(features, clean, noisy, num_classes)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_ood_csv(path: str | os.PathLike) -> np.ndarray:

@@ -56,6 +56,12 @@ class MlpParams:
         head bias.  Checksums, norms and the optimizer all walk this order."""
         return [*self.weights, *self.biases, self.head_weight, self.head_bias]
 
+    def names(self) -> list[str]:
+        """The name of each array of :meth:`arrays`, in that order."""
+        layers = range(len(self.weights))
+        return [*(f"weights[{i}]" for i in layers), *(f"biases[{i}]" for i in layers),
+                "head_weight", "head_bias"]
+
     def global_norm(self) -> float:
         return float(np.sqrt(sum(float((a * a).sum()) for a in self.arrays())))
 
@@ -204,10 +210,7 @@ def sgd_step(
         raise ValueError(f"lr must be positive, got {lr}")
     for i, (p, g, v) in enumerate(zip(params.arrays(), grads.arrays(), state.arrays())):
         if not np.isfinite(g).all():
-            n = len(params.weights)
-            names = [f"weights[{j}]" for j in range(n)] + [f"biases[{j}]" for j in range(n)]
-            names += ["head_weight", "head_bias"]
-            raise DivergenceError(f"non-finite gradient in {names[i]}")
+            raise DivergenceError(f"non-finite gradient in {params.names()[i]}")
         step = g + weight_decay * p if weight_decay and p.ndim == 2 else g
         v *= momentum
         v += step
@@ -229,9 +232,6 @@ def save_checkpoint(
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": 1,
-        "in_dim": params.in_dim,
-        "widths": list(params.widths),
-        "num_classes": params.num_classes,
         "weights": [w.tolist() for w in params.weights],
         "biases": [b.tolist() for b in params.biases],
         "head_weight": params.head_weight.tolist(),
@@ -243,32 +243,45 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | os.PathLike) -> tuple[MlpParams, np.ndarray | None, dict]:
-    """Inverse of :func:`save_checkpoint`, with shape validation."""
+    """Inverse of :func:`save_checkpoint`.
+
+    The architecture is what the arrays say: the input width is the first
+    weight's column count, each layer's width its weight's row count and the
+    class count K the head weight's row count.  Each weight must take the
+    width below it, each bias must match its layer, the head must be
+    ``(K, widths[-1])`` and ``(K,)`` and the transition logits, if any,
+    ``(K, K)``.  A violation, or an entry that is not a rectangular array of
+    finite numbers, is a ValueError naming ``path``."""
     doc = read_json(path)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a checkpoint file")
-    require_keys(
-        doc, ("in_dim", "widths", "num_classes", "weights", "biases", "head_weight", "head_bias"), path
-    )
-    params = MlpParams(
-        [np.array(w, dtype=float) for w in doc["weights"]],
-        [np.array(b, dtype=float) for b in doc["biases"]],
-        np.array(doc["head_weight"], dtype=float),
-        np.array(doc["head_bias"], dtype=float),
-    )
-    widths = tuple(doc["widths"])
-    if params.widths != widths or params.in_dim != doc["in_dim"] or params.num_classes != doc["num_classes"]:
-        raise ValueError(f"{path}: stored shapes disagree with declared architecture")
-    fan_in = doc["in_dim"]
-    for i, w in enumerate(params.weights):
-        if w.shape != (widths[i], fan_in) or params.biases[i].shape != (widths[i],):
-            raise ValueError(f"{path}: layer {i} has shape {w.shape}, expected {(widths[i], fan_in)}")
-        fan_in = widths[i]
+    require_keys(doc, ("weights", "biases", "head_weight", "head_bias"), path)
     theta = doc.get("transition_theta")
-    theta_arr = None if theta is None else np.array(theta, dtype=float)
-    if theta_arr is not None and theta_arr.shape != (params.num_classes, params.num_classes):
-        raise ValueError(f"{path}: transition matrix shape {theta_arr.shape} is not square in classes")
+    try:
+        params = MlpParams(
+            [np.array(w, dtype=float) for w in doc["weights"]],
+            [np.array(b, dtype=float) for b in doc["biases"]],
+            np.array(doc["head_weight"], dtype=float),
+            np.array(doc["head_bias"], dtype=float),
+        )
+        theta = None if theta is None else np.array(theta, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    layers = len(params.weights)
+    if not layers or len(params.biases) != layers:
+        raise ValueError(f"{path}: got {layers} weight matrices and {len(params.biases)} biases")
+    if any(w.ndim != 2 for w in [*params.weights, params.head_weight]):
+        raise ValueError(f"{path}: every weight and head_weight must be a matrix")
+    widths, k = params.widths, params.num_classes
+    fan_ins = (params.in_dim, *widths[:-1])
+    expected = [*zip(widths, fan_ins), *((w,) for w in widths), (k, widths[-1]), (k,), (k, k)]
+    arrays = params.arrays() if theta is None else [*params.arrays(), theta]
+    for name, array, shape in zip([*params.names(), "transition_theta"], arrays, expected):
+        if array.shape != shape:
+            raise ValueError(f"{path}: {name} has shape {array.shape}, expected {shape}")
+        if not np.isfinite(array).all():  # JSON null, NaN or Infinity
+            raise ValueError(f"{path}: {name} holds a value that is not a finite number")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: meta is not a JSON object")
-    return params, theta_arr, meta
+    return params, theta, meta

@@ -42,12 +42,17 @@ _GRAM_SLACK = 1e-12
 @dataclass
 class EmbeddingStore:
     """Immutable bundle of normalized ID reference embeddings and the
-    statistics needed by the distance scores."""
+    statistics needed by the distance scores; its rows must have unit norm."""
 
     embeddings: np.ndarray        # (n, latent_dim), unit rows
     labels: np.ndarray            # (n,)
     class_means: np.ndarray       # (num_classes, latent_dim), means of unit rows
     shared_precision: np.ndarray  # (latent_dim, latent_dim)
+
+    def __post_init__(self) -> None:
+        norms = np.linalg.norm(self.embeddings, axis=1)
+        if not np.allclose(norms, 1.0, atol=1e-9):
+            raise ValueError("store embeddings must have unit norm")
 
     def __len__(self) -> int:
         return self.embeddings.shape[0]
@@ -59,11 +64,6 @@ class EmbeddingStore:
     @property
     def num_classes(self) -> int:
         return self.class_means.shape[0]
-
-    def validate(self) -> None:
-        norms = np.linalg.norm(self.embeddings, axis=1)
-        if not np.allclose(norms, 1.0, atol=1e-9):
-            raise ValueError("store embeddings must have unit norm")
 
 
 def _statistics(
@@ -127,10 +127,7 @@ def build_store(id_latents: np.ndarray, labels: np.ndarray) -> EmbeddingStore:
         normalized, norms = normalize_columns(id_latents)
     alive = (norms > 0) & np.isfinite(norms)
     embeddings, labels = normalized.T[alive], labels[alive]
-    class_means, precision = _statistics(embeddings, labels, num_classes)
-    store = EmbeddingStore(embeddings, labels, class_means, precision)
-    store.validate()
-    return store
+    return EmbeddingStore(embeddings, labels, *_statistics(embeddings, labels, num_classes))
 
 
 def _chunks(count: int, bytes_per_query: int):
@@ -254,9 +251,6 @@ def load_store(base_path: str | os.PathLike) -> EmbeddingStore:
     path = os.fspath(base_path) + ".csv"
     (labels,), embeddings = read_table(path, ("label",), "e")
     try:
-        class_means, precision = _statistics(embeddings, labels, int(labels.max()) + 1)
-        store = EmbeddingStore(embeddings, labels, class_means, precision)
-        store.validate()
+        return EmbeddingStore(embeddings, labels, *_statistics(embeddings, labels, int(labels.max()) + 1))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return store

@@ -52,9 +52,13 @@ _LAMBDA_KEY = "lambda"
 GRAD_CLIP = 10.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Everything that determines a training run, hashable for provenance."""
+    """Everything that determines a training run, hashable for provenance.
+
+    Checked on construction, so an invalid config cannot exist: every field's
+    type first, without converting, then every range, all problems in one
+    ``ValueError``."""
 
     epochs: int = 100
     batch_size: int = 64
@@ -69,7 +73,7 @@ class TrainConfig:
     widths: tuple[int, ...] = DEFAULT_WIDTHS
     t_diag_init: float = 0.99
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # Types first, without converting, so that the range checks compare numbers.
         problems = [
             type_problem(_LAMBDA_KEY if f.name == "lam" else f.name, getattr(self, f.name), f.default)
@@ -176,13 +180,12 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
     Raises
     ------
     ValueError
-        On a bad config, no samples, a class that no noisy label names, or a
+        On no samples, a class that no noisy label names, or a
         subspace rank (``k_rank``, else the class count) above the latent width.
     DivergenceError
         On non-finite logits or loss, identifying the offending epoch and
         batch, or when no training latent can be normalized for the store.
     """
-    config.validate()
     n = len(data)
     if n == 0:
         raise ValueError("empty training set")
@@ -243,31 +246,24 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
                     transition.theta -= config.lr * theta_state
                 batch_losses.append(total.value)
             trace.append(float(np.mean(batch_losses)))
-        store = extract_reference_store(params, data, config, rng=streams.store)
+        store = extract_reference_store(params, data, config)
     return TrainResult(params, transition, trace, store)
 
 
-def extract_reference_store(
-    params: MlpParams,
-    data: LabeledSet,
-    config: TrainConfig,
-    rng: np.random.Generator | None = None,
-) -> EmbeddingStore:
+def extract_reference_store(params: MlpParams, data: LabeledSet, config: TrainConfig) -> EmbeddingStore:
     """Forward the whole training set, decompose the complete latent matrix
     once, and build the reference store from the in-subspace part.
 
     Labels stored are the (noisy) training labels; the clean ones are not
-    available to the method.  ``rng`` defaults to the store stream of
-    ``config.seed`` so a standalone call matches what :func:`train` builds.
-    When no latent survives the split's normalization, because each is zero
+    available to the method.  The split draws from the store stream of
+    ``config.seed``, which training never touches, so a standalone call
+    builds exactly the store that :func:`train` builds.  When no latent survives the split's normalization, because each is zero
     (dead ReLUs) or its norm overflows (a huge learning rate gets there),
     the network diverged and :class:`DivergenceError` names the epoch count.
     """
-    if rng is None:
-        rng = derive_streams(config.seed).store
     cache = forward(params, data.features)
     k_rank = config.k_rank if config.k_rank is not None else data.num_classes
-    split = split_features(cache.latent, k_rank, config.pi_iters, rng)
+    split = split_features(cache.latent, k_rank, config.pi_iters, derive_streams(config.seed).store)
     if not split.normalized.any():
         raise DivergenceError(
             f"every training latent is zero or overflows after {config.epochs} epoch(s)"

@@ -465,13 +465,20 @@ class TestEvalCommand:
     def test_bad_checkpoint_or_store_file_exits_2(self, tmp_path, data_dir, run_dir, capsys):
         # A JSON list, or a meta that is not an object, was a traceback (exit 1).
         # The store's statistics come from store.csv, so a class gap or a
-        # negative label is named in that file; a checkpoint that records no
-        # store checksum, such as one written before it did, must be retrained.
+        # negative label is named in that file, and so is a row off the unit
+        # sphere; a checkpoint that records no store checksum must be retrained.
+        # The architecture is read off the arrays: a one-entry head bias was
+        # broadcast (exit 0), a head weight one column short failed in a matmul
+        # and a ragged weight row in NumPy's array build, neither naming the file.
         def gap(lines):
             return [lines[0], *(("0" + line[1:]) if line.startswith("1,") else line for line in lines[1:])]
 
         def negative(lines):
             return [lines[0], "-1" + lines[1][1:], *lines[2:]]
+
+        def off_sphere(lines):
+            label, *values = lines[1].split(",")
+            return [lines[0], ",".join([label, "2", *["0"] * (len(values) - 1)]), *lines[2:]]
 
         def checkpoint_edit(change):
             def edit(lines):
@@ -482,6 +489,11 @@ class TestEvalCommand:
             return edit
 
         unbound = checkpoint_edit(lambda doc: doc["meta"].pop("store_checksum"))
+        narrow_head = checkpoint_edit(lambda doc: [row.pop() for row in doc["head_weight"]])
+        ragged = checkpoint_edit(lambda doc: doc["weights"][0][1].pop())
+        ragged_doc = json.loads(ragged((run_dir / "checkpoint.json").read_text().splitlines())[0])
+        with pytest.raises(ValueError, match="inhomogeneous shape") as numpy_error:
+            np.array(ragged_doc["weights"][0], dtype=float)
         for name, file, edit, message in (
             ("list_checkpoint", "checkpoint.json", lambda lines: ["[]"], "not a JSON object"),
             ("unbound", "checkpoint.json", unbound, "missing key 'store_checksum'"),
@@ -489,6 +501,11 @@ class TestEvalCommand:
              "meta is not a JSON object"),
             ("gap", "store.csv", gap, "class 1 has no samples"),
             ("negative", "store.csv", negative, "labels must be nonnegative"),
+            ("off_sphere", "store.csv", off_sphere, "store embeddings must have unit norm"),
+            ("short_head_bias", "checkpoint.json", checkpoint_edit(lambda doc: doc.update(head_bias=[0.5])),
+             "head_bias has shape (1,), expected (3,)"),
+            ("narrow_head", "checkpoint.json", narrow_head, "head_weight has shape (3, 7), expected (3, 8)"),
+            ("ragged", "checkpoint.json", ragged, str(numpy_error.value)),
         ):
             copy = tmp_path / name
             shutil.copytree(run_dir, copy)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +165,12 @@ class TestNoiseInjection:
                 np.array([0]), NoiseSpec("symmetric", 1.5), 2, np.random.default_rng(0)
             )
 
+    def test_spec_is_checked_on_construction_and_frozen(self):
+        with pytest.raises(ValueError, match="^noise rate must be in \\[0, 1\\], got -0.1$"):
+            NoiseSpec(rate=-0.1)
+        with pytest.raises(FrozenInstanceError):
+            NoiseSpec().rate = 2.0
+
 
 class TestCsvRoundTrip:
     @settings(max_examples=40, deadline=None)
@@ -217,7 +226,7 @@ class TestCsvRoundTrip:
         path.write_text("label,noisy_label,f0\n3,0,1.0\n", encoding="utf-8")
         assert load_features_csv(path).num_classes == 4  # inferred
         path.write_text("label,noisy_label,f0\n-1,0,1.0\n", encoding="utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: clean labels outside [0, 2)")):
             load_features_csv(path)
 
     @settings(max_examples=40, deadline=None)

@@ -2,7 +2,8 @@
 (the package ``__init__`` files are exempt, since their imports are
 re-exports), every re-export of the package is used by the package, a demo
 or the benchmark, the package imports exactly the third-party modules that
-``pyproject.toml`` declares, and importing it loads no ``scipy`` module."""
+``pyproject.toml`` declares, importing it loads no ``scipy`` module, and no
+class of the package defines a ``validate`` method."""
 
 from __future__ import annotations
 
@@ -122,3 +123,17 @@ def test_package_import_loads_no_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split("\n") == ["[]", "[]", ""]
+
+
+def test_no_class_defines_validate():
+    # A type checks its rules where it is built (``__post_init__``); a
+    # ``validate`` that callers must remember to call lets a bad value exist.
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {cls.name}.validate"
+        for path in sorted((ROOT / "src/noodle").rglob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "validate"
+    ]
+    assert found == []

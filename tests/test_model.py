@@ -233,13 +233,33 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="not a checkpoint"):
             load_checkpoint(path)
 
+        # The architecture is read off the arrays (in_dim 3, widths (4, 5),
+        # 3 classes), so a corrupt checkpoint is one whose arrays disagree.
         good = tmp_path / "ckpt.json"
-        save_checkpoint(_small_net(26), good)
-        doc = json.loads(good.read_text(encoding="utf-8"))
-        doc["in_dim"] = 99
-        good.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(ValueError, match="shapes"):
-            load_checkpoint(good)
+        theta = np.zeros((3, 3))
+        save_checkpoint(_small_net(26, widths=(4, 5)), good, transition_theta=theta)
+        original = json.loads(good.read_text(encoding="utf-8"))
+        for edit, message in (
+            (lambda d: d["weights"].__setitem__(1, [r[:-1] for r in d["weights"][1]]),
+             "weights[1] has shape (5, 3), expected (5, 4)"),
+            (lambda d: d["biases"][0].pop(), "biases[0] has shape (3,), expected (4,)"),
+            (lambda d: d["biases"].pop(), "got 2 weight matrices and 1 biases"),
+            (lambda d: d["weights"].__setitem__(0, d["weights"][0][0]),
+             "every weight and head_weight must be a matrix"),
+            (lambda d: [r.pop() for r in d["head_weight"]], "head_weight has shape (3, 4), expected (3, 5)"),
+            (lambda d: d.update(head_bias=[0.5]), "head_bias has shape (1,), expected (3,)"),
+            (lambda d: d.update(transition_theta=[[0.0]]),
+             "transition_theta has shape (1, 1), expected (3, 3)"),
+            (lambda d: d["weights"][0][2].pop(), "inhomogeneous shape"),
+            (lambda d: d["biases"][1].__setitem__(0, None),
+             "biases[1] holds a value that is not a finite number"),
+        ):
+            doc = copy.deepcopy(original)
+            edit(doc)
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: ')}.*{re.escape(message)}"):
+                load_checkpoint(path)
 
     def test_missing_key_names_file_and_key(self, tmp_path):
         path = tmp_path / "ckpt.json"

@@ -8,7 +8,7 @@ epochs) so the whole module stays under a few seconds.
 from __future__ import annotations
 
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -51,11 +51,11 @@ def _toy_config(**overrides):
 
 class TestTrainConfig:
     def test_defaults_validate(self):
-        TrainConfig().validate()
+        TrainConfig()
 
     def test_sparsity_weight_grid_is_accepted(self):
         for lam in (0.0001, 0.0005, 0.001, 0.005, 0.1):
-            replace(TrainConfig(), lam=lam).validate()
+            replace(TrainConfig(), lam=lam)
 
     def test_dict_round_trip_uses_the_external_lambda_name(self):
         config = _toy_config(lam=0.25)
@@ -78,17 +78,18 @@ class TestTrainConfig:
         assert a.config_hash() != replace(a, lam=0.002).config_hash()
 
     def test_validate_collects_problems(self):
-        bad = _toy_config()
-        bad.lr = -1.0
-        bad.loss_kind = "zzz"
         with pytest.raises(ValueError) as exc:
-            bad.validate()
+            _toy_config(lr=-1.0, loss_kind="zzz")
         assert "lr" in str(exc.value) and "loss_kind" in str(exc.value)
 
     def test_t_diag_init_range(self):
-        bad = _toy_config(t_diag_init=1.0)
         with pytest.raises(ValueError, match="t_diag_init"):
-            bad.validate()
+            _toy_config(t_diag_init=1.0)
+
+    def test_config_is_frozen(self):
+        # Checked once, on construction, so no field may change after it.
+        with pytest.raises(FrozenInstanceError):
+            _toy_config().lr = -1.0
 
     def test_validate_checks_types_without_converting(self):
         for name, value, message in (
@@ -102,10 +103,9 @@ class TestTrainConfig:
             ("widths", (16, 8.0), "widths must be a list of integers, got (16, 8.0)"),
         ):
             with pytest.raises(ValueError, match=re.escape(message)):
-                replace(_toy_config(), **{name: value}).validate()
+                replace(_toy_config(), **{name: value})
         # An int stands for a float and stays an int, so the hash sees 0.
         config = TrainConfig.from_dict({"lambda": 0, "k_rank": None})
-        config.validate()
         assert type(config.to_dict()["lambda"]) is int
 
 
