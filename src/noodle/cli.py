@@ -44,18 +44,14 @@ from .datagen import (
     save_features_csv,
     save_ood_csv,
 )
-from .files import array_checksum, read_json, require_keys, type_problem, write_json, write_rows
+from .files import array_checksum, read_json, require_keys, type_problem, write_json
 from .losses import LOSS_KINDS
-from .metrics import REPORT_CSV_HEADER, ScoreReport, emit_report, id_accuracy, make_report
+from .metrics import ScoreReport, emit_report, id_accuracy, make_report
 from .model import DivergenceError, MlpParams, forward, load_checkpoint, save_checkpoint
 from .scoring import DEFAULT_KNN_K, SCORE_KINDS, EmbeddingStore, batch_scores, load_store, save_store
 from .trainer import TrainConfig, train
 
 EXPERIMENT_FORMAT = "noodle-experiment"
-
-COMPARISON_CSV_HEADER = (
-    "method,seeds,fpr95_mean,fpr95_std,auroc_mean,auroc_std,id_acc_mean,id_acc_std,failures"
-)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +255,8 @@ def run_eval(
     out_dir: Path,
 ) -> dict:
     """Score the ID test set against every OOD file; write one report per OOD
-    set plus a combined table with an average row.  Returns the summary dict.
+    set plus ``eval_summary.json``, their rows and an average row.  Returns
+    the summary dict.
 
     The store must be the one trained with the checkpoint: its checksum must
     equal the checkpoint meta's ``store_checksum``, so a store of another
@@ -311,11 +308,6 @@ def run_eval(
         "average": average,
     }
     write_json(out_dir / "eval_summary.json", summary)
-    write_rows(
-        out_dir / "eval_summary.csv",
-        REPORT_CSV_HEADER,
-        [(*row.values(), seed, config_hash) for row in [*rows, average]],
-    )
     return summary
 
 
@@ -337,7 +329,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"{row['dataset']}: fpr95={row['fpr95']:.4f} auroc={row['auroc']:.4f} "
             f"id_acc={row['id_accuracy']:.4f}"
         )
-    print(f"wrote {out_dir / 'eval_summary.csv'}")
+    print(f"wrote {out_dir / 'eval_summary.json'}")
     return 0
 
 
@@ -483,7 +475,7 @@ def run_experiment(spec: dict, spec_file: str, out_dir: Path, threads: int) -> d
     ``runs/<method>/seed<s>/``; a failing cell is recorded under ``failures``
     and does not stop the sweep.  With ``threads`` > 1 the cells run in that
     many worker processes, and every output is byte-identical to a serial run.
-    The comparison is also written to ``comparison.json`` and ``.csv``."""
+    The comparison is also written to ``comparison.json``."""
     cells = plan_experiment(spec, spec_file)
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -537,11 +529,6 @@ def run_experiment(spec: dict, spec_file: str, out_dir: Path, threads: int) -> d
         "methods": by_method,
     }
     write_json(out_dir / "comparison.json", comparison)
-    write_rows(
-        out_dir / "comparison.csv",
-        COMPARISON_CSV_HEADER,
-        [[row[key] for key in COMPARISON_CSV_HEADER.split(",")] for row in rows],
-    )
     return comparison
 
 
@@ -561,7 +548,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         )
     if failures:
         print(f"WARNING: {failures} cell(s) failed; see comparison.json", file=sys.stderr)
-    print(f"wrote {out_dir / 'comparison.csv'}")
+    print(f"wrote {out_dir / 'comparison.json'}")
     return 0
 
 

@@ -75,7 +75,9 @@ def _spread_out_means(
     num_classes: int, dim: int, separation: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Place class means on a sphere, growing the radius until all pairwise
-    distances reach ``separation``."""
+    distances reach ``separation``.  Two equal unit directions (two of three
+    classes in one dimension) are never apart, however large the radius; a
+    ValueError says so once 200 attempts have failed."""
     radius = max(separation, 1e-12)
     for _ in range(200):
         directions = rng.standard_normal((num_classes, dim))
@@ -83,13 +85,22 @@ def _spread_out_means(
         if (norms < 1e-12).any():
             continue
         means = radius * directions / norms
-        diffs = means[:, None, :] - means[None, :, :]
-        dist = np.linalg.norm(diffs, axis=-1)
-        dist[np.diag_indices(num_classes)] = np.inf
-        if dist.min() >= separation:
+        # Rounding sets the means of equal directions apart at a huge radius,
+        # so the unit directions must be apart at this radius as well.
+        if min(_min_gap(means), radius * _min_gap(directions / norms)) >= separation:
             return means
         radius *= 1.25
-    raise RuntimeError("could not place class means; try a larger dim or smaller separation")
+    raise ValueError(
+        f"could not place {num_classes} class means {separation} apart in dim {dim}; "
+        "try a larger dim or smaller separation"
+    )
+
+
+def _min_gap(points: np.ndarray) -> float:
+    """The smallest distance between two rows of ``points``."""
+    dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+    dist[np.diag_indices(len(points))] = np.inf
+    return float(dist.min())
 
 
 def make_gaussian_mixture(

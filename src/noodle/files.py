@@ -1,11 +1,11 @@
-"""The on-disk formats, all UTF-8 with LF line endings and no timestamps.
+"""The two on-disk formats, both UTF-8 with LF line endings and no
+timestamps, and the checksum that ties files together.
 
 - JSON: sorted keys, one-space indent, trailing newline, shortest
-  round-trip floats.
+  round-trip floats.  Checkpoints, traces and every summary use it.
 - Labeled float table: a CSV of integer label columns, then float columns
   ``<prefix>0..<prefix>{d-1}`` printed as ``%.16e`` (17 significant digits
   round-trip any float64).  The parser is strict and names the file and line.
-- Summary rows: CSV lines whose floats print in shortest round-trip form.
 - Checksums: a SHA-256 over arrays' shapes and bytes, which ties a
   checkpoint to the parameters it holds and to the store it was trained with.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -73,14 +73,6 @@ def type_problem(key: str, value, like) -> str | None:
         fits = isinstance(value, allowed) and not isinstance(value, bool)
         kind = ("an " if isinstance(like, int) else "a ") + _TYPE_NAMES[type(like)]
     return None if fits else f"{key} must be {kind}, got {value!r}"
-
-
-def write_rows(path: str | os.PathLike, header: str, rows: Iterable[Sequence]) -> None:
-    """A CSV of summary rows under ``header`` (``str`` of a float is its repr)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
 
 
 def _table_header(label_names: Sequence[str], prefix: str, dim: int) -> list[str]:

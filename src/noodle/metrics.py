@@ -22,12 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .files import write_json, write_rows
+from .files import write_json
 from .scoring import reject_nan, select_threshold
 
 REPORT_FORMAT = "noodle-report"
-
-REPORT_CSV_HEADER = "dataset,n_id,n_ood,fpr95,auroc,id_accuracy,seed,config_hash"
 
 
 @dataclass
@@ -49,7 +47,8 @@ class ScoreReport:
     tpr: float = 0.95
 
     def summary_row(self) -> dict:
-        """The first ``REPORT_CSV_HEADER`` columns, by name."""
+        """The report's row of an eval summary: the set's name and sizes and
+        its three metrics."""
         return {
             "dataset": self.dataset,
             "n_id": int(self.id_scores.size),
@@ -138,11 +137,11 @@ def make_report(
 
 
 def emit_report(report: ScoreReport, out_dir: str | os.PathLike) -> None:
-    """Write ``report_<dataset>.json`` and ``report_<dataset>.csv`` to ``out_dir``.
+    """Write ``report_<dataset>.json`` to ``out_dir``.
 
-    The JSON document always includes the raw score arrays; floats use
-    shortest round-trip formatting, so re-parsing recomputes the metrics
-    bit-identically.  The CSV file is one row under ``REPORT_CSV_HEADER``.
+    The document always includes the raw score arrays; floats use shortest
+    round-trip formatting, so re-parsing recomputes the metrics
+    bit-identically.
     """
     path = Path(out_dir) / f"report_{report.dataset}.json"
     try:
@@ -164,9 +163,6 @@ def emit_report(report: ScoreReport, out_dir: str | os.PathLike) -> None:
                 "ood_scores": report.ood_scores.tolist(),
             },
         )
-        path = path.with_name(f"report_{report.dataset}.csv")
-        row = (*report.summary_row().values(), report.seed, report.config_hash)
-        write_rows(path, REPORT_CSV_HEADER, [row])
     except OSError as exc:
         raise OSError(f"cannot write report {path}: {exc}") from exc
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .files import read_json, require_keys, write_json
+from .files import read_json, require_keys, type_problem, write_json
 
 DEFAULT_WIDTHS = (64, 64, 32)
 
@@ -251,12 +251,13 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[MlpParams, np.ndarray | No
     width below it, each bias must match its layer, the head must be
     ``(K, widths[-1])`` and ``(K,)`` and the transition logits, if any,
     ``(K, K)``.  A violation, or an entry that is not a rectangular array of
-    finite numbers, is a ValueError naming ``path``."""
+    finite JSON numbers (a bool or a numeric string is none), is a ValueError
+    naming ``path``."""
     doc = read_json(path)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a checkpoint file")
     require_keys(doc, ("weights", "biases", "head_weight", "head_bias"), path)
-    theta = doc.get("transition_theta")
+    raw_theta = doc.get("transition_theta")
     try:
         params = MlpParams(
             [np.array(w, dtype=float) for w in doc["weights"]],
@@ -264,7 +265,7 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[MlpParams, np.ndarray | No
             np.array(doc["head_weight"], dtype=float),
             np.array(doc["head_bias"], dtype=float),
         )
-        theta = None if theta is None else np.array(theta, dtype=float)
+        theta = None if raw_theta is None else np.array(raw_theta, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     layers = len(params.weights)
@@ -276,11 +277,15 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[MlpParams, np.ndarray | No
     fan_ins = (params.in_dim, *widths[:-1])
     expected = [*zip(widths, fan_ins), *((w,) for w in widths), (k, widths[-1]), (k,), (k, k)]
     arrays = params.arrays() if theta is None else [*params.arrays(), theta]
-    for name, array, shape in zip([*params.names(), "transition_theta"], arrays, expected):
+    raws = [*doc["weights"], *doc["biases"], doc["head_weight"], doc["head_bias"], raw_theta]
+    for name, array, raw, shape in zip([*params.names(), "transition_theta"], arrays, raws, expected):
         if array.shape != shape:
             raise ValueError(f"{path}: {name} has shape {array.shape}, expected {shape}")
         if not np.isfinite(array).all():  # JSON null, NaN or Infinity
             raise ValueError(f"{path}: {name} holds a value that is not a finite number")
+        # float() took a bool or a numeric string above; the JSON entry must be a number.
+        if bad := [v for v in np.array(raw, dtype=object).flat if type(v) not in (int, float)]:
+            raise ValueError(f"{path}: {type_problem(name, bad[0], 0.0)}")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: meta is not a JSON object")

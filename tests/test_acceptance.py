@@ -7,7 +7,8 @@ reference-loop equivalence).  Criteria 7-9 run the full detection protocol:
 five seeds, NOODLE (forward-corrected loss + residual sparsity + kNN) against
 a plain cross-entropy baseline, at 40% label noise and at 0%.  The protocol
 block is computed once in a session fixture and reused; a complete second
-pass backs the bit-identical reproducibility criterion.
+pass, run in two worker processes, backs the bit-identical reproducibility
+criterion, so it also checks that the pool reproduces a serial sweep.
 
 Each test prints one summary line; run pytest with `-s` to see them inline.
 """
@@ -71,10 +72,10 @@ def _announce(line: str) -> None:
 # Protocol machinery (criteria 7-9)
 
 
-def _protocol_pass(out_dir: Path, noise_rate: float) -> dict:
-    """One serial (method x seed) sweep at the given noise level, through the
-    experiment runner; each cell's parameter checksum is read back from its
-    checkpoint."""
+def _protocol_pass(out_dir: Path, noise_rate: float, threads: int = 1) -> dict:
+    """One (method x seed) sweep at the given noise level, through the
+    experiment runner in ``threads`` processes; each cell's parameter checksum
+    is read back from its checkpoint."""
     spec = {
         "dataset": PROTOCOL_GEN,
         "noise": {"rate": noise_rate},
@@ -82,7 +83,7 @@ def _protocol_pass(out_dir: Path, noise_rate: float) -> dict:
         "methods": PROTOCOL_METHODS,
         "seeds": list(PROTOCOL_SEEDS),
     }
-    comparison = run_experiment(spec, "protocol.json", out_dir, threads=1)
+    comparison = run_experiment(spec, "protocol.json", out_dir, threads)
     out = {"comparison_json": (out_dir / "comparison.json").read_bytes()}
     for row in comparison["rows"]:
         name = row["method"]
@@ -109,9 +110,10 @@ def protocol(tmp_path_factory):
     runs["noisy"] = _protocol_pass(root / "noisy", 0.4)
     runs["noisy_seconds"] = time.perf_counter() - start
     runs["clean"] = _protocol_pass(root / "clean", 0.0)
-    # Complete second pass, fresh directories, for the reproducibility check.
-    runs["noisy_again"] = _protocol_pass(root / "noisy2", 0.4)
-    runs["clean_again"] = _protocol_pass(root / "clean2", 0.0)
+    # Complete second pass, fresh directories and the worker pool, for the
+    # reproducibility check.
+    runs["noisy_again"] = _protocol_pass(root / "noisy2", 0.4, threads=2)
+    runs["clean_again"] = _protocol_pass(root / "clean2", 0.0, threads=2)
     return runs
 
 
@@ -372,7 +374,7 @@ def test_criterion_9_protocol_is_bit_reproducible(protocol):
                     mismatches.append(f"{block}/{name}/seed{seed}")
     ok = not mismatches
     _announce(
-        f"criterion 9: {'PASS' if ok else 'FAIL'} - second full pass over all 20 "
+        f"criterion 9: {'PASS' if ok else 'FAIL'} - a second full pass in 2 workers over all 20 "
         f"protocol cells reproduced every metric and parameter checksum exactly"
         + ("" if ok else f"; mismatches: {', '.join(mismatches)}")
     )

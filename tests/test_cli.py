@@ -23,7 +23,6 @@ import pytest
 
 import noodle
 from noodle.cli import (
-    COMPARISON_CSV_HEADER,
     GEN_DEFAULTS,
     METHOD_KEYS,
     SPEC_KEYS,
@@ -38,7 +37,7 @@ from noodle.cli import (
 )
 from noodle.datagen import load_features_csv
 from noodle.files import array_checksum, read_json
-from noodle.metrics import REPORT_CSV_HEADER, auroc, fpr_at_tpr
+from noodle.metrics import auroc, fpr_at_tpr
 from noodle.model import DivergenceError
 from noodle.scoring import build_store, load_store, save_store
 from noodle.trainer import TrainConfig, train
@@ -158,6 +157,18 @@ class TestGenData:
             assert main([*base, flag, value, "--out", str(out)]) == 2, flag
             assert message in capsys.readouterr().err, flag
             assert not out.exists(), flag
+
+    def test_classes_that_cannot_be_apart_exit_2_before_any_write(self, tmp_path, capsys):
+        # In one dimension two of three unit directions are equal, so only
+        # rounding at a huge radius could set their means apart, and there a
+        # spread of 1 is below one ulp: each class would be one repeated value.
+        out = tmp_path / "out"
+        assert main(["gen-data", "--classes", "3", "--dim", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: could not place 3 class means 6.0 apart in dim 1; "
+            "try a larger dim or smaller separation\n"
+        )
+        assert not out.exists()
 
     def test_cli_command_succeeds(self, tmp_path, capsys):
         code = main(
@@ -333,14 +344,16 @@ class TestEvalCommand:
             ]
         )
         assert code == 0
-        assert "average:" in capsys.readouterr().out
-        lines = (tmp_path / "eval_summary.csv").read_text().splitlines()
-        assert lines[0] == REPORT_CSV_HEADER
-        assert len(lines) == 4  # two OOD sets plus the average row
-        assert lines[3].startswith("average,30,80,")
-        for stem in ("ood_far_cluster", "ood_uniform_shell"):
-            assert (tmp_path / f"report_{stem}.json").exists()
-            assert (tmp_path / f"report_{stem}.csv").exists()
+        lines = capsys.readouterr().out.splitlines()
+        stems = ["ood_far_cluster", "ood_uniform_shell"]
+        assert [line.split(":")[0] for line in lines[:3]] == [*stems, "average"]
+        assert lines[3:] == [f"wrote {tmp_path / 'eval_summary.json'}"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "eval_summary.json", *(f"report_{stem}.json" for stem in stems)
+        ]
+        summary = read_json(tmp_path / "eval_summary.json")
+        assert [row["dataset"] for row in summary["rows"]] == stems
+        assert (summary["average"]["n_id"], summary["average"]["n_ood"]) == (30, 80)
 
     def test_reports_rederive_from_raw_scores(self, tmp_path, data_dir, run_dir):
         run_eval(
@@ -491,6 +504,9 @@ class TestEvalCommand:
         unbound = checkpoint_edit(lambda doc: doc["meta"].pop("store_checksum"))
         narrow_head = checkpoint_edit(lambda doc: [row.pop() for row in doc["head_weight"]])
         ragged = checkpoint_edit(lambda doc: doc["weights"][0][1].pop())
+        # NumPy's float() takes a JSON true as 1.0 and "0.5" as 0.5.
+        bool_bias = checkpoint_edit(lambda doc: doc["head_bias"].__setitem__(0, True))
+        string_bias = checkpoint_edit(lambda doc: doc["head_bias"].__setitem__(0, "0.5"))
         ragged_doc = json.loads(ragged((run_dir / "checkpoint.json").read_text().splitlines())[0])
         with pytest.raises(ValueError, match="inhomogeneous shape") as numpy_error:
             np.array(ragged_doc["weights"][0], dtype=float)
@@ -506,6 +522,8 @@ class TestEvalCommand:
              "head_bias has shape (1,), expected (3,)"),
             ("narrow_head", "checkpoint.json", narrow_head, "head_weight has shape (3, 7), expected (3, 8)"),
             ("ragged", "checkpoint.json", ragged, str(numpy_error.value)),
+            ("bool_bias", "checkpoint.json", bool_bias, "head_bias must be a number, got True"),
+            ("string_bias", "checkpoint.json", string_bias, "head_bias must be a number, got '0.5'"),
         ):
             copy = tmp_path / name
             shutil.copytree(run_dir, copy)
@@ -553,6 +571,13 @@ def test_readme_quickstart_prints_the_documented_numbers(tmp_path, monkeypatch, 
         "ood_uniform_shell: fpr95=0.5600 auroc=0.8776 id_acc=0.9480",
         "average: fpr95=0.2970 auroc=0.9266 id_acc=0.9480",
     ]
+    # The files README's quickstart lists, gen-data's, train's and eval's in turn.
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted([
+        "config.json",
+        "train.csv", "val.csv", "test_id.csv", "ood_far_cluster.csv", "ood_uniform_shell.csv",
+        "checkpoint.json", "store.csv", "trace.json",
+        "report_ood_far_cluster.json", "report_ood_uniform_shell.json", "eval_summary.json",
+    ])
 
 
 def test_readme_cli_reference_and_config_fields_match_the_code():
@@ -607,16 +632,27 @@ class TestExperiment:
         spec_path, _ = _experiment_spec(tmp_path, seeds=(0, 1))
         code = main(["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "out")])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "noodle:" in out and "ce:" in out
-        lines = (tmp_path / "out" / "comparison.csv").read_text().splitlines()
-        assert lines[0] == COMPARISON_CSV_HEADER
-        assert len(lines) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:2]] == ["noodle", "ce"]
+        assert lines[2:] == [f"wrote {tmp_path / 'out' / 'comparison.json'}"]
         doc = json.loads((tmp_path / "out" / "comparison.json").read_text())
-        assert {row["method"] for row in doc["rows"]} == {"noodle", "ce"}
+        assert [row["method"] for row in doc["rows"]] == ["noodle", "ce"]
         for row in doc["rows"]:
             assert row["seeds"] == 2 and row["failures"] == 0
         assert set(doc["methods"]["noodle"]["per_seed"]) == {"0", "1"}
+
+    def test_sweep_writes_the_documented_files(self, tmp_path):
+        solo = {"name": "solo", "loss_kind": "ce", "lambda": 0.0, "score": "knn", "k": 10}
+        spec_path, _ = _experiment_spec(tmp_path, methods=[solo])
+        out = tmp_path / "out"
+        assert main(["experiment", "--spec", str(spec_path), "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == ["comparison.json", "data", "runs"]
+        assert sorted(path.name for path in (out / "data" / "seed0").iterdir()) == [
+            "ood_far_cluster.csv", "test_id.csv", "train.csv", "val.csv"
+        ]
+        assert sorted(path.name for path in (out / "runs" / "solo" / "seed0").iterdir()) == [
+            "checkpoint.json", "eval_summary.json", "report_ood_far_cluster.json", "store.csv", "trace.json"
+        ]
 
     def test_sweep_matches_a_manual_chain_exactly(self, tmp_path):
         spec_path, spec = _experiment_spec(

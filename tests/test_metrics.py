@@ -20,7 +20,6 @@ from scipy.stats import rankdata
 
 from noodle.files import read_json
 from noodle.metrics import (
-    REPORT_CSV_HEADER,
     ScoreReport,
     auroc,
     average_ranks,
@@ -197,11 +196,9 @@ class TestReports:
         }
         assert path.read_text() == json.dumps(expected, sort_keys=True, indent=1) + "\n"
 
-    def test_csv_row_layout(self, tmp_path):
+    def test_writes_only_the_json_document(self, tmp_path):
         emit_report(self._golden(), tmp_path)
-        lines = (tmp_path / "report_toy.csv").read_text().splitlines()
-        assert lines[0] == REPORT_CSV_HEADER
-        assert lines[1] == "toy,2,2,0.5,0.75,0.875,11,deadbeef"
+        assert [path.name for path in tmp_path.iterdir()] == ["report_toy.json"]
 
     def test_metrics_rederive_bit_identically_after_reload(self, tmp_path):
         # Shortest round-trip floats mean the parsed scores are the same
@@ -232,9 +229,6 @@ class TestReports:
         assert report.fpr95 == fpr_at_tpr(id_scores, ood_scores, 0.5)
         emit_report(report, tmp_path)
         assert read_json(tmp_path / "report_t.json")["tpr"] == 0.5
-
-    def test_header_constant(self):
-        assert REPORT_CSV_HEADER == "dataset,n_id,n_ood,fpr95,auroc,id_accuracy,seed,config_hash"
 
 
 def test_score_report_is_a_plain_dataclass():

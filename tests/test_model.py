@@ -253,6 +253,11 @@ class TestCheckpoint:
             (lambda d: d["weights"][0][2].pop(), "inhomogeneous shape"),
             (lambda d: d["biases"][1].__setitem__(0, None),
              "biases[1] holds a value that is not a finite number"),
+            # NumPy's float() takes a JSON true as 1.0 and "0.5" as 0.5.
+            (lambda d: d["head_bias"].__setitem__(0, True), "head_bias must be a number, got True"),
+            (lambda d: d["weights"][1][0].__setitem__(2, "0.5"), "weights[1] must be a number, got '0.5'"),
+            (lambda d: d["transition_theta"][2].__setitem__(0, False),
+             "transition_theta must be a number, got False"),
         ):
             doc = copy.deepcopy(original)
             edit(doc)
