@@ -16,7 +16,7 @@ from pathlib import Path
 
 from noodle.cli import evaluate, generate_dataset_files
 from noodle.datagen import load_features_csv, load_ood_csv
-from noodle.scoring import select_threshold
+from noodle.scoring import EvalSpec, select_threshold
 from noodle.trainer import TrainConfig, train
 
 GEN = dict(
@@ -46,7 +46,7 @@ def run_method(data_dir, loss_kind, lam, seed):
     result = train(load_features_csv(data_dir / "train.csv"), config)
     ood_sets = [(mode, load_ood_csv(data_dir / f"ood_{mode}.csv")) for mode in GEN["ood_modes"]]
     test = load_features_csv(data_dir / "test_id.csv")
-    return evaluate(result.params, result.store, test, ood_sets, "knn", KNN_K, 0.95, seed,
+    return evaluate(result.params, result.store, test, ood_sets, EvalSpec("knn", KNN_K, 0.95), seed,
                     config.config_hash())
 
 

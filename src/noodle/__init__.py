@@ -9,6 +9,7 @@ sphere, with Mahalanobis / max-softmax / energy baselines.
 """
 
 from .datagen import (
+    DataSpec,
     LabeledSet,
     NoiseSpec,
     inject_symmetric_noise,
@@ -46,6 +47,7 @@ from .model import (
 )
 from .scoring import (
     EmbeddingStore,
+    EvalSpec,
     batch_scores,
     build_store,
     load_store,

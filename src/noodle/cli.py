@@ -14,11 +14,11 @@ environment variables ``NOODLE_OUT`` and ``NOODLE_THREADS`` provide defaults
 for ``--out`` and ``--threads``.
 
 ``run_experiment`` is the one (method x seed) sweep runner, behind ``noodle
-experiment`` and for library callers alike.  ``plan_experiment`` resolves a
-spec into its cells once, so every configuration error is raised before any
-write.  The cells drive the same helper functions as the individual commands
-(including the CSV round trips), so a single-method single-seed sweep
-reproduces a manual gen-data/train/eval chain exactly.
+experiment`` and for library callers alike.  The commands and ``plan_experiment``
+build the same checked settings (``DataSpec``, ``TrainConfig``, ``EvalSpec``),
+so a spec shares each rule and fails before any write.  The cells drive the
+same helpers as the commands (CSV round trips included), so a single-method
+single-seed sweep reproduces a manual gen-data/train/eval chain exactly.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -34,6 +35,7 @@ import numpy as np
 
 from .datagen import (
     OOD_MODES,
+    DataSpec,
     LabeledSet,
     NoiseSpec,
     inject_symmetric_noise,
@@ -44,11 +46,11 @@ from .datagen import (
     save_features_csv,
     save_ood_csv,
 )
-from .files import array_checksum, read_json, require_keys, type_problem, write_json
+from .files import array_checksum, read_json, require_keys, write_json
 from .losses import LOSS_KINDS
 from .metrics import ScoreReport, emit_report, id_accuracy, make_report
 from .model import DivergenceError, MlpParams, forward, load_checkpoint, save_checkpoint
-from .scoring import DEFAULT_KNN_K, SCORE_KINDS, EmbeddingStore, batch_scores, load_store, save_store
+from .scoring import SCORE_KINDS, EmbeddingStore, EvalSpec, batch_scores, load_store, save_store
 from .trainer import TrainConfig, train
 
 EXPERIMENT_FORMAT = "noodle-experiment"
@@ -57,63 +59,31 @@ EXPERIMENT_FORMAT = "noodle-experiment"
 # ---------------------------------------------------------------------------
 # gen-data
 
-GEN_DEFAULTS = dict(
-    classes=4,
-    per_class=500,
-    dim=32,
-    separation=6.0,
-    spread=1.0,
-    noise_rate=0.0,
-    val_per_class=50,
-    test_per_class=250,
-    ood_size=1000,
-    ood_modes=("far_cluster",),
-)
-
-
 def generate_dataset_files(out_dir: Path, seed: int, **overrides) -> list[tuple[Path, int]]:
     """Write train/val/test_id plus one OOD file per mode; returns the manifest.
+    ``overrides`` are :class:`DataSpec` fields, checked before any draw.
 
     One sequential random stream drives everything, so the whole file set is
     a function of ``seed`` alone.  Train, val, and test are slices of a single
     mixture draw (shared class means); label noise touches the train split
     only.
     """
-    p = dict(GEN_DEFAULTS)
-    unknown = sorted(set(overrides) - set(p))
-    if unknown:
-        raise ValueError(f"unknown generator parameters: {', '.join(unknown)}")
-    p.update(overrides)
-    for key, like in GEN_DEFAULTS.items():
-        if problem := type_problem(key, p[key], like):
-            raise ValueError(problem)
-    modes = tuple(p["ood_modes"])
-    for mode in modes:
-        if mode not in OOD_MODES:
-            raise ValueError(f"unknown OOD mode {mode!r}; expected one of {OOD_MODES}")
-    if not modes or len(set(modes)) < len(modes):
-        raise ValueError(f"need one or more distinct OOD modes, got {','.join(modes) or 'none'}")
-    for key in ("per_class", "val_per_class", "test_per_class", "ood_size"):
-        if p[key] < 1:
-            raise ValueError(f"{key} must be >= 1, got {p[key]}")
-
+    p = DataSpec.from_dict(overrides)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    counts = (p["per_class"], p["val_per_class"], p["test_per_class"])
-    full = make_gaussian_mixture(
-        p["classes"], sum(counts), p["dim"], p["separation"], p["spread"], rng
-    )
+    counts = (p.per_class, p.val_per_class, p.test_per_class)
+    full = make_gaussian_mixture(p.classes, sum(counts), p.dim, p.separation, p.spread, rng)
     # Rows come in one block per class; a split is the same slice of each block.
-    features = full.features.reshape(p["classes"], sum(counts), -1)
-    labels = full.clean_labels.reshape(p["classes"], sum(counts))
-    noise = NoiseSpec("symmetric", p["noise_rate"])
+    features = full.features.reshape(p.classes, sum(counts), -1)
+    labels = full.clean_labels.reshape(p.classes, sum(counts))
+    noise = NoiseSpec("symmetric", p.noise_rate)
     bounds = np.cumsum((0, *counts))
     sets = {}
     for name, lo, hi in zip(("train", "val", "test_id"), bounds, bounds[1:]):
         clean = labels[:, lo:hi].ravel()
-        noisy = inject_symmetric_noise(clean, noise, p["classes"], rng) if name == "train" else clean
-        sets[name] = LabeledSet(features[:, lo:hi].reshape(clean.size, -1), clean, noisy, p["classes"])
+        noisy = inject_symmetric_noise(clean, noise, p.classes, rng) if name == "train" else clean
+        sets[name] = LabeledSet(features[:, lo:hi].reshape(clean.size, -1), clean, noisy, p.classes)
     # Every draw comes before the first write, so a failing draw leaves no files.
-    ood = {mode: make_ood_set(sets["train"], p["ood_size"], mode, rng) for mode in modes}
+    ood = {mode: make_ood_set(sets["train"], p.ood_size, mode, rng) for mode in p.ood_modes}
 
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest: list[tuple[Path, int]] = []
@@ -130,7 +100,7 @@ def generate_dataset_files(out_dir: Path, seed: int, **overrides) -> list[tuple[
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
     out_dir = _resolve_out(args.out)
-    params = {key: getattr(args, key) for key in GEN_DEFAULTS}
+    params = {f.name: getattr(args, f.name) for f in fields(DataSpec)}
     params["ood_modes"] = tuple(args.ood_modes.split(","))
     manifest = generate_dataset_files(out_dir, args.seed, **params)
     for path, rows in manifest:
@@ -204,28 +174,24 @@ def cmd_train(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # eval
 
-# Defaults of `noodle eval` and of an experiment method's score/k and eval.tpr.
-EVAL_DEFAULTS = dict(score="knn", k=DEFAULT_KNN_K, tpr=0.95)
-
-
 def evaluate(
     params: MlpParams,
     store: EmbeddingStore,
     id_set: LabeledSet,
     ood_sets: Iterable[tuple[str, np.ndarray]],
-    score: str,
-    k: int,
-    tpr: float,
+    evaluation: EvalSpec,
     seed: int,
     config_hash: str,
 ) -> list[ScoreReport]:
-    """One report per ``(name, features)`` OOD set, against the ID set's scores.
+    """One report per ``(name, features)`` OOD set, against the ID set's scores
+    under ``evaluation``'s score kind, ``k`` and TPR.
 
     The ID set is forwarded once; its accuracy is the argmax over the logits
     against the clean labels.  ``ood_sets`` is consumed lazily, so a generator
     that loads each set keeps at most one OOD feature matrix alive."""
     id_cache = forward(params, id_set.features)
     id_acc = id_accuracy(np.argmax(id_cache.logits, axis=0), id_set.clean_labels)
+    score, k, tpr = evaluation.score, evaluation.k, evaluation.tpr
     id_scores = batch_scores(score, store, id_cache.latent, id_cache.probs, id_cache.logits, k)
     reports = []
     for name, features in ood_sets:
@@ -258,12 +224,13 @@ def run_eval(
     set plus ``eval_summary.json``, their rows and an average row.  Returns
     the summary dict.
 
-    The store must be the one trained with the checkpoint: its checksum must
-    equal the checkpoint meta's ``store_checksum``, so a store of another
-    width, class count, encoder or run is rejected with ``ValueError``, and so
-    are a checkpoint without that key and two OOD files with one stem."""
-    if score not in SCORE_KINDS:
-        raise ValueError(f"unknown score kind {score!r}; expected one of {SCORE_KINDS}")
+    ``score``, ``k`` and ``tpr`` make an :class:`EvalSpec`, checked before
+    any file is read.  The store must be the one trained with the checkpoint:
+    its checksum must equal the checkpoint meta's ``store_checksum``, so a
+    store of another width, class count, encoder or run is rejected with
+    ``ValueError``, and so are a checkpoint without that key and two OOD
+    files with one stem."""
+    evaluation = EvalSpec(score, k, tpr)
     if not ood_paths:
         raise ValueError("need at least one OOD file")
     _check_report_names(ood_paths, "OOD files")
@@ -281,7 +248,7 @@ def run_eval(
     config_hash = meta.get("config_hash", "")
     ood_sets = ((Path(p).stem, load_ood_csv(p)) for p in ood_paths)
     reports = evaluate(
-        params, store, load_features_csv(id_test_path), ood_sets, score, k, tpr, seed, config_hash
+        params, store, load_features_csv(id_test_path), ood_sets, evaluation, seed, config_hash
     )
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -299,9 +266,7 @@ def run_eval(
     summary = {
         "format": "noodle-eval-summary",
         "version": 1,
-        "score": score,
-        "k": k,
-        "tpr": tpr,
+        **asdict(evaluation),
         "seed": seed,
         "config_hash": config_hash,
         "rows": rows,
@@ -342,19 +307,19 @@ METHOD_KEYS = ("name", "loss_kind", "lambda", "score", "k")
 DATASET_FILE_KEYS = ("train_csv", "id_test_csv", "ood_csvs")
 
 
-def plan_experiment(spec, source: str) -> list[dict]:
-    """Check a spec and resolve it into its cells; messages start with ``source``.
+def plan_experiment(spec, source: str) -> tuple[DataSpec | dict, list[dict]]:
+    """Check a spec and resolve it into its data and cells; messages start with ``source``.
 
     Unknown keys (top level, ``noise``, ``eval``, each method), a ``noise_rate``
     in ``dataset`` or a ``seed`` in ``train`` (the runner sets both), repeated
     or non-integer seeds, a mistyped or missing dataset file, two OOD files
     with one stem, a partial file set, and generator keys or ``noise`` beside
     the files are errors, not silent defaults.  So are a method name that is
-    not one path component, and a bad ``k``, ``eval.tpr``, ``out`` or train
-    config, which would only fail once cells run.  Returns one cell per
-    (method, seed), method-major: ``name``, ``seed``, ``config`` (``train`` <-
-    the method's ``loss_kind``/``lambda`` <- the seed, through
-    ``TrainConfig.from_dict``), ``score``, ``k`` and ``tpr``."""
+    not one path component, a bad ``out`` and any section its checked object
+    rejects.  Returns the spec's dataset files or a :class:`DataSpec`, and
+    one cell per (method, seed), method-major: ``name``, ``seed``,
+    ``config`` (``train`` <- the method's ``loss_kind``/``lambda`` <- the seed,
+    through ``TrainConfig.from_dict``) and ``eval`` (an :class:`EvalSpec`)."""
     if not isinstance(spec, dict):
         raise ValueError(f"{source}: experiment spec must be a JSON object")
     methods = spec.get("methods", [])
@@ -386,20 +351,10 @@ def plan_experiment(spec, source: str) -> list[dict]:
             )
     if len(set(names)) != len(names):
         raise ValueError(f"{source}: every method needs a unique name")
-    methods = [{"score": EVAL_DEFAULTS["score"], "k": EVAL_DEFAULTS["k"], **m} for m in methods]
     for m in methods:
         extra = sorted(set(m) - set(METHOD_KEYS))
         if extra:
             raise ValueError(f"{source}: method {m['name']!r} has unknown keys: {', '.join(extra)}")
-        if m["score"] not in SCORE_KINDS:
-            raise ValueError(f"{source}: method {m['name']!r} has unknown score kind")
-        if type(m["k"]) is not int or m["k"] < 1:
-            raise ValueError(f"{source}: method {m['name']!r} needs an integer k >= 1, got {m['k']!r}")
-    tpr = eval_doc.get("tpr", EVAL_DEFAULTS["tpr"])
-    if type(tpr) not in (int, float) or not 0.0 < tpr <= 1.0:
-        raise ValueError(f"{source}: eval.tpr must be a number in (0, 1], got {tpr!r}")
-    if problem := type_problem("noise.rate", noise.get("rate", 0.0), 0.0):
-        raise ValueError(f"{source}: {problem}")
     out = spec.get("out")
     if out is not None and not isinstance(out, str):
         raise ValueError(f"{source}: out must be a directory path string, got {out!r}")
@@ -424,17 +379,25 @@ def plan_experiment(spec, source: str) -> list[dict]:
     ignored = sorted(set(dataset) - set(DATASET_FILE_KEYS)) + (["noise"] if noise else [])
     if given and ignored:
         raise ValueError(f"{source}: dataset files are given, so {', '.join(ignored)} would be ignored")
+    try:  # a given file set is exactly the dataset section, and noise is empty
+        data = dataset if given else DataSpec.from_dict(dict(dataset, noise_rate=NoiseSpec(**noise).rate))
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from exc
+    try:
+        evaluation = EvalSpec(**eval_doc)
+    except ValueError as exc:
+        raise ValueError(f"{source}: eval.{exc}") from exc
 
     cells = []
     for m in methods:
         overrides = {key: m[key] for key in ("loss_kind", "lambda") if key in m}
         try:
+            method_eval = replace(evaluation, **{key: m[key] for key in ("score", "k") if key in m})
             configs = [TrainConfig.from_dict({**train, **overrides, "seed": seed}) for seed in seeds]
         except ValueError as exc:
             raise ValueError(f"{source}: method {m['name']!r}: {exc}") from exc
-        resolved = {"name": m["name"], "score": m["score"], "k": m["k"], "tpr": float(tpr)}
-        cells += [dict(resolved, seed=seed, config=config) for seed, config in zip(seeds, configs)]
-    return cells
+        cells += [dict(name=m["name"], seed=s, config=c, eval=method_eval) for s, c in zip(seeds, configs)]
+    return data, cells
 
 
 def load_experiment_spec(path: Path) -> dict:
@@ -454,9 +417,7 @@ def _run_cell(cell: dict) -> dict:
             run_dir / "store",
             Path(cell["id_test_csv"]),
             [Path(p) for p in cell["ood_csvs"]],
-            cell["score"],
-            cell["k"],
-            cell["tpr"],
+            *astuple(cell["eval"]),  # score, k, tpr
             cell["seed"],
             run_dir,
         )
@@ -476,18 +437,16 @@ def run_experiment(spec: dict, spec_file: str, out_dir: Path, threads: int) -> d
     and does not stop the sweep.  With ``threads`` > 1 the cells run in that
     many worker processes, and every output is byte-identical to a serial run.
     The comparison is also written to ``comparison.json``."""
-    cells = plan_experiment(spec, spec_file)
+    data, cells = plan_experiment(spec, spec_file)
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    dataset = spec.get("dataset", {})
 
     data_files: dict[int, dict] = {}
-    for seed in spec["seeds"]:
-        if "train_csv" in dataset:
-            data_files[seed] = {key: dataset[key] for key in DATASET_FILE_KEYS}
+    for seed in dict.fromkeys(cell["seed"] for cell in cells):
+        if isinstance(data, dict):
+            data_files[seed] = data
             continue
-        gen_params = dict(dataset, noise_rate=float(spec.get("noise", {}).get("rate", 0.0)))
-        manifest = generate_dataset_files(out_dir / "data" / f"seed{seed}", seed, **gen_params)
+        manifest = generate_dataset_files(out_dir / "data" / f"seed{seed}", seed, **asdict(data))
         paths = {p.stem: p for p, _ in manifest}
         data_files[seed] = {
             "train_csv": str(paths["train"]),
@@ -505,7 +464,7 @@ def run_experiment(spec: dict, spec_file: str, out_dir: Path, threads: int) -> d
         results = [_run_cell(cell) for cell in cells]
 
     rows, by_method = [], {}
-    for name in [method["name"] for method in spec["methods"]]:
+    for name in dict.fromkeys(cell["name"] for cell in cells):
         mine = [(c["seed"], r) for c, r in zip(cells, results) if c["name"] == name]
         summaries = {seed: r["summary"] for seed, r in mine if r["ok"]}
         failures = {seed: r["error"] for seed, r in mine if not r["ok"]}
@@ -535,7 +494,7 @@ def run_experiment(spec: dict, spec_file: str, out_dir: Path, threads: int) -> d
 def cmd_experiment(args: argparse.Namespace) -> int:
     spec_path = Path(args.spec)
     spec = load_experiment_spec(spec_path)
-    out_dir = Path(args.out) if args.out else Path(spec.get("out") or _require_out())
+    out_dir = _resolve_out(args.out or spec.get("out"))
     threads = _env_threads() if args.threads is None else args.threads
     comparison = run_experiment(spec, spec_path.name, out_dir, threads)
 
@@ -556,11 +515,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 # wiring
 
 
-def _require_out() -> str:
-    out = os.environ.get("NOODLE_OUT")
+def _resolve_out(flag_value: str | None) -> Path:
+    out = flag_value or os.environ.get("NOODLE_OUT")
     if not out:
         raise ValueError("no output directory: pass --out or set NOODLE_OUT")
-    return out
+    return Path(out)
 
 
 def _env_threads() -> int:
@@ -569,10 +528,6 @@ def _env_threads() -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"NOODLE_THREADS must be an integer, got {raw!r}") from None
-
-
-def _resolve_out(flag_value: str | None) -> Path:
-    return Path(flag_value if flag_value else _require_out())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -585,12 +540,12 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen-data", help="write synthetic ID/OOD CSV files")
     g.add_argument("--out", help="output directory (or NOODLE_OUT)")
     g.add_argument("--seed", type=int, default=0)
-    for key, default in GEN_DEFAULTS.items():
-        flag = "--" + key.replace("_", "-")
-        if key == "ood_modes":
-            g.add_argument(flag, default=",".join(default), help=f"comma-separated subset of {OOD_MODES}")
+    for f in fields(DataSpec):
+        flag = "--" + f.name.replace("_", "-")
+        if f.name == "ood_modes":
+            g.add_argument(flag, default=",".join(f.default), help=f"comma-separated subset of {OOD_MODES}")
         else:
-            g.add_argument(flag, type=type(default), default=default)
+            g.add_argument(flag, type=type(f.default), default=f.default)
     g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", help="train a model and build the reference store")
@@ -606,9 +561,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--store", required=True, help="store base path (without .csv)")
     e.add_argument("--id-test", required=True)
     e.add_argument("--ood", action="append", required=True, help="repeatable OOD CSV path")
-    e.add_argument("--score", choices=SCORE_KINDS, default=EVAL_DEFAULTS["score"])
-    e.add_argument("--k", type=int, default=EVAL_DEFAULTS["k"])
-    e.add_argument("--tpr", type=float, default=EVAL_DEFAULTS["tpr"])
+    e.add_argument("--score", choices=SCORE_KINDS, default=EvalSpec.score)
+    e.add_argument("--k", type=int, default=EvalSpec.k)
+    e.add_argument("--tpr", type=float, default=EvalSpec.tpr)
     e.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
     e.add_argument("--out", help="output directory (or NOODLE_OUT)")
     e.set_defaults(func=cmd_eval)

@@ -12,11 +12,11 @@ Out-of-distribution files use the same schema with both label columns -1.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .files import read_table, write_table
+from .files import read_table, type_problem, write_table
 
 OOD_MODES = ("far_cluster", "uniform_shell")
 
@@ -24,16 +24,58 @@ OOD_MODES = ("far_cluster", "uniform_shell")
 @dataclass(frozen=True)
 class NoiseSpec:
     """Label corruption model. ``rate`` is the probability a label is flipped;
-    checked on construction."""
+    checked on construction, types first (named as a spec's ``noise.<field>``)."""
 
     kind: str = "symmetric"
     rate: float = 0.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if problem := type_problem(f"noise.{f.name}", getattr(self, f.name), f.default):
+                raise ValueError(problem)
         if self.kind != "symmetric":
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"noise rate must be in [0, 1], got {self.rate}")
+
+
+@dataclass(frozen=True)
+class DataSpec:
+    """A generated file set's parameters, checked on construction: types first, then
+    known, distinct OOD modes and sizes >= 1; NoiseSpec checks the rate's range."""
+
+    classes: int = 4
+    per_class: int = 500
+    dim: int = 32
+    separation: float = 6.0
+    spread: float = 1.0
+    noise_rate: float = 0.0
+    val_per_class: int = 50
+    test_per_class: int = 250
+    ood_size: int = 1000
+    ood_modes: tuple[str, ...] = ("far_cluster",)
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if problem := type_problem(f.name, getattr(self, f.name), f.default):
+                raise ValueError(problem)
+        modes = tuple(self.ood_modes)
+        object.__setattr__(self, "ood_modes", modes)
+        if unknown := [mode for mode in modes if mode not in OOD_MODES]:
+            raise ValueError(f"unknown OOD mode {unknown[0]!r}; expected one of {OOD_MODES}")
+        if not modes or len(set(modes)) < len(modes):
+            raise ValueError(f"need one or more distinct OOD modes, got {','.join(modes) or 'none'}")
+        for key in ("per_class", "val_per_class", "test_per_class", "ood_size"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        NoiseSpec(rate=self.noise_rate)
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "DataSpec":
+        """Build from a JSON dict; an unknown key is an error, not a silent default."""
+        if unknown := sorted(set(doc) - {f.name for f in fields(cls)}):
+            raise ValueError(f"unknown generator parameters: {', '.join(unknown)}")
+        return cls(**doc)
 
 
 @dataclass

@@ -242,6 +242,16 @@ def save_checkpoint(
     write_json(path, doc)
 
 
+def _float_array(name: str, raw, ndim: int) -> np.ndarray:
+    """A JSON array ``ndim`` lists deep as floats, once each entry is a JSON number or null."""
+    entries = [raw]
+    for _ in range(ndim):
+        entries = [v for level in entries if isinstance(level, list) for v in level]
+    if bad := [v for v in entries if v is not None and type(v) not in (int, float)]:
+        raise ValueError(type_problem(name, bad[0], 0.0))
+    return np.array(raw, dtype=float)
+
+
 def load_checkpoint(path: str | os.PathLike) -> tuple[MlpParams, np.ndarray | None, dict]:
     """Inverse of :func:`save_checkpoint`.
 
@@ -260,12 +270,12 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[MlpParams, np.ndarray | No
     raw_theta = doc.get("transition_theta")
     try:
         params = MlpParams(
-            [np.array(w, dtype=float) for w in doc["weights"]],
-            [np.array(b, dtype=float) for b in doc["biases"]],
-            np.array(doc["head_weight"], dtype=float),
-            np.array(doc["head_bias"], dtype=float),
+            [_float_array(f"weights[{i}]", w, 2) for i, w in enumerate(doc["weights"])],
+            [_float_array(f"biases[{i}]", b, 1) for i, b in enumerate(doc["biases"])],
+            _float_array("head_weight", doc["head_weight"], 2),
+            _float_array("head_bias", doc["head_bias"], 1),
         )
-        theta = None if raw_theta is None else np.array(raw_theta, dtype=float)
+        theta = None if raw_theta is None else _float_array("transition_theta", raw_theta, 2)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     layers = len(params.weights)
@@ -277,15 +287,11 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[MlpParams, np.ndarray | No
     fan_ins = (params.in_dim, *widths[:-1])
     expected = [*zip(widths, fan_ins), *((w,) for w in widths), (k, widths[-1]), (k,), (k, k)]
     arrays = params.arrays() if theta is None else [*params.arrays(), theta]
-    raws = [*doc["weights"], *doc["biases"], doc["head_weight"], doc["head_bias"], raw_theta]
-    for name, array, raw, shape in zip([*params.names(), "transition_theta"], arrays, raws, expected):
+    for name, array, shape in zip([*params.names(), "transition_theta"], arrays, expected):
         if array.shape != shape:
             raise ValueError(f"{path}: {name} has shape {array.shape}, expected {shape}")
         if not np.isfinite(array).all():  # JSON null, NaN or Infinity
             raise ValueError(f"{path}: {name} holds a value that is not a finite number")
-        # float() took a bool or a numeric string above; the JSON entry must be a number.
-        if bad := [v for v in np.array(raw, dtype=object).flat if type(v) not in (int, float)]:
-            raise ValueError(f"{path}: {type_problem(name, bad[0], 0.0)}")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: meta is not a JSON object")

@@ -39,6 +39,25 @@ _KNN_EXTRA = 16
 _GRAM_SLACK = 1e-12
 
 
+@dataclass(frozen=True)
+class EvalSpec:
+    """How a run is scored: the kind, ``k`` (an integer >= 1 for every kind; ``knn``
+    uses it) and the FPR threshold's TPR in (0, 1], a float.  Checked when built."""
+
+    score: str = "knn"
+    k: int = DEFAULT_KNN_K
+    tpr: float = 0.95
+
+    def __post_init__(self) -> None:
+        if self.score not in SCORE_KINDS:
+            raise ValueError(f"unknown score kind {self.score!r}; expected one of {SCORE_KINDS}")
+        if type(self.k) is not int or self.k < 1:
+            raise ValueError(f"need an integer k >= 1, got {self.k!r}")
+        if type(self.tpr) not in (int, float) or not 0.0 < self.tpr <= 1.0:
+            raise ValueError(f"tpr must be a number in (0, 1], got {self.tpr!r}")
+        object.__setattr__(self, "tpr", float(self.tpr))
+
+
 @dataclass
 class EmbeddingStore:
     """Immutable bundle of normalized ID reference embeddings and the

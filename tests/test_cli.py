@@ -23,7 +23,6 @@ import pytest
 
 import noodle
 from noodle.cli import (
-    GEN_DEFAULTS,
     METHOD_KEYS,
     SPEC_KEYS,
     build_parser,
@@ -35,7 +34,7 @@ from noodle.cli import (
     run_experiment,
     run_training,
 )
-from noodle.datagen import load_features_csv
+from noodle.datagen import DataSpec, load_features_csv
 from noodle.files import array_checksum, read_json
 from noodle.metrics import auroc, fpr_at_tpr
 from noodle.model import DivergenceError
@@ -191,10 +190,11 @@ class TestGenData:
         assert (tmp_path / "ood_far_cluster.csv").exists()
 
     def test_defaults_match_documented_values(self):
-        assert GEN_DEFAULTS["classes"] == 4
-        assert GEN_DEFAULTS["per_class"] == 500
-        assert GEN_DEFAULTS["dim"] == 32
-        assert GEN_DEFAULTS["ood_modes"] == ("far_cluster",)
+        defaults = DataSpec()
+        assert defaults.classes == 4
+        assert defaults.per_class == 500
+        assert defaults.dim == 32
+        assert defaults.ood_modes == ("far_cluster",)
 
 
 class TestTrainCommand:
@@ -507,6 +507,11 @@ class TestEvalCommand:
         # NumPy's float() takes a JSON true as 1.0 and "0.5" as 0.5.
         bool_bias = checkpoint_edit(lambda doc: doc["head_bias"].__setitem__(0, True))
         string_bias = checkpoint_edit(lambda doc: doc["head_bias"].__setitem__(0, "0.5"))
+        # NumPy's own message for these named the file but not the array.
+        word_bias, list_bias, object_bias = (
+            checkpoint_edit(lambda doc, v=value: doc["head_bias"].__setitem__(0, v))
+            for value in ("abc", [1], {"a": 1})
+        )
         ragged_doc = json.loads(ragged((run_dir / "checkpoint.json").read_text().splitlines())[0])
         with pytest.raises(ValueError, match="inhomogeneous shape") as numpy_error:
             np.array(ragged_doc["weights"][0], dtype=float)
@@ -524,6 +529,9 @@ class TestEvalCommand:
             ("ragged", "checkpoint.json", ragged, str(numpy_error.value)),
             ("bool_bias", "checkpoint.json", bool_bias, "head_bias must be a number, got True"),
             ("string_bias", "checkpoint.json", string_bias, "head_bias must be a number, got '0.5'"),
+            ("word_bias", "checkpoint.json", word_bias, "head_bias must be a number, got 'abc'"),
+            ("list_bias", "checkpoint.json", list_bias, "head_bias must be a number, got [1]"),
+            ("object_bias", "checkpoint.json", object_bias, "head_bias must be a number, got {'a': 1}"),
         ):
             copy = tmp_path / name
             shutil.copytree(run_dir, copy)
@@ -537,6 +545,37 @@ class TestEvalCommand:
             assert main(command.split()) == 2, name
             assert capsys.readouterr().err == f"error: {path}: {message}\n", name
             assert not out.exists(), name
+
+    def test_bad_settings_exit_2_alike_from_eval_and_a_spec_before_any_read(
+        self, tmp_path, data_dir, run_dir, monkeypatch, capsys
+    ):
+        # `noodle eval` took any k for msp and energy (exit 0, k recorded as
+        # given) and refused k=0 for knn only after reading every input, while
+        # a spec refused all of them.  Both now build one EvalSpec first.  A
+        # spec's tpr is its eval section's, so that section names it.
+        def no_read(path):
+            pytest.fail(f"{path} was read before the settings were checked")
+
+        monkeypatch.setattr("noodle.cli.load_checkpoint", no_read)
+        spec_path, out = tmp_path / "spec.json", tmp_path / "out"
+        for score, k, tpr, where, message in (
+            ("msp", 0, 0.95, "method 'a': ", "need an integer k >= 1, got 0"),
+            ("energy", -3, 0.95, "method 'a': ", "need an integer k >= 1, got -3"),
+            ("knn", 0, 0.95, "method 'a': ", "need an integer k >= 1, got 0"),
+            ("knn", 50, 0.0, "eval.", "tpr must be a number in (0, 1], got 0.0"),
+        ):
+            command = (
+                f"eval --checkpoint {run_dir}/checkpoint.json --store {run_dir}/store --id-test "
+                f"{data_dir}/test_id.csv --ood {data_dir}/ood_far_cluster.csv --out {out} "
+                f"--score {score} --k {k} --tpr {tpr}"
+            )
+            assert main(command.split()) == 2, message
+            assert capsys.readouterr().err == f"error: {message}\n"
+            spec = {"methods": [{"name": "a", "score": score, "k": k}], "seeds": [0], "eval": {"tpr": tpr}}
+            spec_path.write_text(json.dumps(spec))
+            assert main(["experiment", "--spec", str(spec_path), "--out", str(out)]) == 2, message
+            assert capsys.readouterr().err == f"error: {spec_path}: {where}{message}\n"
+            assert not out.exists(), message
 
     def test_unknown_score_kind_rejected(self, tmp_path, data_dir, run_dir):
         with pytest.raises(ValueError, match="unknown score kind"):
@@ -820,6 +859,24 @@ class TestExperiment:
         assert main(["experiment", "--spec", str(path)]) == 2
         assert "out must be a directory path string" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+    def test_generator_errors_come_from_the_planner(self, tmp_path):
+        # These failed only in the runner's data generation, without the spec's name.
+        path = tmp_path / "spec.json"
+        for section, message in (
+            ({"dataset": {"classes": "3"}}, "classes must be an integer, got '3'"),
+            ({"dataset": {"ood_size": 0}}, "ood_size must be >= 1, got 0"),
+            ({"dataset": {"ood_modes": []}}, "need one or more distinct OOD modes, got none"),
+            ({"noise": {"rate": 1.5}}, "noise rate must be in [0, 1], got 1.5"),
+        ):
+            spec = {"methods": [{"name": "a"}], "seeds": [0], **section}
+            path.write_text(json.dumps(spec))
+            with pytest.raises(ValueError) as err:
+                load_experiment_spec(path)
+            assert str(err.value) == f"{path}: {message}"
+            with pytest.raises(ValueError) as err:
+                plan_experiment(spec, "spec.json")
+            assert str(err.value) == f"spec.json: {message}"
 
     def test_missing_dataset_file_exits_2(self, tmp_path, capsys):
         spec = {

@@ -171,6 +171,16 @@ class TestNoiseInjection:
         with pytest.raises(FrozenInstanceError):
             NoiseSpec().rate = 2.0
 
+    def test_spec_checks_its_types_before_the_range(self):
+        # A bool was taken as rate 1.0, and a string was a bare TypeError.
+        for kwargs, message in (
+            ({"rate": True}, "noise.rate must be a number, got True"),
+            ({"rate": "0.4"}, "noise.rate must be a number, got '0.4'"),
+            ({"kind": 5}, "noise.kind must be a string, got 5"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                NoiseSpec(**kwargs)
+
 
 class TestCsvRoundTrip:
     @settings(max_examples=40, deadline=None)

@@ -2,8 +2,9 @@
 (the package ``__init__`` files are exempt, since their imports are
 re-exports), every re-export of the package is used by the package, a demo
 or the benchmark, the package imports exactly the third-party modules that
-``pyproject.toml`` declares, importing it loads no ``scipy`` module, and no
-class of the package defines a ``validate`` method."""
+``pyproject.toml`` declares, importing it loads no ``scipy`` module, no
+class of the package defines a ``validate`` method, and the CLI neither
+calls ``type_problem`` nor tests membership in a list of kinds."""
 
 from __future__ import annotations
 
@@ -136,4 +137,26 @@ def test_no_class_defines_validate():
         for node in cls.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "validate"
     ]
+    assert found == []
+
+
+KIND_LISTS = ("SCORE_KINDS", "OOD_MODES", "LOSS_KINDS")
+
+
+def test_cli_leaves_each_rule_to_its_object():
+    # The checked objects own the type rules and the kind lists; a copy of
+    # one in the CLI is how `noodle eval` and a spec came to disagree.
+    # argparse `choices=` only offers the kinds, so it stays allowed.
+    def name(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    path = ROOT / "src/noodle/cli.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and name(node.func) == "type_problem":
+            found.append(f"{node.lineno}: calls type_problem")
+        if isinstance(node, ast.Compare):
+            for op, right in zip(node.ops, node.comparators):
+                if isinstance(op, (ast.In, ast.NotIn)) and name(right) in KIND_LISTS:
+                    found.append(f"{node.lineno}: tests membership in {name(right)}")
     assert found == []

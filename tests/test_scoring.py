@@ -4,6 +4,8 @@ detection, and store persistence."""
 from __future__ import annotations
 
 import math
+import re
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from noodle.scoring import (
     DEFAULT_KNN_K,
     ZERO_QUERY_SCORE,
     EmbeddingStore,
+    EvalSpec,
     batch_scores,
     build_store,
     load_store,
@@ -453,3 +456,29 @@ class TestPersistence:
 
 def test_default_knn_k_is_fifty():
     assert DEFAULT_KNN_K == 50
+
+
+class TestEvalSpec:
+    def test_defaults_and_a_float_tpr(self):
+        assert EvalSpec() == EvalSpec("knn", DEFAULT_KNN_K, 0.95)
+        # A spec's integer tpr is written as a float, as before.
+        assert repr(EvalSpec(tpr=1).tpr) == "1.0"
+
+    def test_every_rule_holds_for_every_score_kind(self):
+        for kwargs, message in (
+            ({"score": "cosine"}, "unknown score kind 'cosine'; expected one of"),
+            ({"score": "msp", "k": 0}, "need an integer k >= 1, got 0"),
+            ({"score": "energy", "k": -3}, "need an integer k >= 1, got -3"),
+            ({"k": 2.5}, "need an integer k >= 1, got 2.5"),
+            ({"k": True}, "need an integer k >= 1, got True"),
+            ({"score": "mahalanobis", "tpr": 0}, "tpr must be a number in (0, 1], got 0"),
+            ({"tpr": 1.5}, "tpr must be a number in (0, 1], got 1.5"),
+            ({"tpr": "0.9"}, "tpr must be a number in (0, 1], got '0.9'"),
+            ({"tpr": float("nan")}, "tpr must be a number in (0, 1], got nan"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                EvalSpec(**kwargs)
+
+    def test_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            EvalSpec().k = 0
