@@ -46,7 +46,7 @@ from .datagen import (
     save_features_csv,
     save_ood_csv,
 )
-from .files import array_checksum, read_json, require_keys, write_json
+from .files import array_checksum, read_json, reject_unknown, require_keys, write_json
 from .losses import LOSS_KINDS
 from .metrics import ScoreReport, emit_report, id_accuracy, make_report
 from .model import DivergenceError, MlpParams, forward, load_checkpoint, save_checkpoint
@@ -308,95 +308,91 @@ DATASET_FILE_KEYS = ("train_csv", "id_test_csv", "ood_csvs")
 
 
 def plan_experiment(spec, source: str) -> tuple[DataSpec | dict, list[dict]]:
-    """Check a spec and resolve it into its data and cells; messages start with ``source``.
+    """Check a spec and resolve it into its data and cells; every error starts with ``source``.
 
-    Unknown keys (top level, ``noise``, ``eval``, each method), a ``noise_rate``
-    in ``dataset`` or a ``seed`` in ``train`` (the runner sets both), repeated
-    or non-integer seeds, a mistyped or missing dataset file, two OOD files
-    with one stem, a partial file set, and generator keys or ``noise`` beside
-    the files are errors, not silent defaults.  So are a method name that is
-    not one path component, a bad ``out`` and any section its checked object
-    rejects.  Returns the spec's dataset files or a :class:`DataSpec`, and
-    one cell per (method, seed), method-major: ``name``, ``seed``,
-    ``config`` (``train`` <- the method's ``loss_kind``/``lambda`` <- the seed,
-    through ``TrainConfig.from_dict``) and ``eval`` (an :class:`EvalSpec`)."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"{source}: experiment spec must be a JSON object")
-    methods = spec.get("methods", [])
-    seeds = spec.get("seeds", [])
-    if not isinstance(methods, list) or not isinstance(seeds, list):
-        raise ValueError(f"{source}: methods and seeds must be JSON lists")
-    sections = [spec.get(key, {}) for key in ("dataset", "noise", "train", "eval")]
-    if not all(isinstance(doc, dict) for doc in [*sections, *methods]):
-        raise ValueError(f"{source}: dataset, noise, train, eval and each method must be objects")
-    dataset, noise, train, eval_doc = sections
-    for where, doc, allowed in (
-        ("spec", spec, SPEC_KEYS),
-        ("noise", noise, ("rate",)),
-        ("eval", eval_doc, ("tpr",)),
-    ):
-        unknown = sorted(set(doc) - set(allowed))
-        if unknown:
-            raise ValueError(f"{source}: unknown {where} keys: {', '.join(unknown)}")
-    if not methods or not seeds:
-        raise ValueError(f"{source}: need at least one method and one seed")
-    if any(type(s) is not int for s in seeds) or len(set(seeds)) != len(seeds):
-        raise ValueError(f"{source}: seeds must be distinct integers, got {seeds}")
-    names = [m.get("name") for m in methods]
-    for name in names:
-        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
-            raise ValueError(
-                f"{source}: a method name must be one path component (a non-empty string "
-                f"without / or \\, not . or ..), got {name!r}"
-            )
-    if len(set(names)) != len(names):
-        raise ValueError(f"{source}: every method needs a unique name")
-    for m in methods:
-        extra = sorted(set(m) - set(METHOD_KEYS))
-        if extra:
-            raise ValueError(f"{source}: method {m['name']!r} has unknown keys: {', '.join(extra)}")
-    out = spec.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ValueError(f"{source}: out must be a directory path string, got {out!r}")
-    if "noise_rate" in dataset:
-        raise ValueError(f"{source}: the noise rate belongs in noise.rate, not dataset")
-    if "seed" in train:
-        raise ValueError(f"{source}: the training seeds belong in seeds, not train")
-    files = [dataset[k] for k in ("train_csv", "id_test_csv") if k in dataset]
-    ood_csvs = dataset.get("ood_csvs", [])
-    if "ood_csvs" in dataset and (not isinstance(ood_csvs, list) or not ood_csvs):
-        raise ValueError(f"{source}: dataset.ood_csvs must be a non-empty list, got {ood_csvs!r}")
-    for file in [*files, *ood_csvs]:
-        if not isinstance(file, str):
-            raise ValueError(f"{source}: a dataset file must be a path string, got {file!r}")
-        if not Path(file).exists():
-            raise FileNotFoundError(f"{source}: dataset file missing: {file}")
-    _check_report_names(ood_csvs, f"{source}: ood_csvs")
-    given = [k for k in DATASET_FILE_KEYS if k in dataset]
-    missing = [k for k in DATASET_FILE_KEYS if k not in dataset]
-    if given and missing:
-        raise ValueError(f"{source}: dataset gives {', '.join(given)} but not {', '.join(missing)}")
-    ignored = sorted(set(dataset) - set(DATASET_FILE_KEYS)) + (["noise"] if noise else [])
-    if given and ignored:
-        raise ValueError(f"{source}: dataset files are given, so {', '.join(ignored)} would be ignored")
-    try:  # a given file set is exactly the dataset section, and noise is empty
-        data = dataset if given else DataSpec.from_dict(dict(dataset, noise_rate=NoiseSpec(**noise).rate))
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from exc
+    Unknown keys (top level, ``noise``, ``eval``, each method), a ``format`` or
+    ``version`` other than this one's, a ``noise_rate`` in ``dataset`` or a
+    ``seed`` in ``train`` (the runner sets both), repeated or non-integer seeds,
+    a mistyped or missing dataset file, two OOD files with one stem, a partial
+    file set, and generator keys or ``noise`` beside the files are errors, not
+    silent defaults.  So are a method name that is not one path component, a
+    bad ``out`` and any section its checked object rejects.  Returns the spec's
+    dataset files or a :class:`DataSpec`, and one cell per (method, seed),
+    method-major: ``name``, ``seed``, ``config`` (``train`` <- the method's
+    ``loss_kind``/``lambda`` <- the seed, through ``TrainConfig.from_dict``)
+    and ``eval`` (an :class:`EvalSpec`)."""
     try:
-        evaluation = EvalSpec(**eval_doc)
-    except ValueError as exc:
-        raise ValueError(f"{source}: eval.{exc}") from exc
-
-    cells = []
-    for m in methods:
-        overrides = {key: m[key] for key in ("loss_kind", "lambda") if key in m}
+        if not isinstance(spec, dict):
+            raise ValueError("experiment spec must be a JSON object")
+        methods = spec.get("methods", [])
+        seeds = spec.get("seeds", [])
+        if not isinstance(methods, list) or not isinstance(seeds, list):
+            raise ValueError("methods and seeds must be JSON lists")
+        sections = [spec.get(key, {}) for key in ("dataset", "noise", "train", "eval")]
+        if not all(isinstance(doc, dict) for doc in [*sections, *methods]):
+            raise ValueError("dataset, noise, train, eval and each method must be objects")
+        dataset, noise, train, eval_doc = sections
+        reject_unknown(spec, SPEC_KEYS, "spec keys")
+        reject_unknown(noise, ("rate",), "noise keys")
+        reject_unknown(eval_doc, ("tpr",), "eval keys")
+        for key, value in (("format", EXPERIMENT_FORMAT), ("version", 1)):
+            if key in spec and (type(spec[key]) is not type(value) or spec[key] != value):
+                raise ValueError(f"{key} must be {value!r}, got {spec[key]!r}")
+        if not methods or not seeds:
+            raise ValueError("need at least one method and one seed")
+        if any(type(s) is not int for s in seeds) or len(set(seeds)) != len(seeds):
+            raise ValueError(f"seeds must be distinct integers, got {seeds}")
+        names = [m.get("name") for m in methods]
+        for name in names:
+            if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+                raise ValueError(
+                    "a method name must be one path component (a non-empty string "
+                    f"without / or \\, not . or ..), got {name!r}"
+                )
+        if len(set(names)) != len(names):
+            raise ValueError("every method needs a unique name")
+        out = spec.get("out")
+        if out is not None and not isinstance(out, str):
+            raise ValueError(f"out must be a directory path string, got {out!r}")
+        if "noise_rate" in dataset:
+            raise ValueError("the noise rate belongs in noise.rate, not dataset")
+        if "seed" in train:
+            raise ValueError("the training seeds belong in seeds, not train")
+        files = [dataset[k] for k in ("train_csv", "id_test_csv") if k in dataset]
+        ood_csvs = dataset.get("ood_csvs", [])
+        if "ood_csvs" in dataset and (not isinstance(ood_csvs, list) or not ood_csvs):
+            raise ValueError(f"dataset.ood_csvs must be a non-empty list, got {ood_csvs!r}")
+        for file in [*files, *ood_csvs]:
+            if not isinstance(file, str):
+                raise ValueError(f"a dataset file must be a path string, got {file!r}")
+            if not Path(file).exists():
+                raise FileNotFoundError(f"dataset file missing: {file}")
+        _check_report_names(ood_csvs, "ood_csvs")
+        given = [k for k in DATASET_FILE_KEYS if k in dataset]
+        missing = [k for k in DATASET_FILE_KEYS if k not in dataset]
+        if given and missing:
+            raise ValueError(f"dataset gives {', '.join(given)} but not {', '.join(missing)}")
+        ignored = [k for k in sorted(dataset) if k not in DATASET_FILE_KEYS] + (["noise"] if noise else [])
+        if given and ignored:
+            raise ValueError(f"dataset files are given, so {', '.join(ignored)} would be ignored")
+        # A given file set is exactly the dataset section, and noise is empty.
+        data = dataset if given else DataSpec.from_dict(dict(dataset, noise_rate=NoiseSpec(**noise).rate))
         try:
-            method_eval = replace(evaluation, **{key: m[key] for key in ("score", "k") if key in m})
-            configs = [TrainConfig.from_dict({**train, **overrides, "seed": seed}) for seed in seeds]
+            evaluation = EvalSpec(**eval_doc)
         except ValueError as exc:
-            raise ValueError(f"{source}: method {m['name']!r}: {exc}") from exc
-        cells += [dict(name=m["name"], seed=s, config=c, eval=method_eval) for s, c in zip(seeds, configs)]
+            raise ValueError(f"eval.{exc}") from exc
+        cells = []
+        for m in methods:
+            try:
+                reject_unknown(m, METHOD_KEYS, "method keys")
+                overrides = {key: m[key] for key in ("loss_kind", "lambda") if key in m}
+                method_eval = replace(evaluation, **{key: m[key] for key in ("score", "k") if key in m})
+                configs = [TrainConfig.from_dict({**train, **overrides, "seed": seed}) for seed in seeds]
+            except ValueError as exc:
+                raise ValueError(f"method {m['name']!r}: {exc}") from exc
+            cells += [dict(name=m["name"], seed=s, config=c, eval=method_eval) for s, c in zip(seeds, configs)]
+    except (ValueError, FileNotFoundError) as exc:
+        raise type(exc)(f"{source}: {exc}") from exc
     return data, cells
 
 
@@ -584,7 +580,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .files import read_table, type_problem, write_table
+from .files import read_table, reject_unknown, type_problem, write_table
 
 OOD_MODES = ("far_cluster", "uniform_shell")
 
@@ -41,8 +41,10 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class DataSpec:
-    """A generated file set's parameters, checked on construction: types first, then
-    known, distinct OOD modes and sizes >= 1; NoiseSpec checks the rate's range."""
+    """A generated file set's parameters, checked on construction before any
+    draw: types first, then known, distinct OOD modes, ``classes`` >= 2, every
+    other size and ``dim`` >= 1, a finite ``separation`` and ``spread`` > 0;
+    NoiseSpec checks the rate's range."""
 
     classes: int = 4
     per_class: int = 500
@@ -65,16 +67,19 @@ class DataSpec:
             raise ValueError(f"unknown OOD mode {unknown[0]!r}; expected one of {OOD_MODES}")
         if not modes or len(set(modes)) < len(modes):
             raise ValueError(f"need one or more distinct OOD modes, got {','.join(modes) or 'none'}")
-        for key in ("per_class", "val_per_class", "test_per_class", "ood_size"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key, least in (("classes", 2), ("per_class", 1), ("dim", 1), ("val_per_class", 1),
+                           ("test_per_class", 1), ("ood_size", 1)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
+        for key in ("separation", "spread"):
+            if not 0 < getattr(self, key) < np.inf:
+                raise ValueError(f"{key} must be a finite number > 0, got {getattr(self, key)}")
         NoiseSpec(rate=self.noise_rate)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DataSpec":
         """Build from a JSON dict; an unknown key is an error, not a silent default."""
-        if unknown := sorted(set(doc) - {f.name for f in fields(cls)}):
-            raise ValueError(f"unknown generator parameters: {', '.join(unknown)}")
+        reject_unknown(doc, [f.name for f in fields(cls)], "generator parameters")
         return cls(**doc)
 
 

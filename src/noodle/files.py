@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -55,6 +55,13 @@ def require_keys(doc: dict, keys: Sequence[str], path: str | os.PathLike) -> Non
     for key in keys:
         if key not in doc:
             raise ValueError(f"{path}: missing key {key!r}")
+
+
+def reject_unknown(doc: dict, allowed: Iterable[str], what: str) -> None:
+    """Raise ``ValueError("unknown <what>: a, b")`` for the keys of ``doc``
+    not in ``allowed``, sorted; a typo is an error, never a silent default."""
+    if unknown := sorted(set(doc) - set(allowed)):
+        raise ValueError(f"unknown {what}: {', '.join(unknown)}")
 
 
 _TYPE_NAMES = {int: "integer", float: "number", str: "string"}

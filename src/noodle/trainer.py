@@ -22,7 +22,7 @@ import numpy as np
 
 from .datagen import LabeledSet
 from .decompose import grad_through_split, split_features
-from .files import array_checksum, type_problem
+from .files import array_checksum, reject_unknown, type_problem
 from .losses import (
     LOSS_KINDS,
     TransitionMatrix,
@@ -120,10 +120,7 @@ class TrainConfig:
     def from_dict(cls, doc: dict) -> "TrainConfig":
         """Build from an external JSON dict; unknown keys are an error so
         typos never silently fall back to defaults."""
-        known = {f.name for f in fields(cls)} - {"lam"} | {_LAMBDA_KEY}
-        unknown = sorted(set(doc) - known)
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        reject_unknown(doc, [_LAMBDA_KEY if f.name == "lam" else f.name for f in fields(cls)], "config keys")
         kwargs = dict(doc)
         if _LAMBDA_KEY in kwargs:
             kwargs["lam"] = kwargs.pop(_LAMBDA_KEY)

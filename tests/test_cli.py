@@ -150,11 +150,17 @@ class TestGenData:
             ("--val-per-class", "0", "val_per_class must be >= 1, got 0"),
             ("--test-per-class", "0", "test_per_class must be >= 1, got 0"),
             ("--ood-size", "0", "ood_size must be >= 1, got 0"),
-            ("--ood-modes", "far_cluster,far_cluster", "distinct OOD modes, got far_cluster,far_cluster"),
+            ("--ood-modes", "far_cluster,far_cluster",
+             "need one or more distinct OOD modes, got far_cluster,far_cluster"),
+            # The mixture's own ranges are DataSpec's too, checked before any draw.
+            ("--classes", "1", "classes must be >= 2, got 1"),
+            ("--dim", "0", "dim must be >= 1, got 0"),
+            ("--separation", "0", "separation must be a finite number > 0, got 0.0"),
+            ("--spread", "-1", "spread must be a finite number > 0, got -1.0"),
         ):
             out = tmp_path / flag.strip("-")
             assert main([*base, flag, value, "--out", str(out)]) == 2, flag
-            assert message in capsys.readouterr().err, flag
+            assert capsys.readouterr().err == f"error: {message}\n", flag
             assert not out.exists(), flag
 
     def test_classes_that_cannot_be_apart_exit_2_before_any_write(self, tmp_path, capsys):
@@ -831,14 +837,26 @@ class TestExperiment:
             (dict(one, dataset=dict(files, ood_csvs=[])), "must be a non-empty list"),
             (dict(one, dataset=dict(files, classes=10, dim=99)), "classes, dim would be ignored"),
             (dict(one, dataset=files, noise={"rate": 0.9}), "so noise would be ignored"),
+            (dict(one, methods=[{"name": "a", "scor": "knn"}]), "method 'a': unknown method keys: scor"),
+            # Both keys are optional, but present they must name this format.
+            (dict(one, format="noodle-mlp"), "format must be 'noodle-experiment', got 'noodle-mlp'"),
+            (dict(one, version=7), "version must be 1, got 7"),
+            (dict(one, version=True), "version must be 1, got True"),
+            # The mixture's own ranges are DataSpec's, so the planner rejects them.
+            (dict(one, dataset={"classes": 1}), "classes must be >= 2, got 1"),
+            (dict(one, dataset={"dim": 0}), "dim must be >= 1, got 0"),
+            (dict(one, dataset={"separation": 0}), "separation must be a finite number > 0, got 0"),
+            (dict(one, dataset={"spread": -1}), "spread must be a finite number > 0, got -1"),
         ]
         path = tmp_path / "bad.json"
         for spec, message in cases:
             path.write_text(json.dumps(spec))
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=message) as err:
                 load_experiment_spec(path)
-            with pytest.raises(ValueError, match=message):
+            assert str(err.value).startswith(f"{path}: "), str(err.value)
+            with pytest.raises(ValueError, match=message) as err:
                 run_experiment(spec, path.name, tmp_path / "out", 1)
+            assert str(err.value).startswith("bad.json: "), str(err.value)
         assert not (tmp_path / "out").exists()
 
     def test_late_failures_exit_2_before_any_write(self, tmp_path, capsys):
@@ -941,6 +959,17 @@ class TestOutputResolution:
         code = main(["gen-data", "--seed", "0"])
         assert code == 2
         assert "no output directory" in capsys.readouterr().err
+
+
+def test_key_error_inside_a_command_is_not_a_usage_error(tmp_path, monkeypatch):
+    # Every outside key is looked up through require_keys, .get or a planner
+    # check, so a KeyError is a fault in the program: a traceback, not exit 2.
+    def broken(*args, **kwargs):
+        raise KeyError("x")
+
+    monkeypatch.setattr("noodle.cli.generate_dataset_files", broken)
+    with pytest.raises(KeyError, match="'x'"):
+        main(["gen-data", "--out", str(tmp_path / "out")])
 
 
 def test_console_script_smoke(tmp_path):

@@ -3,8 +3,9 @@
 re-exports), every re-export of the package is used by the package, a demo
 or the benchmark, the package imports exactly the third-party modules that
 ``pyproject.toml`` declares, importing it loads no ``scipy`` module, no
-class of the package defines a ``validate`` method, and the CLI neither
-calls ``type_problem`` nor tests membership in a list of kinds."""
+class of the package defines a ``validate`` method, the CLI neither
+calls ``type_problem`` nor tests membership in a list of kinds, the planner
+names the spec in one handler, and only ``files.py`` computes unknown keys."""
 
 from __future__ import annotations
 
@@ -159,4 +160,37 @@ def test_cli_leaves_each_rule_to_its_object():
             for op, right in zip(node.ops, node.comparators):
                 if isinstance(op, (ast.In, ast.NotIn)) and name(right) in KIND_LISTS:
                     found.append(f"{node.lineno}: tests membership in {name(right)}")
+    assert found == []
+
+
+def test_planner_names_the_spec_in_one_handler():
+    # The planner raises plain messages and one handler puts the spec's name
+    # in front; a prefix written into each message is a prefix one can forget.
+    tree = ast.parse((ROOT / "src/noodle/cli.py").read_text(encoding="utf-8"))
+    plan = next(n for n in tree.body if getattr(n, "name", None) == "plan_experiment")
+
+    def reads_source(node):
+        return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Name) and n.id == "source"]
+
+    handlers = [h for h in ast.walk(plan) if isinstance(h, ast.ExceptHandler) and reads_source(h)]
+    assert len(handlers) == 1, [h.lineno for h in handlers]
+    assert reads_source(plan) == reads_source(handlers[0])
+
+
+def test_only_files_computes_unknown_keys():
+    # `files.reject_unknown` is the one home of the unknown-key rule, so its
+    # messages keep one shape; a set difference elsewhere is a second copy.
+    def is_set(node):
+        call = getattr(node, "func", None)  # set(doc) or doc.keys()
+        called = getattr(call, "id", None) or getattr(call, "attr", None)
+        return isinstance(node, (ast.Set, ast.SetComp)) or called in ("set", "keys")
+
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src/noodle").rglob("*.py"))
+        if path.name != "files.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) and is_set(node.left))
+        or (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "difference")
+    ]
     assert found == []
