@@ -101,7 +101,7 @@ def generate_dataset_files(out_dir: Path, seed: int, **overrides) -> list[tuple[
 def cmd_gen_data(args: argparse.Namespace) -> int:
     out_dir = _resolve_out(args.out)
     params = {f.name: getattr(args, f.name) for f in fields(DataSpec)}
-    params["ood_modes"] = tuple(args.ood_modes.split(","))
+    params["ood_modes"] = args.ood_modes.split(",")
     manifest = generate_dataset_files(out_dir, args.seed, **params)
     for path, rows in manifest:
         print(f"wrote {path} ({rows} rows)")
@@ -120,7 +120,6 @@ TRAIN_FLAGS = {
     "--loss": ("loss_kind", dict(choices=LOSS_KINDS)),
     "--batch-size": ("batch_size", dict(type=int)),
     "--lr": ("lr", dict(type=float)),
-    "--k-rank": ("k_rank", dict(type=int)),
     "--pi-iters": ("pi_iters", dict(type=int)),
 }
 
@@ -228,8 +227,8 @@ def run_eval(
     any file is read.  The store must be the one trained with the checkpoint:
     its checksum must equal the checkpoint meta's ``store_checksum``, so a
     store of another width, class count, encoder or run is rejected with
-    ``ValueError``, and so are a checkpoint without that key and two OOD
-    files with one stem."""
+    ``ValueError``, and so are a checkpoint without that key or its
+    ``config_hash`` and two OOD files with one stem."""
     evaluation = EvalSpec(score, k, tpr)
     if not ood_paths:
         raise ValueError("need at least one OOD file")
@@ -239,13 +238,13 @@ def run_eval(
             raise FileNotFoundError(f"missing input file: {path}")
 
     params, _, meta = load_checkpoint(checkpoint_path)
-    require_keys(meta, ("store_checksum",), checkpoint_path)
+    require_keys(meta, ("config_hash", "store_checksum"), checkpoint_path)
     store = load_store(store_base)
     if array_checksum(store.labels, store.embeddings) != meta["store_checksum"]:
         raise ValueError(
             f"{store_base}.csv: not the store trained with {checkpoint_path} (store_checksum differs)"
         )
-    config_hash = meta.get("config_hash", "")
+    config_hash = meta["config_hash"]
     ood_sets = ((Path(p).stem, load_ood_csv(p)) for p in ood_paths)
     reports = evaluate(
         params, store, load_features_csv(id_test_path), ood_sets, evaluation, seed, config_hash

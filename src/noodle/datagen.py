@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .files import read_table, reject_unknown, type_problem, write_table
+from .files import read_table, reject_unknown, settle_fields, write_table
 
 OOD_MODES = ("far_cluster", "uniform_shell")
 
@@ -30,9 +30,8 @@ class NoiseSpec:
     rate: float = 0.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if problem := type_problem(f"noise.{f.name}", getattr(self, f.name), f.default):
-                raise ValueError(problem)
+        if problems := settle_fields(self, "noise.{}".format):
+            raise ValueError(problems[0])
         if self.kind != "symmetric":
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.rate <= 1.0:
@@ -42,9 +41,9 @@ class NoiseSpec:
 @dataclass(frozen=True)
 class DataSpec:
     """A generated file set's parameters, checked on construction before any
-    draw: types first, then known, distinct OOD modes, ``classes`` >= 2, every
-    other size and ``dim`` >= 1, a finite ``separation`` and ``spread`` > 0;
-    NoiseSpec checks the rate's range."""
+    draw: types first, then known, distinct OOD modes, ``classes`` >= 2 (and
+    <= 2 in ``dim`` 1), every other size and ``dim`` >= 1, ``separation`` and
+    ``spread`` > 0; NoiseSpec checks the rate's range."""
 
     classes: int = 4
     per_class: int = 500
@@ -58,11 +57,9 @@ class DataSpec:
     ood_modes: tuple[str, ...] = ("far_cluster",)
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if problem := type_problem(f.name, getattr(self, f.name), f.default):
-                raise ValueError(problem)
-        modes = tuple(self.ood_modes)
-        object.__setattr__(self, "ood_modes", modes)
+        if problems := settle_fields(self):
+            raise ValueError(problems[0])
+        modes = self.ood_modes
         if unknown := [mode for mode in modes if mode not in OOD_MODES]:
             raise ValueError(f"unknown OOD mode {unknown[0]!r}; expected one of {OOD_MODES}")
         if not modes or len(set(modes)) < len(modes):
@@ -71,8 +68,10 @@ class DataSpec:
                            ("test_per_class", 1), ("ood_size", 1)):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
+        if self.dim == 1 and self.classes > 2:
+            raise ValueError(f"classes must be <= 2 in dim 1 (two unit directions), got {self.classes}")
         for key in ("separation", "spread"):
-            if not 0 < getattr(self, key) < np.inf:
+            if getattr(self, key) <= 0:
                 raise ValueError(f"{key} must be a finite number > 0, got {getattr(self, key)}")
         NoiseSpec(rate=self.noise_rate)
 

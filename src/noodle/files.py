@@ -15,7 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Iterable, Sequence
+import sys
+from dataclasses import fields
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -69,9 +71,9 @@ _TYPE_NAMES = {int: "integer", float: "number", str: "string"}
 
 def type_problem(key: str, value, like) -> str | None:
     """The error for a JSON ``value`` that cannot stand where the default
-    ``like`` does, else None.  Nothing is converted: a bool is never a number,
-    an int stands for a float, and a tuple ``like`` takes a list or tuple
-    whose items each fit ``like[0]``."""
+    ``like`` does, else None.  A bool is never a number, a float ``like`` takes
+    an int or float that a finite float holds, and a tuple ``like`` takes a
+    list or tuple whose items each fit ``like[0]``."""
     if isinstance(like, tuple):
         fits = isinstance(value, (list, tuple)) and not any(type_problem(key, v, like[0]) for v in value)
         kind = f"a list of {_TYPE_NAMES[type(like[0])]}s"
@@ -79,7 +81,24 @@ def type_problem(key: str, value, like) -> str | None:
         allowed = (int, float) if isinstance(like, float) else type(like)
         fits = isinstance(value, allowed) and not isinstance(value, bool)
         kind = ("an " if isinstance(like, int) else "a ") + _TYPE_NAMES[type(like)]
+        if fits and isinstance(like, float) and not abs(value) <= sys.float_info.max:
+            fits, kind = False, "a finite number"
     return None if fits else f"{key} must be {kind}, got {value!r}"
+
+
+def settle_fields(obj, key: Callable[[str], str] = str) -> list[str]:
+    """The problems of the frozen dataclass ``obj``'s fields, each judged
+    against its default by :func:`type_problem` under the name ``key(field)``;
+    a field that fits is stored in its default's form (an int in a float field
+    as that float, a list in a tuple field as a tuple)."""
+    problems = []
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if problem := type_problem(key(f.name), value, f.default):
+            problems.append(problem)
+        elif isinstance(f.default, (float, tuple)):
+            object.__setattr__(obj, f.name, type(f.default)(value))
+    return problems
 
 
 def _table_header(label_names: Sequence[str], prefix: str, dim: int) -> list[str]:

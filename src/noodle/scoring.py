@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import normalize_columns
-from .files import read_table, write_table
+from .files import read_table, settle_fields, write_table
 
 SCORE_KINDS = ("knn", "mahalanobis", "msp", "energy")
 
@@ -49,13 +49,14 @@ class EvalSpec:
     tpr: float = 0.95
 
     def __post_init__(self) -> None:
+        if problems := settle_fields(self):
+            raise ValueError(problems[0])
         if self.score not in SCORE_KINDS:
             raise ValueError(f"unknown score kind {self.score!r}; expected one of {SCORE_KINDS}")
-        if type(self.k) is not int or self.k < 1:
+        if self.k < 1:
             raise ValueError(f"need an integer k >= 1, got {self.k!r}")
-        if type(self.tpr) not in (int, float) or not 0.0 < self.tpr <= 1.0:
+        if not 0.0 < self.tpr <= 1.0:
             raise ValueError(f"tpr must be a number in (0, 1], got {self.tpr!r}")
-        object.__setattr__(self, "tpr", float(self.tpr))
 
 
 @dataclass

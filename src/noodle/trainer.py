@@ -22,7 +22,7 @@ import numpy as np
 
 from .datagen import LabeledSet
 from .decompose import grad_through_split, split_features
-from .files import array_checksum, reject_unknown, type_problem
+from .files import array_checksum, reject_unknown, settle_fields
 from .losses import (
     LOSS_KINDS,
     TransitionMatrix,
@@ -57,8 +57,8 @@ class TrainConfig:
     """Everything that determines a training run, hashable for provenance.
 
     Checked on construction, so an invalid config cannot exist: every field's
-    type first, without converting, then every range, all problems in one
-    ``ValueError``."""
+    type first (``files.settle_fields``), then every range, all problems in
+    one ``ValueError``."""
 
     epochs: int = 100
     batch_size: int = 64
@@ -67,23 +67,14 @@ class TrainConfig:
     weight_decay: float = 1e-4
     loss_kind: str = "cm"
     lam: float = 0.001            # sparsity weight on the residual
-    k_rank: int | None = None     # None -> number of classes
     pi_iters: int = 10
     seed: int = 0
     widths: tuple[int, ...] = DEFAULT_WIDTHS
     t_diag_init: float = 0.99
 
     def __post_init__(self) -> None:
-        # Types first, without converting, so that the range checks compare numbers.
-        problems = [
-            type_problem(_LAMBDA_KEY if f.name == "lam" else f.name, getattr(self, f.name), f.default)
-            for f in fields(self)
-            if f.name != "k_rank"
-        ]
-        if self.k_rank is not None:  # null means the class count
-            problems.append(type_problem("k_rank", self.k_rank, 1))
-        problems = [problem for problem in problems if problem]
-        if problems:
+        # Types first, so that the range checks compare numbers.
+        if problems := settle_fields(self, lambda name: _LAMBDA_KEY if name == "lam" else name):
             raise ValueError("invalid config: " + "; ".join(problems))
         if self.epochs < 0:
             problems.append(f"epochs must be >= 0, got {self.epochs}")
@@ -99,8 +90,6 @@ class TrainConfig:
             problems.append(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
         if self.lam < 0:
             problems.append(f"lambda must be >= 0, got {self.lam}")
-        if self.k_rank is not None and self.k_rank < 1:
-            problems.append(f"k_rank must be >= 1 or null, got {self.k_rank}")
         if self.pi_iters < 1:
             problems.append(f"pi_iters must be >= 1, got {self.pi_iters}")
         if not 0.0 < self.t_diag_init < 1.0:
@@ -113,7 +102,6 @@ class TrainConfig:
     def to_dict(self) -> dict:
         doc = asdict(self)
         doc[_LAMBDA_KEY] = doc.pop("lam")
-        doc["widths"] = list(self.widths)
         return doc
 
     @classmethod
@@ -121,12 +109,7 @@ class TrainConfig:
         """Build from an external JSON dict; unknown keys are an error so
         typos never silently fall back to defaults."""
         reject_unknown(doc, [_LAMBDA_KEY if f.name == "lam" else f.name for f in fields(cls)], "config keys")
-        kwargs = dict(doc)
-        if _LAMBDA_KEY in kwargs:
-            kwargs["lam"] = kwargs.pop(_LAMBDA_KEY)
-        if isinstance(kwargs.get("widths"), list):
-            kwargs["widths"] = tuple(kwargs["widths"])
-        return cls(**kwargs)
+        return cls(**{"lam" if key == _LAMBDA_KEY else key: value for key, value in doc.items()})
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True)
@@ -168,7 +151,7 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
     """Run the full training loop.
 
     Per batch: forward; classification loss on the noisy labels; when
-    ``lam > 0``, decompose the latent columns, add ``lam`` times the residual
+    ``lam > 0``, split the latent columns at the class count's rank, add ``lam`` times the residual
     sparsity loss and pull the latent gradient back through the
     (frozen-basis) split; one clipped SGD step on the network and, for
     ``loss_kind='cm'``, on the transition logits.  Deterministic given
@@ -177,8 +160,8 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
     Raises
     ------
     ValueError
-        On no samples, a class that no noisy label names, or a
-        subspace rank (``k_rank``, else the class count) above the latent width.
+        On no samples, a class that no noisy label names, or a class
+        count (the split's rank) above the latent width ``widths[-1]``.
     DivergenceError
         On non-finite logits or loss, identifying the offending epoch and
         batch, or when no training latent can be normalized for the store.
@@ -195,11 +178,9 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
             f"t_diag_init={config.t_diag_init} must exceed 1/{num_classes} for {num_classes} classes"
         )
 
-    k_rank = config.k_rank if config.k_rank is not None else num_classes
-    if k_rank > config.widths[-1]:
+    if num_classes > config.widths[-1]:
         raise ValueError(
-            f"subspace rank {k_rank} (k_rank, or the class count when k_rank is null) "
-            f"exceeds the latent width {config.widths[-1]}"
+            f"subspace rank {num_classes} (the class count) exceeds the latent width {config.widths[-1]}"
         )
 
     streams = derive_streams(config.seed)
@@ -225,7 +206,7 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
                     config.loss_kind, cache.probs, data.noisy_labels[idx], transition
                 )
                 if config.lam > 0.0:
-                    split = split_features(cache.latent, k_rank, config.pi_iters, streams.decompose)
+                    split = split_features(cache.latent, num_classes, config.pi_iters, streams.decompose)
                     total = joint_loss(corrected, sparsity_loss(split.ood_part), config.lam)
                 else:
                     split, total = None, corrected
@@ -248,19 +229,20 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
 
 
 def extract_reference_store(params: MlpParams, data: LabeledSet, config: TrainConfig) -> EmbeddingStore:
-    """Forward the whole training set, decompose the complete latent matrix
-    once, and build the reference store from the in-subspace part.
+    """Forward the whole training set, split the complete latent matrix once at
+    the class count's rank, and build the reference store from the in-subspace part.
 
     Labels stored are the (noisy) training labels; the clean ones are not
     available to the method.  The split draws from the store stream of
     ``config.seed``, which training never touches, so a standalone call
-    builds exactly the store that :func:`train` builds.  When no latent survives the split's normalization, because each is zero
-    (dead ReLUs) or its norm overflows (a huge learning rate gets there),
-    the network diverged and :class:`DivergenceError` names the epoch count.
+    builds exactly the store that :func:`train` builds.  When no latent
+    survives the split's normalization, because each is zero (dead ReLUs)
+    or its norm overflows (a huge learning rate gets there), the network
+    diverged and :class:`DivergenceError` names the epoch count.
     """
     cache = forward(params, data.features)
-    k_rank = config.k_rank if config.k_rank is not None else data.num_classes
-    split = split_features(cache.latent, k_rank, config.pi_iters, derive_streams(config.seed).store)
+    store_stream = derive_streams(config.seed).store
+    split = split_features(cache.latent, data.num_classes, config.pi_iters, store_stream)
     if not split.normalized.any():
         raise DivergenceError(
             f"every training latent is zero or overflows after {config.epochs} epoch(s)"

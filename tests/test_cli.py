@@ -163,16 +163,20 @@ class TestGenData:
             assert capsys.readouterr().err == f"error: {message}\n", flag
             assert not out.exists(), flag
 
-    def test_classes_that_cannot_be_apart_exit_2_before_any_write(self, tmp_path, capsys):
+    def test_classes_that_cannot_be_apart_exit_2_before_any_write(self, tmp_path, capsys, monkeypatch):
         # In one dimension two of three unit directions are equal, so only
         # rounding at a huge radius could set their means apart, and there a
         # spread of 1 is below one ulp: each class would be one repeated value.
+        # DataSpec says so before any draw; the placement gave up after 200
+        # draws and advised a smaller separation, which cannot help.
+        def no_draw(*args):
+            pytest.fail("the class means were drawn")
+
+        monkeypatch.setattr("noodle.datagen._spread_out_means", no_draw)
         out = tmp_path / "out"
         assert main(["gen-data", "--classes", "3", "--dim", "1", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            "error: could not place 3 class means 6.0 apart in dim 1; "
-            "try a larger dim or smaller separation\n"
-        )
+        err = capsys.readouterr().err
+        assert err == "error: classes must be <= 2 in dim 1 (two unit directions), got 3\n"
         assert not out.exists()
 
     def test_cli_command_succeeds(self, tmp_path, capsys):
@@ -278,7 +282,8 @@ class TestTrainCommand:
         config_path = tmp_path / "cfg.json"
         out = tmp_path / "out"
         for key, value in (
-            ("sce_alpha", 0.1), ("sce_beta", 1.0), ("gce_q", 0.7), ("grad_clip", 10.0), ("cov_reg", 1e-3)
+            ("sce_alpha", 0.1), ("sce_beta", 1.0), ("gce_q", 0.7), ("grad_clip", 10.0), ("cov_reg", 1e-3),
+            ("k_rank", 4),
         ):
             config_path.write_text(json.dumps(dict(TRAIN_SMALL, **{key: value})))
             argv = ["train", "--data", str(data_dir / "train.csv"), "--out", str(out)]
@@ -303,11 +308,14 @@ class TestTrainCommand:
         # above the latent width was clamped with a warning, and a diverging
         # run exited 2 on a NaN softmax instead of 3, then printed NumPy
         # warnings before its error line (a traceback with warnings as errors).
+        # A NaN lambda trained as lambda 0 (exit 0) and an infinite lr exited 3.
         config_path = tmp_path / "cfg.json"
         for doc, flags, code, message in (
             ({"lr": "fast"}, [], 2, "lr must be a number, got 'fast'"),
             ({"widths": [16, 8.0]}, [], 2, "widths must be a list of integers"),
-            ({}, ["--k-rank", "40"], 2, "subspace rank 40 (k_rank, or the class count when k_rank"),
+            ({"widths": [16, 2]}, [], 2, "subspace rank 3 (the class count) exceeds the latent width 2"),
+            ({"lambda": float("nan")}, [], 2, "invalid config: lambda must be a finite number, got nan"),
+            ({"lr": float("inf")}, [], 2, "invalid config: lr must be a finite number, got inf"),
             ({}, ["--lr", "1e30"], 3, "error: non-finite logits at epoch "),
         ):
             config_path.write_text(json.dumps(doc))
@@ -508,6 +516,8 @@ class TestEvalCommand:
             return edit
 
         unbound = checkpoint_edit(lambda doc: doc["meta"].pop("store_checksum"))
+        # Without config_hash every report and the summary recorded "" (exit 0).
+        unhashed = checkpoint_edit(lambda doc: doc["meta"].pop("config_hash"))
         narrow_head = checkpoint_edit(lambda doc: [row.pop() for row in doc["head_weight"]])
         ragged = checkpoint_edit(lambda doc: doc["weights"][0][1].pop())
         # NumPy's float() takes a JSON true as 1.0 and "0.5" as 0.5.
@@ -524,6 +534,7 @@ class TestEvalCommand:
         for name, file, edit, message in (
             ("list_checkpoint", "checkpoint.json", lambda lines: ["[]"], "not a JSON object"),
             ("unbound", "checkpoint.json", unbound, "missing key 'store_checksum'"),
+            ("unhashed", "checkpoint.json", unhashed, "missing key 'config_hash'"),
             ("number_meta", "checkpoint.json", checkpoint_edit(lambda doc: doc.update(meta=5)),
              "meta is not a JSON object"),
             ("gap", "store.csv", gap, "class 1 has no samples"),
@@ -812,10 +823,10 @@ class TestExperiment:
             (dict(one, methods=[{"name": ["a"]}]), "one path component"),
             (dict(one, methods=[{"loss_kind": "ce"}]), "one path component"),
             (dict(one, methods=[{"name": "a", "k": 0}]), "integer k >= 1"),
-            (dict(one, methods=[{"name": "a", "k": 2.5}]), "integer k >= 1"),
+            (dict(one, methods=[{"name": "a", "k": 2.5}]), "method 'a': k must be an integer, got 2.5"),
             (dict(one, eval={"tpr": 0}), r"eval.tpr must be a number in \(0, 1\]"),
             (dict(one, eval={"tpr": 1.5}), r"eval.tpr must be a number in \(0, 1\]"),
-            (dict(one, eval={"tpr": "0.9"}), r"eval.tpr must be a number in \(0, 1\]"),
+            (dict(one, eval={"tpr": "0.9"}), "eval.tpr must be a number, got '0.9'"),
             (dict(one, out=5), "out must be a directory path string"),
             (dict(one, dataset=twins), "ood_csvs share a report name: ood_x"),
             # The train section and each method's config are built here too,
@@ -868,6 +879,8 @@ class TestExperiment:
             {"methods": [{"name": "a", "k": 0}], "seeds": [0]},
             {"methods": [{"name": "a"}], "seeds": [0], "eval": {"tpr": 0.0}},
             {"methods": [{"name": "a"}], "seeds": [0], "dataset": {"classes": "3"}},
+            {"methods": [{"name": "a"}], "seeds": [0], "dataset": {"classes": 3, "dim": 1}},
+            {"methods": [{"name": "a"}], "seeds": [0], "dataset": {"separation": 10**400}},
         ]
         path = tmp_path / "spec.json"
         for spec in bad:
@@ -886,6 +899,10 @@ class TestExperiment:
             ({"dataset": {"ood_size": 0}}, "ood_size must be >= 1, got 0"),
             ({"dataset": {"ood_modes": []}}, "need one or more distinct OOD modes, got none"),
             ({"noise": {"rate": 1.5}}, "noise rate must be in [0, 1], got 1.5"),
+            ({"dataset": {"classes": 3, "dim": 1}},
+             "classes must be <= 2 in dim 1 (two unit directions), got 3"),
+            # An int too large for a float was an OverflowError traceback.
+            ({"dataset": {"separation": 10**400}}, f"separation must be a finite number, got {10**400}"),
         ):
             spec = {"methods": [{"name": "a"}], "seeds": [0], **section}
             path.write_text(json.dumps(spec))
@@ -999,7 +1016,7 @@ def test_console_script_smoke(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "train.csv").exists()
-    # 15 rows at batch 7 leave a final batch of 1 column against k_rank 3: the
+    # 15 rows at batch 7 leave a final batch of 1 column against rank 3 (the class count): the
     # split clamps without a word on stderr (in-process warnings never reach capsys).
     result = run(
         "train",

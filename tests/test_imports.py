@@ -3,9 +3,11 @@
 re-exports), every re-export of the package is used by the package, a demo
 or the benchmark, the package imports exactly the third-party modules that
 ``pyproject.toml`` declares, importing it loads no ``scipy`` module, no
-class of the package defines a ``validate`` method, the CLI neither
-calls ``type_problem`` nor tests membership in a list of kinds, the planner
-names the spec in one handler, and only ``files.py`` computes unknown keys."""
+class of the package defines a ``validate`` method, no ``__post_init__``
+calls ``type`` or ``isinstance`` (``files.settle_fields`` types every
+settings field), the CLI neither calls ``type_problem`` nor tests membership
+in a list of kinds, the planner names the spec in one handler, and only
+``files.py`` computes unknown keys."""
 
 from __future__ import annotations
 
@@ -137,6 +139,23 @@ def test_no_class_defines_validate():
         if isinstance(cls, ast.ClassDef)
         for node in cls.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "validate"
+    ]
+    assert found == []
+
+
+def test_post_init_leaves_types_to_the_one_rule():
+    # `files.settle_fields` checks and stores every settings field; a type test
+    # written out in one object is how NaN, inf and a list of widths got past
+    # one object and not another.
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {cls.name}.__post_init__ calls {node.func.id}"
+        for path in sorted((ROOT / "src/noodle").rglob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and method.name == "__post_init__"
+        for node in ast.walk(method)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("type", "isinstance")
     ]
     assert found == []
 

@@ -469,12 +469,13 @@ class TestEvalSpec:
             ({"score": "cosine"}, "unknown score kind 'cosine'; expected one of"),
             ({"score": "msp", "k": 0}, "need an integer k >= 1, got 0"),
             ({"score": "energy", "k": -3}, "need an integer k >= 1, got -3"),
-            ({"k": 2.5}, "need an integer k >= 1, got 2.5"),
-            ({"k": True}, "need an integer k >= 1, got True"),
+            ({"k": 2.5}, "k must be an integer, got 2.5"),
+            ({"k": True}, "k must be an integer, got True"),
             ({"score": "mahalanobis", "tpr": 0}, "tpr must be a number in (0, 1], got 0"),
             ({"tpr": 1.5}, "tpr must be a number in (0, 1], got 1.5"),
-            ({"tpr": "0.9"}, "tpr must be a number in (0, 1], got '0.9'"),
-            ({"tpr": float("nan")}, "tpr must be a number in (0, 1], got nan"),
+            ({"tpr": "0.9"}, "tpr must be a number, got '0.9'"),
+            ({"tpr": float("nan")}, "tpr must be a finite number, got nan"),
+            ({"tpr": 10**400}, f"tpr must be a finite number, got {10**400}"),
         ):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
                 EvalSpec(**kwargs)

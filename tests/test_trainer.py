@@ -91,22 +91,36 @@ class TestTrainConfig:
         with pytest.raises(FrozenInstanceError):
             _toy_config().lr = -1.0
 
-    def test_validate_checks_types_without_converting(self):
+    def test_validate_checks_types_and_stores_the_default_form(self):
         for name, value, message in (
             ("lr", "fast", "lr must be a number, got 'fast'"),
             ("epochs", 2.0, "epochs must be an integer, got 2.0"),
             ("epochs", True, "epochs must be an integer, got True"),
             ("lam", None, "lambda must be a number, got None"),
             ("loss_kind", 1, "loss_kind must be a string, got 1"),
-            ("k_rank", 2.0, "k_rank must be an integer, got 2.0"),
             ("widths", 16, "widths must be a list of integers, got 16"),
             ("widths", (16, 8.0), "widths must be a list of integers, got (16, 8.0)"),
+            # NaN trained as lambda 0, an infinite lr diverged (exit 3) and an
+            # int too large for a float raised OverflowError.
+            ("lam", float("nan"), "lambda must be a finite number, got nan"),
+            ("lr", float("inf"), "lr must be a finite number, got inf"),
+            ("lr", -float("inf"), "lr must be a finite number, got -inf"),
+            ("t_diag_init", 10**400, f"t_diag_init must be a finite number, got {10**400}"),
         ):
             with pytest.raises(ValueError, match=re.escape(message)):
                 replace(_toy_config(), **{name: value})
-        # An int stands for a float and stays an int, so the hash sees 0.
-        config = TrainConfig.from_dict({"lambda": 0, "k_rank": None})
-        assert type(config.to_dict()["lambda"]) is int
+        # An int stands for a float and is stored as that float.
+        config = TrainConfig.from_dict({"lambda": 0, "widths": [16, 8]})
+        assert type(config.lam) is float and type(config.to_dict()["lambda"]) is float
+        assert config.widths == (16, 8)
+
+    def test_equal_settings_are_equal_values(self):
+        # A list of widths left the frozen config unhashable and unequal to
+        # its tuple twin, and an int lambda hashed apart from its float.
+        listed, tupled = TrainConfig(widths=[8, 4]), TrainConfig(widths=(8, 4))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert listed.config_hash() == tupled.config_hash()
+        assert TrainConfig(lam=0).config_hash() == TrainConfig(lam=0.0).config_hash()
 
 
 class TestSeedStreams:
@@ -215,9 +229,7 @@ class TestTrainBasics:
             raise AssertionError("training started")
 
         monkeypatch.setattr(noodle.trainer, "forward", no_forward)
-        with pytest.raises(ValueError, match=r"subspace rank 9 .* exceeds the latent width 8$"):
-            train(_toy_data(), _toy_config(k_rank=9))
-        with pytest.raises(ValueError, match=r"subspace rank 4 .* exceeds the latent width 3$"):
+        with pytest.raises(ValueError, match=r"rank 4 \(the class count\) exceeds the latent width 3$"):
             train(_toy_data(classes=4), _toy_config(widths=(16, 3)))
 
     def test_t_diag_init_must_beat_chance(self):
@@ -299,14 +311,15 @@ class TestReferenceStore:
         np.testing.assert_allclose(np.linalg.norm(store.embeddings, axis=1), 1.0, atol=1e-9)
         assert store.num_classes == data.num_classes
 
-    def test_store_embeddings_span_at_most_k_rank(self):
-        # The store holds the projected part of one full-pass split, so its
-        # embedding matrix cannot exceed rank k (normalization preserves span).
+    def test_store_embeddings_span_at_most_the_class_count(self):
+        # The store holds the projected part of one full-pass split at the
+        # class count's rank, so its embedding matrix cannot exceed that rank
+        # (normalization preserves span) although the latent width is 8.
         data = _toy_data(seed=5, per_class=15)
-        config = _toy_config(k_rank=2)
-        store = train(data, config).store
+        store = train(data, _toy_config()).store
         singulars = np.linalg.svd(store.embeddings, compute_uv=False)
-        assert singulars[2:].max() <= 1e-8 * singulars[0]
+        assert data.num_classes == 3 and store.latent_dim == 8
+        assert singulars[3:].max() <= 1e-8 * singulars[0]
 
     def test_standalone_extraction_matches_train(self):
         data = _toy_data(seed=6)
