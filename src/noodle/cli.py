@@ -4,14 +4,12 @@ Subcommands::
 
     noodle gen-data   --out DIR [--seed N --classes K --noise-rate F ...]
     noodle train      --data train.csv --out DIR [--config cfg.json ...]
-    noodle eval       --checkpoint ckpt --store BASE --id-test f --ood f [...]
-    noodle experiment --spec exp.json [--out DIR --threads N]
+    noodle eval       --checkpoint ckpt --store BASE --id-test f --ood f --out DIR [...]
+    noodle experiment --spec exp.json --out DIR [--threads N]
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical failure
 during training.  All outputs are deterministic functions of their inputs and
-seeds; no timestamps are written, so reruns are byte-identical.  The
-environment variables ``NOODLE_OUT`` and ``NOODLE_THREADS`` provide defaults
-for ``--out`` and ``--threads``.
+seeds; no timestamps are written, so reruns are byte-identical.
 
 ``run_experiment`` is the one (method x seed) sweep runner, behind ``noodle
 experiment`` and for library callers alike.  The commands and ``plan_experiment``
@@ -24,7 +22,6 @@ single-seed sweep reproduces a manual gen-data/train/eval chain exactly.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, fields, replace
@@ -68,22 +65,31 @@ def generate_dataset_files(out_dir: Path, seed: int, **overrides) -> list[tuple[
     mixture draw (shared class means); label noise touches the train split
     only.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     p = DataSpec.from_dict(overrides)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     counts = (p.per_class, p.val_per_class, p.test_per_class)
-    full = make_gaussian_mixture(p.classes, sum(counts), p.dim, p.separation, p.spread, rng)
-    # Rows come in one block per class; a split is the same slice of each block.
-    features = full.features.reshape(p.classes, sum(counts), -1)
-    labels = full.clean_labels.reshape(p.classes, sum(counts))
-    noise = NoiseSpec("symmetric", p.noise_rate)
-    bounds = np.cumsum((0, *counts))
-    sets = {}
-    for name, lo, hi in zip(("train", "val", "test_id"), bounds, bounds[1:]):
-        clean = labels[:, lo:hi].ravel()
-        noisy = inject_symmetric_noise(clean, noise, p.classes, rng) if name == "train" else clean
-        sets[name] = LabeledSet(features[:, lo:hi].reshape(clean.size, -1), clean, noisy, p.classes)
     # Every draw comes before the first write, so a failing draw leaves no files.
-    ood = {mode: make_ood_set(sets["train"], p.ood_size, mode, rng) for mode in p.ood_modes}
+    try:
+        full = make_gaussian_mixture(p.classes, sum(counts), p.dim, p.separation, p.spread, rng)
+        # Rows come in one block per class; a split is the same slice of each block.
+        features = full.features.reshape(p.classes, sum(counts), -1)
+        labels = full.clean_labels.reshape(p.classes, sum(counts))
+        noise = NoiseSpec("symmetric", p.noise_rate)
+        bounds = np.cumsum((0, *counts))
+        sets = {}
+        for name, lo, hi in zip(("train", "val", "test_id"), bounds, bounds[1:]):
+            clean = labels[:, lo:hi].ravel()
+            noisy = inject_symmetric_noise(clean, noise, p.classes, rng) if name == "train" else clean
+            sets[name] = LabeledSet(features[:, lo:hi].reshape(clean.size, -1), clean, noisy, p.classes)
+        ood = {mode: make_ood_set(sets["train"], p.ood_size, mode, rng) for mode in p.ood_modes}
+    except MemoryError:
+        raise ValueError(
+            f"the file set does not fit in memory: classes {p.classes} x (per_class {p.per_class} + "
+            f"val_per_class {p.val_per_class} + test_per_class {p.test_per_class}) rows and "
+            f"ood_size {p.ood_size} per OOD mode, in dim {p.dim}"
+        ) from None
 
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest: list[tuple[Path, int]] = []
@@ -99,7 +105,7 @@ def generate_dataset_files(out_dir: Path, seed: int, **overrides) -> list[tuple[
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    out_dir = _resolve_out(args.out)
+    out_dir = Path(args.out)
     params = {f.name: getattr(args, f.name) for f in fields(DataSpec)}
     params["ood_modes"] = args.ood_modes.split(",")
     manifest = generate_dataset_files(out_dir, args.seed, **params)
@@ -161,7 +167,7 @@ def run_training(data_path: Path, config: TrainConfig, out_dir: Path) -> list[Pa
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    out_dir = _resolve_out(args.out)
+    out_dir = Path(args.out)
     doc = read_json(args.config) if args.config else {}
     flags = {key: getattr(args, key) for key, _ in TRAIN_FLAGS.values()}
     config = TrainConfig.from_dict({**doc, **{k: v for k, v in flags.items() if v is not None}})
@@ -276,7 +282,7 @@ def run_eval(
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    out_dir = _resolve_out(args.out)
+    out_dir = Path(args.out)
     summary = run_eval(
         Path(args.checkpoint),
         Path(args.store),
@@ -301,7 +307,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # experiment
 
 
-SPEC_KEYS = ("format", "version", "dataset", "noise", "train", "methods", "seeds", "out", "eval")
+SPEC_KEYS = ("format", "version", "dataset", "noise", "train", "methods", "seeds", "eval")
 METHOD_KEYS = ("name", "loss_kind", "lambda", "score", "k")
 DATASET_FILE_KEYS = ("train_csv", "id_test_csv", "ood_csvs")
 
@@ -314,10 +320,10 @@ def plan_experiment(spec, source: str) -> tuple[DataSpec | dict, list[dict]]:
     ``seed`` in ``train`` (the runner sets both), repeated or non-integer seeds,
     a mistyped or missing dataset file, two OOD files with one stem, a partial
     file set, and generator keys or ``noise`` beside the files are errors, not
-    silent defaults.  So are a method name that is not one path component, a
-    bad ``out`` and any section its checked object rejects.  Returns the spec's
-    dataset files or a :class:`DataSpec`, and one cell per (method, seed),
-    method-major: ``name``, ``seed``, ``config`` (``train`` <- the method's
+    silent defaults.  So are a method name that is not one path component and
+    any section its checked object rejects.  Returns the spec's dataset files
+    or a :class:`DataSpec`, and one cell per (method, seed), method-major:
+    ``name``, ``seed``, ``config`` (``train`` <- the method's
     ``loss_kind``/``lambda`` <- the seed, through ``TrainConfig.from_dict``)
     and ``eval`` (an :class:`EvalSpec`)."""
     try:
@@ -350,9 +356,6 @@ def plan_experiment(spec, source: str) -> tuple[DataSpec | dict, list[dict]]:
                 )
         if len(set(names)) != len(names):
             raise ValueError("every method needs a unique name")
-        out = spec.get("out")
-        if out is not None and not isinstance(out, str):
-            raise ValueError(f"out must be a directory path string, got {out!r}")
         if "noise_rate" in dataset:
             raise ValueError("the noise rate belongs in noise.rate, not dataset")
         if "seed" in train:
@@ -403,7 +406,8 @@ def load_experiment_spec(path: Path) -> dict:
 
 def _run_cell(cell: dict) -> dict:
     """One planned cell: train then eval into its ``run_dir``. Runs in a worker
-    process when threads > 1, so it takes and returns plain picklable dicts."""
+    process when the sweep has a pool, so it takes and returns plain picklable
+    dicts."""
     try:
         run_dir = Path(cell["run_dir"])
         run_training(Path(cell["train_csv"]), cell["config"], run_dir)
@@ -429,8 +433,9 @@ def run_experiment(spec: dict, spec_file: str, out_dir: Path, threads: int) -> d
     generated once per seed into ``data/seed<s>/`` (or taken from the spec's
     files) and shared by all methods.  Each cell trains and evaluates into
     ``runs/<method>/seed<s>/``; a failing cell is recorded under ``failures``
-    and does not stop the sweep.  With ``threads`` > 1 the cells run in that
-    many worker processes, and every output is byte-identical to a serial run.
+    and does not stop the sweep.  The cells run in ``min(threads, cells)``
+    worker processes when that is more than one, and every output is
+    byte-identical to a serial run.
     The comparison is also written to ``comparison.json``."""
     data, cells = plan_experiment(spec, spec_file)
     if threads < 1:
@@ -452,8 +457,9 @@ def run_experiment(spec: dict, spec_file: str, out_dir: Path, threads: int) -> d
     for cell in cells:
         run_dir = out_dir / "runs" / cell["name"] / f"seed{cell['seed']}"
         cell.update(data_files[cell["seed"]], run_dir=str(run_dir))
-    if threads > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, cells))
     else:
         results = [_run_cell(cell) for cell in cells]
@@ -489,9 +495,8 @@ def run_experiment(spec: dict, spec_file: str, out_dir: Path, threads: int) -> d
 def cmd_experiment(args: argparse.Namespace) -> int:
     spec_path = Path(args.spec)
     spec = load_experiment_spec(spec_path)
-    out_dir = _resolve_out(args.out or spec.get("out"))
-    threads = _env_threads() if args.threads is None else args.threads
-    comparison = run_experiment(spec, spec_path.name, out_dir, threads)
+    out_dir = Path(args.out)
+    comparison = run_experiment(spec, spec_path.name, out_dir, args.threads)
 
     failures = sum(row["failures"] for row in comparison["rows"])
     for row in comparison["rows"]:
@@ -510,21 +515,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 # wiring
 
 
-def _resolve_out(flag_value: str | None) -> Path:
-    out = flag_value or os.environ.get("NOODLE_OUT")
-    if not out:
-        raise ValueError("no output directory: pass --out or set NOODLE_OUT")
-    return Path(out)
-
-
-def _env_threads() -> int:
-    raw = os.environ.get("NOODLE_THREADS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"NOODLE_THREADS must be an integer, got {raw!r}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="noodle",
@@ -533,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="write synthetic ID/OOD CSV files")
-    g.add_argument("--out", help="output directory (or NOODLE_OUT)")
+    g.add_argument("--out", required=True, help="output directory")
     g.add_argument("--seed", type=int, default=0)
     for f in fields(DataSpec):
         flag = "--" + f.name.replace("_", "-")
@@ -545,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train a model and build the reference store")
     t.add_argument("--data", required=True, help="training CSV")
-    t.add_argument("--out", help="output directory (or NOODLE_OUT)")
+    t.add_argument("--out", required=True, help="output directory")
     t.add_argument("--config", help="JSON file of train-config keys")
     for flag, (key, options) in TRAIN_FLAGS.items():
         t.add_argument(flag, dest=key, **options)
@@ -560,13 +550,13 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--k", type=int, default=EvalSpec.k)
     e.add_argument("--tpr", type=float, default=EvalSpec.tpr)
     e.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
-    e.add_argument("--out", help="output directory (or NOODLE_OUT)")
+    e.add_argument("--out", required=True, help="output directory")
     e.set_defaults(func=cmd_eval)
 
     x = sub.add_parser("experiment", help="run a (method x seed) sweep from a JSON spec")
     x.add_argument("--spec", required=True)
-    x.add_argument("--out", help="overrides the spec's output directory")
-    x.add_argument("--threads", type=int, help="parallel cells (or NOODLE_THREADS)")
+    x.add_argument("--out", required=True, help="output directory")
+    x.add_argument("--threads", type=int, default=1, help="worker processes for the cells")
     x.set_defaults(func=cmd_experiment)
     return parser
 

@@ -92,6 +92,8 @@ class TrainConfig:
             problems.append(f"lambda must be >= 0, got {self.lam}")
         if self.pi_iters < 1:
             problems.append(f"pi_iters must be >= 1, got {self.pi_iters}")
+        if self.seed < 0:
+            problems.append(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.t_diag_init < 1.0:
             problems.append(f"t_diag_init must be in (0, 1), got {self.t_diag_init}")
         if len(self.widths) < 1 or min(self.widths) < 1:

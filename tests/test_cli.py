@@ -157,6 +157,8 @@ class TestGenData:
             ("--dim", "0", "dim must be >= 1, got 0"),
             ("--separation", "0", "separation must be a finite number > 0, got 0.0"),
             ("--spread", "-1", "spread must be a finite number > 0, got -1.0"),
+            # NumPy's SeedSequence refused it with only "expected non-negative integer".
+            ("--seed", "-1", "seed must be >= 0, got -1"),
         ):
             out = tmp_path / flag.strip("-")
             assert main([*base, flag, value, "--out", str(out)]) == 2, flag
@@ -177,6 +179,17 @@ class TestGenData:
         assert main(["gen-data", "--classes", "3", "--dim", "1", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == "error: classes must be <= 2 in dim 1 (two unit directions), got 3\n"
+        assert not out.exists()
+
+    def test_file_set_too_large_for_memory_exits_2_before_any_write(self, tmp_path, capsys):
+        # The draw asks for 931 TiB, more than the address space, so it is
+        # refused at once; it was an _ArrayMemoryError traceback (exit 1).
+        out = tmp_path / "out"
+        assert main(["gen-data", "--per-class", "1000000000000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the file set does not fit in memory: classes 4 x (per_class 1000000000000 + "
+            "val_per_class 50 + test_per_class 250) rows and ood_size 1000 per OOD mode, in dim 32\n"
+        )
         assert not out.exists()
 
     def test_cli_command_succeeds(self, tmp_path, capsys):
@@ -309,6 +322,7 @@ class TestTrainCommand:
         # run exited 2 on a NaN softmax instead of 3, then printed NumPy
         # warnings before its error line (a traceback with warnings as errors).
         # A NaN lambda trained as lambda 0 (exit 0) and an infinite lr exited 3.
+        # A negative seed failed in NumPy with only "expected non-negative integer".
         config_path = tmp_path / "cfg.json"
         for doc, flags, code, message in (
             ({"lr": "fast"}, [], 2, "lr must be a number, got 'fast'"),
@@ -316,6 +330,7 @@ class TestTrainCommand:
             ({"widths": [16, 2]}, [], 2, "subspace rank 3 (the class count) exceeds the latent width 2"),
             ({"lambda": float("nan")}, [], 2, "invalid config: lambda must be a finite number, got nan"),
             ({"lr": float("inf")}, [], 2, "invalid config: lr must be a finite number, got inf"),
+            ({}, ["--seed", "-1"], 2, "invalid config: seed must be >= 0, got -1"),
             ({}, ["--lr", "1e30"], 3, "error: non-finite logits at epoch "),
         ):
             config_path.write_text(json.dumps(doc))
@@ -609,16 +624,16 @@ class TestEvalCommand:
             )
 
 
-def test_readme_quickstart_prints_the_documented_numbers(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("NOODLE_OUT", str(tmp_path))
+def test_readme_quickstart_prints_the_documented_numbers(tmp_path, capsys):
     config = '{"epochs": 40, "widths": [64, 32, 16], "t_diag_init": 0.65}'
     (tmp_path / "config.json").write_text(config)
     for command in (
-        "gen-data --seed 0 --classes 4 --per-class 250 --dim 16 --noise-rate 0.4"
+        "gen-data --out {out} --seed 0 --classes 4 --per-class 250 --dim 16 --noise-rate 0.4"
         " --ood-modes far_cluster,uniform_shell",
-        "train --data {out}/train.csv --config {out}/config.json --loss cm --lambda 0.001 --seed 0",
+        "train --data {out}/train.csv --config {out}/config.json --out {out}"
+        " --loss cm --lambda 0.001 --seed 0",
         "eval --checkpoint {out}/checkpoint.json --store {out}/store --id-test {out}/test_id.csv"
-        " --ood {out}/ood_far_cluster.csv --ood {out}/ood_uniform_shell.csv",
+        " --ood {out}/ood_far_cluster.csv --ood {out}/ood_uniform_shell.csv --out {out}",
     ):
         capsys.readouterr()
         assert main(command.format(out=tmp_path).split()) == 0
@@ -749,6 +764,35 @@ class TestExperiment:
         ) == 0
         assert (a / "comparison.json").read_bytes() == (b / "comparison.json").read_bytes()
 
+    def test_the_pool_starts_no_more_workers_than_cells(self, tmp_path, monkeypatch):
+        # Under fork the pool starts all max_workers processes at the first
+        # submit, so --threads 64 on two cells started 64.  The recorder runs
+        # the cells in this process and starts none.
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("noodle.cli.ProcessPoolExecutor", RecordingPool)
+        spec_path, _ = _experiment_spec(tmp_path)
+        argv = ["experiment", "--spec", str(spec_path), "--threads", "64"]
+        assert main([*argv, "--out", str(tmp_path / "two")]) == 0
+        assert asked == [2]
+        solo = {"name": "solo", "loss_kind": "ce", "lambda": 0.0, "score": "knn", "k": 10}
+        spec_path, _ = _experiment_spec(tmp_path, methods=[solo])
+        assert main([*argv, "--out", str(tmp_path / "one")]) == 0
+        assert asked == [2]
+
     def test_cell_failure_is_reported_not_fatal(self, tmp_path, monkeypatch, capsys):
         # The "bad" method's loss diverges at run time; the serial run keeps
         # the patched `train` in this process.
@@ -827,7 +871,10 @@ class TestExperiment:
             (dict(one, eval={"tpr": 0}), r"eval.tpr must be a number in \(0, 1\]"),
             (dict(one, eval={"tpr": 1.5}), r"eval.tpr must be a number in \(0, 1\]"),
             (dict(one, eval={"tpr": "0.9"}), "eval.tpr must be a number, got '0.9'"),
-            (dict(one, out=5), "out must be a directory path string"),
+            # The output directory is --out alone; run_experiment ignored this one.
+            (dict(one, out="sweep"), "unknown spec keys: out"),
+            # NumPy's SeedSequence refused it inside the cell.
+            (dict(one, seeds=[-1]), "method 'a': invalid config: seed must be >= 0, got -1"),
             (dict(one, dataset=twins), "ood_csvs share a report name: ood_x"),
             # The train section and each method's config are built here too,
             # so none of these fails only inside the cells.
@@ -873,7 +920,8 @@ class TestExperiment:
     def test_late_failures_exit_2_before_any_write(self, tmp_path, capsys):
         # Unchecked, each of these fails only after writing: an escaping name
         # writes outside runs/, k=0 and tpr=0 fail every trained cell, and
-        # out=5 is a TypeError traceback once the output directory is chosen.
+        # out=5 was a TypeError traceback once the output directory was chosen
+        # (a spec names no output directory now).
         bad = [
             {"methods": [{"name": "../escape"}], "seeds": [0]},
             {"methods": [{"name": "a", "k": 0}], "seeds": [0]},
@@ -881,14 +929,13 @@ class TestExperiment:
             {"methods": [{"name": "a"}], "seeds": [0], "dataset": {"classes": "3"}},
             {"methods": [{"name": "a"}], "seeds": [0], "dataset": {"classes": 3, "dim": 1}},
             {"methods": [{"name": "a"}], "seeds": [0], "dataset": {"separation": 10**400}},
+            {"methods": [{"name": "a"}], "seeds": [0], "out": 5},
         ]
         path = tmp_path / "spec.json"
         for spec in bad:
             path.write_text(json.dumps(spec))
             assert main(["experiment", "--spec", str(path), "--out", str(tmp_path / "o" / "i")]) == 2
-        path.write_text(json.dumps({"methods": [{"name": "a"}], "seeds": [0], "out": 5}))
-        assert main(["experiment", "--spec", str(path)]) == 2
-        assert "out must be a directory path string" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(f"error: {path}: unknown spec keys: out\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
     def test_generator_errors_come_from_the_planner(self, tmp_path):
@@ -935,47 +982,38 @@ class TestExperiment:
         assert code == 2
         assert "but not id_test_csv, ood_csvs" in capsys.readouterr().err
 
-    def test_threads_below_one_exits_2(self, tmp_path, monkeypatch, capsys):
+    def test_threads_below_one_exits_2(self, tmp_path, capsys):
         spec_path, _ = _experiment_spec(tmp_path)
         out = tmp_path / "out"
-        monkeypatch.setenv("NOODLE_THREADS", "2")
         argv = ["experiment", "--spec", str(spec_path), "--out", str(out)]
         assert main([*argv, "--threads", "0"]) == 2
-        monkeypatch.setenv("NOODLE_THREADS", "-1")
-        assert main(argv) == 2
-        monkeypatch.setenv("NOODLE_THREADS", "two")
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "threads must be at least 1, got 0" in err
-        assert "threads must be at least 1, got -1" in err
-        assert "error: NOODLE_THREADS must be an integer, got 'two'\n" in err
+        assert capsys.readouterr().err == "error: threads must be at least 1, got 0\n"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--threads", "two"])
+        assert exc.value.code == 2
+        assert "argument --threads: invalid int value: 'two'" in capsys.readouterr().err
         assert not out.exists()
 
 
 class TestOutputResolution:
-    def test_noodle_out_env_supplies_the_directory(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("NOODLE_OUT", str(tmp_path / "env_out"))
-        code = main(
-            [
-                "gen-data",
-                "--seed", "0",
-                "--classes", "3",
-                "--per-class", "5",
-                "--dim", "4",
-                "--val-per-class", "2",
-                "--test-per-class", "2",
-                "--ood-size", "5",
-            ]
-        )
-        assert code == 0
-        capsys.readouterr()
-        assert (tmp_path / "env_out" / "train.csv").exists()
-
-    def test_no_out_anywhere_exits_2(self, monkeypatch, capsys):
-        monkeypatch.delenv("NOODLE_OUT", raising=False)
-        code = main(["gen-data", "--seed", "0"])
-        assert code == 2
-        assert "no output directory" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "gen-data",
+            "train --data train.csv",
+            "eval --checkpoint checkpoint.json --store store --id-test test_id.csv --ood ood.csv",
+            "experiment --spec spec.json",
+        ],
+        ids=lambda command: command.split()[0],
+    )
+    def test_no_out_exits_2_and_writes_nothing(self, command, tmp_path, monkeypatch, capsys):
+        # --out is the one source of the output directory.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(command.split())
+        assert exc.value.code == 2
+        assert "the following arguments are required: --out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_key_error_inside_a_command_is_not_a_usage_error(tmp_path, monkeypatch):

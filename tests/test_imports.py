@@ -6,8 +6,9 @@ or the benchmark, the package imports exactly the third-party modules that
 class of the package defines a ``validate`` method, no ``__post_init__``
 calls ``type`` or ``isinstance`` (``files.settle_fields`` types every
 settings field), the CLI neither calls ``type_problem`` nor tests membership
-in a list of kinds, the planner names the spec in one handler, and only
-``files.py`` computes unknown keys."""
+in a list of kinds, the planner names the spec in one handler, only
+``files.py`` computes unknown keys, and no module under ``src/noodle`` reads
+the environment (``os.environ`` or ``os.getenv``)."""
 
 from __future__ import annotations
 
@@ -211,5 +212,25 @@ def test_only_files_computes_unknown_keys():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) and is_set(node.left))
         or (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "difference")
+    ]
+    assert found == []
+
+
+def test_package_reads_no_environment():
+    # Each run setting has one source, its command-line flag or the caller's
+    # argument; an environment fallback is a second source that a spec, a
+    # report and a test run cannot see.
+    def reads(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr in ("environ", "getenv")
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            return any(alias.name in ("environ", "getenv") for alias in node.names)
+        return False
+
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src/noodle").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if reads(node)
     ]
     assert found == []

@@ -79,8 +79,9 @@ class TestTrainConfig:
 
     def test_validate_collects_problems(self):
         with pytest.raises(ValueError) as exc:
-            _toy_config(lr=-1.0, loss_kind="zzz")
+            _toy_config(lr=-1.0, loss_kind="zzz", seed=-1)
         assert "lr" in str(exc.value) and "loss_kind" in str(exc.value)
+        assert "seed must be >= 0, got -1" in str(exc.value)
 
     def test_t_diag_init_range(self):
         with pytest.raises(ValueError, match="t_diag_init"):
