@@ -23,8 +23,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, astuple, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Iterable
 
@@ -405,8 +409,8 @@ def load_experiment_spec(path: Path) -> dict:
 
 
 def _run_cell(cell: dict) -> dict:
-    """One planned cell: train then eval into its ``run_dir``. Runs in a worker
-    process when the sweep has a pool, so it takes and returns plain picklable
+    """One planned cell: train then eval into its ``run_dir``. Runs in this
+    process or in a pool worker, so it takes and returns plain picklable
     dicts."""
     try:
         run_dir = Path(cell["run_dir"])
@@ -425,6 +429,48 @@ def _run_cell(cell: dict) -> dict:
         return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
+def _run_cells(cells: list[dict], processes: int) -> list[dict]:
+    """Run ``cells`` in this process and ``processes - 1`` pool workers and
+    return their results in plan order.
+
+    Every process takes the next cell from one queue: this one in a loop, each
+    worker through the done-callback of its previous cell.  A cell is a pure
+    function of its inputs, so which process runs it changes no output.  A
+    failure of the pool itself (a worker that died) stops the hand-out and is
+    raised once the pool has stopped, so no result is left unset."""
+    results: list = [None] * len(cells)
+    todo = deque(range(len(cells)))
+    errors: list[Exception] = []
+    # Reentrant: a future that is already done runs its callback at once.
+    lock = threading.RLock()
+
+    def take() -> int | None:
+        with lock:
+            return todo.popleft() if todo and not errors else None
+
+    def feed(pool: ProcessPoolExecutor, done: Future | None = None, index: int = -1) -> None:
+        # Holding the lock from take to submit means that once this process
+        # finds the queue empty no cell can reach the pool as it shuts down.
+        with lock:
+            try:
+                if done is not None:
+                    results[index] = done.result()
+                if (i := take()) is not None:
+                    pool.submit(_run_cell, cells[i]).add_done_callback(partial(feed, pool, index=i))
+            except Exception as exc:  # the pool's thread would only log it
+                errors.append(exc)
+
+    pool = ProcessPoolExecutor(max_workers=processes - 1) if processes > 1 else None
+    with pool or nullcontext():
+        for _ in range(processes - 1):
+            feed(pool)
+        while (i := take()) is not None:
+            results[i] = _run_cell(cells[i])
+    if errors:
+        raise errors[0]
+    return results
+
+
 def run_experiment(spec: dict, spec_file: str, out_dir: Path, threads: int) -> dict:
     """Run every (method, seed) cell of ``spec`` and return the comparison.
 
@@ -434,8 +480,9 @@ def run_experiment(spec: dict, spec_file: str, out_dir: Path, threads: int) -> d
     files) and shared by all methods.  Each cell trains and evaluates into
     ``runs/<method>/seed<s>/``; a failing cell is recorded under ``failures``
     and does not stop the sweep.  The cells run in ``min(threads, cells)``
-    worker processes when that is more than one, and every output is
-    byte-identical to a serial run.
+    processes in all: this one and one fewer pool workers, so ``threads=1``
+    or a single cell starts no pool.  Every output is byte-identical to a
+    serial run.
     The comparison is also written to ``comparison.json``."""
     data, cells = plan_experiment(spec, spec_file)
     if threads < 1:
@@ -446,7 +493,10 @@ def run_experiment(spec: dict, spec_file: str, out_dir: Path, threads: int) -> d
         if isinstance(data, dict):
             data_files[seed] = data
             continue
-        manifest = generate_dataset_files(out_dir / "data" / f"seed{seed}", seed, **asdict(data))
+        try:
+            manifest = generate_dataset_files(out_dir / "data" / f"seed{seed}", seed, **asdict(data))
+        except ValueError as exc:
+            raise ValueError(f"{spec_file}: {exc}") from exc
         paths = {p.stem: p for p, _ in manifest}
         data_files[seed] = {
             "train_csv": str(paths["train"]),
@@ -457,12 +507,7 @@ def run_experiment(spec: dict, spec_file: str, out_dir: Path, threads: int) -> d
     for cell in cells:
         run_dir = out_dir / "runs" / cell["name"] / f"seed{cell['seed']}"
         cell.update(data_files[cell["seed"]], run_dir=str(run_dir))
-    workers = min(threads, len(cells))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, cells))
-    else:
-        results = [_run_cell(cell) for cell in cells]
+    results = _run_cells(cells, min(threads, len(cells)))
 
     rows, by_method = [], {}
     for name in dict.fromkeys(cell["name"] for cell in cells):
@@ -556,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     x = sub.add_parser("experiment", help="run a (method x seed) sweep from a JSON spec")
     x.add_argument("--spec", required=True)
     x.add_argument("--out", required=True, help="output directory")
-    x.add_argument("--threads", type=int, default=1, help="worker processes for the cells")
+    x.add_argument("--threads", type=int, default=1, help="processes in all: this one and N-1 workers")
     x.set_defaults(func=cmd_experiment)
     return parser
 

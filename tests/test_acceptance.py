@@ -7,8 +7,9 @@ reference-loop equivalence).  Criteria 7-9 run the full detection protocol:
 five seeds, NOODLE (forward-corrected loss + residual sparsity + kNN) against
 a plain cross-entropy baseline, at 40% label noise and at 0%.  The protocol
 block is computed once in a session fixture and reused; a complete second
-pass, run in two worker processes, backs the bit-identical reproducibility
-criterion, so it also checks that the pool reproduces a serial sweep.
+pass, run in two processes (the runner's and one pool worker), backs the
+bit-identical reproducibility criterion, so it also checks that the pool
+reproduces a serial sweep.
 
 Each test prints one summary line; run pytest with `-s` to see them inline.
 """
@@ -374,7 +375,7 @@ def test_criterion_9_protocol_is_bit_reproducible(protocol):
                     mismatches.append(f"{block}/{name}/seed{seed}")
     ok = not mismatches
     _announce(
-        f"criterion 9: {'PASS' if ok else 'FAIL'} - a second full pass in 2 workers over all 20 "
+        f"criterion 9: {'PASS' if ok else 'FAIL'} - a second full pass in 2 processes over all 20 "
         f"protocol cells reproduced every metric and parameter checksum exactly"
         + ("" if ok else f"; mismatches: {', '.join(mismatches)}")
     )

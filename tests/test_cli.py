@@ -16,6 +16,8 @@ import re
 import shutil
 import subprocess
 import sys
+from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ import noodle
 from noodle.cli import (
     METHOD_KEYS,
     SPEC_KEYS,
+    _run_cells,
     build_parser,
     generate_dataset_files,
     load_experiment_spec,
@@ -188,6 +191,20 @@ class TestGenData:
         assert main(["gen-data", "--per-class", "1000000000000", "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             "error: the file set does not fit in memory: classes 4 x (per_class 1000000000000 + "
+            "val_per_class 50 + test_per_class 250) rows and ood_size 1000 per OOD mode, in dim 32\n"
+        )
+        assert not out.exists()
+
+    def test_file_set_too_large_for_a_spec_exits_2_naming_the_spec(self, tmp_path, capsys):
+        # Planning cannot see the size; the sweep's data generation refused it
+        # without the spec's name.
+        spec = {"methods": [{"name": "a"}], "seeds": [0], "dataset": {"per_class": 1000000000000}}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert main(["experiment", "--spec", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: big.json: the file set does not fit in memory: classes 4 x (per_class 1000000000000 + "
             "val_per_class 50 + test_per_class 250) rows and ood_size 1000 per OOD mode, in dim 32\n"
         )
         assert not out.exists()
@@ -756,19 +773,23 @@ class TestExperiment:
         assert manual_summary["rows"] == sweep_summary["rows"]
 
     def test_parallel_and_serial_runs_agree(self, tmp_path):
-        spec_path, _ = _experiment_spec(tmp_path)
-        a, b = tmp_path / "serial", tmp_path / "parallel"
-        assert main(["experiment", "--spec", str(spec_path), "--out", str(a)]) == 0
-        assert main(
-            ["experiment", "--spec", str(spec_path), "--out", str(b), "--threads", "2"]
-        ) == 0
-        assert (a / "comparison.json").read_bytes() == (b / "comparison.json").read_bytes()
+        # Four cells: --threads 2 is this process and one worker, --threads 3
+        # this process and two, so cells run in both kinds of process.
+        spec_path, _ = _experiment_spec(tmp_path, seeds=(0, 1))
+        trees = {}
+        for threads in ("1", "2", "3"):
+            out = tmp_path / f"threads{threads}"
+            argv = ["experiment", "--spec", str(spec_path), "--out", str(out), "--threads", threads]
+            assert main(argv) == 0
+            trees[threads] = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert len([name for name in trees["1"] if name.endswith("checkpoint.json")]) == 4
+        assert trees["2"] == trees["1"]
+        assert trees["3"] == trees["1"]
 
-    def test_the_pool_starts_no_more_workers_than_cells(self, tmp_path, monkeypatch):
-        # Under fork the pool starts all max_workers processes at the first
-        # submit, so --threads 64 on two cells started 64.  The recorder runs
-        # the cells in this process and starts none.
-        asked = []
+    @staticmethod
+    def _recording_pool(asked, outcome):
+        """A pool stand-in that records its size and settles each future at
+        submit with ``outcome(fn, *args)``, so callbacks run at once."""
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -780,18 +801,85 @@ class TestExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, *args):
+                future = Future()
+                try:
+                    future.set_result(outcome(fn, *args))
+                except BaseException as exc:
+                    future.set_exception(exc)
+                return future
 
-        monkeypatch.setattr("noodle.cli.ProcessPoolExecutor", RecordingPool)
+        return RecordingPool
+
+    def test_the_pool_starts_no_more_workers_than_cells(self, tmp_path, monkeypatch):
+        # This process runs cells too, so --threads N starts min(N, cells) - 1
+        # workers.  Under fork the pool starts all max_workers processes at the
+        # first submit, so --threads 64 on two cells once started 64.
+        asked = []
+        pool = self._recording_pool(asked, lambda fn, *args: fn(*args))
+        monkeypatch.setattr("noodle.cli.ProcessPoolExecutor", pool)
         spec_path, _ = _experiment_spec(tmp_path)
-        argv = ["experiment", "--spec", str(spec_path), "--threads", "64"]
-        assert main([*argv, "--out", str(tmp_path / "two")]) == 0
-        assert asked == [2]
+        argv = ["experiment", "--spec", str(spec_path)]
+        assert main([*argv, "--threads", "64", "--out", str(tmp_path / "two")]) == 0
+        assert asked == [1]
+        assert main([*argv, "--threads", "1", "--out", str(tmp_path / "serial")]) == 0
+        assert asked == [1]
         solo = {"name": "solo", "loss_kind": "ce", "lambda": 0.0, "score": "knn", "k": 10}
         spec_path, _ = _experiment_spec(tmp_path, methods=[solo])
-        assert main([*argv, "--out", str(tmp_path / "one")]) == 0
-        assert asked == [2]
+        assert main([*argv, "--threads", "64", "--out", str(tmp_path / "one")]) == 0
+        assert asked == [1]
+        doc = json.loads((tmp_path / "two" / "comparison.json").read_text())
+        assert [row["seeds"] for row in doc["rows"]] == [1, 1]
+
+    def test_a_broken_pool_is_raised(self, tmp_path, monkeypatch):
+        def broken(fn, *args):
+            raise BrokenProcessPool("a worker died")
+
+        monkeypatch.setattr("noodle.cli.ProcessPoolExecutor", self._recording_pool([], broken))
+        _, spec = _experiment_spec(tmp_path)
+        with pytest.raises(BrokenProcessPool, match="a worker died"):
+            run_experiment(spec, "experiment.json", tmp_path / "out", 2)
+        assert not (tmp_path / "out" / "comparison.json").exists()
+
+    def test_a_worker_that_dies_is_raised(self, tmp_path, monkeypatch):
+        # A real pool: the forked worker exits at its first cell.
+        parent = os.getpid()
+
+        def exit_in_a_worker(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return run_training(*args)
+
+        monkeypatch.setattr("noodle.cli.run_training", exit_in_a_worker)
+        _, spec = _experiment_spec(tmp_path, seeds=(0, 1))
+        with pytest.raises(BrokenProcessPool):
+            run_experiment(spec, "experiment.json", tmp_path / "out", 2)
+        assert not (tmp_path / "out" / "comparison.json").exists()
+
+    def test_every_cell_runs_once_in_plan_order_under_contention(self, monkeypatch):
+        # Threads stand in for the workers, more of them than cores, with a
+        # short switch interval: a cell taken twice, or a result stored in the
+        # wrong slot or lost, breaks the count or the order.  Many short sweeps
+        # also race the last hand-out against the pool's shutdown, which a
+        # submit outside the lock loses in many of them.
+        ran = []
+
+        def cell_stub(cell):
+            ran.append(cell["i"])
+            return {"i": cell["i"]}
+
+        monkeypatch.setattr("noodle.cli._run_cell", cell_stub)
+        monkeypatch.setattr("noodle.cli.ProcessPoolExecutor", ThreadPoolExecutor)
+        cells = [{"i": i} for i in range(20)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(300):
+                ran.clear()
+                assert _run_cells(cells, 8) == cells
+                assert sorted(ran) == list(range(20))
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_cell_failure_is_reported_not_fatal(self, tmp_path, monkeypatch, capsys):
         # The "bad" method's loss diverges at run time; the serial run keeps
