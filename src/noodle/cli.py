@@ -3,8 +3,8 @@
 Subcommands::
 
     noodle gen-data   --out DIR [--seed N --classes K --noise-rate F ...]
-    noodle train      --data train.csv --out DIR [--config cfg.json ...]
-    noodle eval       --checkpoint ckpt --store BASE --id-test f --ood f --out DIR [...]
+    noodle train      --data train.csv --out DIR [--config cfg.json]
+    noodle eval       --checkpoint ckpt --id-test f --ood f --out DIR [--score S --k K --tpr T]
     noodle experiment --spec exp.json --out DIR [--threads N]
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical failure
@@ -48,7 +48,6 @@ from .datagen import (
     save_ood_csv,
 )
 from .files import array_checksum, read_json, reject_unknown, require_keys, write_json
-from .losses import LOSS_KINDS
 from .metrics import ScoreReport, emit_report, id_accuracy, make_report
 from .model import DivergenceError, MlpParams, forward, load_checkpoint, save_checkpoint
 from .scoring import SCORE_KINDS, EmbeddingStore, EvalSpec, batch_scores, load_store, save_store
@@ -121,19 +120,6 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-# `noodle train` flag -> (config key, argparse options).  The config key is
-# also the argparse dest; `--lambda` names its metavar LAM in `--help`.
-TRAIN_FLAGS = {
-    "--seed": ("seed", dict(type=int)),
-    "--epochs": ("epochs", dict(type=int)),
-    "--lambda": ("lambda", dict(type=float, metavar="LAM", help="sparsity weight")),
-    "--loss": ("loss_kind", dict(choices=LOSS_KINDS)),
-    "--batch-size": ("batch_size", dict(type=int)),
-    "--lr": ("lr", dict(type=float)),
-    "--pi-iters": ("pi_iters", dict(type=int)),
-}
-
-
 def run_training(data_path: Path, config: TrainConfig, out_dir: Path) -> list[Path]:
     """Train on a CSV and persist checkpoint, store, and loss trace.  The
     checkpoint's meta records the store's checksum and how many training
@@ -171,11 +157,8 @@ def run_training(data_path: Path, config: TrainConfig, out_dir: Path) -> list[Pa
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
-    doc = read_json(args.config) if args.config else {}
-    flags = {key: getattr(args, key) for key, _ in TRAIN_FLAGS.values()}
-    config = TrainConfig.from_dict({**doc, **{k: v for k, v in flags.items() if v is not None}})
-    for path in run_training(Path(args.data), config, out_dir):
+    config = TrainConfig.from_dict(read_json(args.config) if args.config else {})
+    for path in run_training(Path(args.data), config, Path(args.out)):
         print(f"wrote {path}")
     return 0
 
@@ -226,7 +209,7 @@ def run_eval(
     score: str,
     k: int,
     tpr: float,
-    seed: int,
+    seed: int | None,
     out_dir: Path,
 ) -> dict:
     """Score the ID test set against every OOD file; write one report per OOD
@@ -238,7 +221,9 @@ def run_eval(
     its checksum must equal the checkpoint meta's ``store_checksum``, so a
     store of another width, class count, encoder or run is rejected with
     ``ValueError``, and so are a checkpoint without that key or its
-    ``config_hash`` and two OOD files with one stem."""
+    ``config_hash`` and two OOD files with one stem.  The reports record
+    ``seed``; None records the checkpoint's ``meta.config.seed``, and a
+    checkpoint without an integer one is a ``ValueError``."""
     evaluation = EvalSpec(score, k, tpr)
     if not ood_paths:
         raise ValueError("need at least one OOD file")
@@ -249,6 +234,11 @@ def run_eval(
 
     params, _, meta = load_checkpoint(checkpoint_path)
     require_keys(meta, ("config_hash", "store_checksum"), checkpoint_path)
+    if seed is None:
+        config = meta.get("config")
+        seed = config.get("seed") if isinstance(config, dict) else None
+        if type(seed) is not int:
+            raise ValueError(f"{checkpoint_path}: meta has no integer config.seed")
     store = load_store(store_base)
     if array_checksum(store.labels, store.embeddings) != meta["store_checksum"]:
         raise ValueError(
@@ -286,16 +276,18 @@ def run_eval(
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
+    # `noodle train --out` writes the checkpoint and its store side by side,
+    # and the checkpoint records the run's seed.
+    out_dir, checkpoint = Path(args.out), Path(args.checkpoint)
     summary = run_eval(
-        Path(args.checkpoint),
-        Path(args.store),
+        checkpoint,
+        checkpoint.parent / "store",
         Path(args.id_test),
         [Path(p) for p in args.ood],
         args.score,
         args.k,
         args.tpr,
-        args.seed,
+        None,
         out_dir,
     )
     for row in [*summary["rows"], summary["average"]]:
@@ -581,20 +573,16 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train a model and build the reference store")
     t.add_argument("--data", required=True, help="training CSV")
     t.add_argument("--out", required=True, help="output directory")
-    t.add_argument("--config", help="JSON file of train-config keys")
-    for flag, (key, options) in TRAIN_FLAGS.items():
-        t.add_argument(flag, dest=key, **options)
+    t.add_argument("--config", help="JSON object of train-config keys; without it, the defaults")
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="score ID/OOD files and emit reports")
-    e.add_argument("--checkpoint", required=True)
-    e.add_argument("--store", required=True, help="store base path (without .csv)")
+    e.add_argument("--checkpoint", required=True, help="checkpoint.json, with its store.csv beside it")
     e.add_argument("--id-test", required=True)
     e.add_argument("--ood", action="append", required=True, help="repeatable OOD CSV path")
     e.add_argument("--score", choices=SCORE_KINDS, default=EvalSpec.score)
     e.add_argument("--k", type=int, default=EvalSpec.k)
     e.add_argument("--tpr", type=float, default=EvalSpec.tpr)
-    e.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
     e.add_argument("--out", required=True, help="output directory")
     e.set_defaults(func=cmd_eval)
 

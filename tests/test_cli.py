@@ -259,24 +259,23 @@ class TestTrainCommand:
         assert meta["store_dropped"] == len(load_features_csv(data_dir / "train.csv")) - len(store)
         assert meta["config_hash"] == TrainConfig.from_dict(TRAIN_SMALL).config_hash()
 
-    def test_cli_flags_override_config_file(self, tmp_path, data_dir):
+    def test_a_checkpoints_config_reproduces_its_run(self, tmp_path, data_dir, run_dir, capsys):
+        # --config is the run's one settings source: the config a checkpoint
+        # records, given back as --config, trains the same files byte for
+        # byte, and the flags that once overrode a config file are unknown.
         config_path = tmp_path / "cfg.json"
-        config_path.write_text(json.dumps(TRAIN_SMALL))
-        code = main(
-            [
-                "train",
-                "--data", str(data_dir / "train.csv"),
-                "--out", str(tmp_path / "out"),
-                "--config", str(config_path),
-                "--epochs", "1",
-                "--loss", "ce",
-            ]
-        )
-        assert code == 0
-        meta = json.loads((tmp_path / "out" / "checkpoint.json").read_text())["meta"]
-        assert meta["config"]["epochs"] == 1
-        assert meta["config"]["loss_kind"] == "ce"
-        assert meta["config"]["lambda"] == TRAIN_SMALL["lambda"]
+        config_path.write_text(json.dumps(read_json(run_dir / "checkpoint.json")["meta"]["config"]))
+        out = tmp_path / "out"
+        argv = ["train", "--data", str(data_dir / "train.csv"), "--out", str(out)]
+        assert main([*argv, "--config", str(config_path)]) == 0
+        for name in ("checkpoint.json", "store.csv", "trace.json"):
+            assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+        for flag, value in (("--seed", "1"), ("--epochs", "1"), ("--lambda", "0"), ("--loss", "ce"),
+                            ("--batch-size", "8"), ("--lr", "0.1"), ("--pi-iters", "2")):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--config", str(config_path), flag, value])
+            assert exc.value.code == 2, flag
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err, flag
 
     def test_zero_epochs_still_writes_a_store(self, tmp_path, data_dir):
         config_path = tmp_path / "cfg.json"
@@ -341,19 +340,19 @@ class TestTrainCommand:
         # A NaN lambda trained as lambda 0 (exit 0) and an infinite lr exited 3.
         # A negative seed failed in NumPy with only "expected non-negative integer".
         config_path = tmp_path / "cfg.json"
-        for doc, flags, code, message in (
-            ({"lr": "fast"}, [], 2, "lr must be a number, got 'fast'"),
-            ({"widths": [16, 8.0]}, [], 2, "widths must be a list of integers"),
-            ({"widths": [16, 2]}, [], 2, "subspace rank 3 (the class count) exceeds the latent width 2"),
-            ({"lambda": float("nan")}, [], 2, "invalid config: lambda must be a finite number, got nan"),
-            ({"lr": float("inf")}, [], 2, "invalid config: lr must be a finite number, got inf"),
-            ({}, ["--seed", "-1"], 2, "invalid config: seed must be >= 0, got -1"),
-            ({}, ["--lr", "1e30"], 3, "error: non-finite logits at epoch "),
+        for doc, code, message in (
+            ({"lr": "fast"}, 2, "lr must be a number, got 'fast'"),
+            ({"widths": [16, 8.0]}, 2, "widths must be a list of integers"),
+            ({"widths": [16, 2]}, 2, "subspace rank 3 (the class count) exceeds the latent width 2"),
+            ({"lambda": float("nan")}, 2, "invalid config: lambda must be a finite number, got nan"),
+            ({"lr": float("inf")}, 2, "invalid config: lr must be a finite number, got inf"),
+            ({"seed": -1}, 2, "invalid config: seed must be >= 0, got -1"),
+            ({"lr": 1e30}, 3, "error: non-finite logits at epoch "),
         ):
             config_path.write_text(json.dumps(doc))
             out = tmp_path / "out"
             argv = ["train", "--data", str(data_dir / "train.csv"), "--out", str(out)]
-            assert main([*argv, "--config", str(config_path), *flags]) == code, message
+            assert main([*argv, "--config", str(config_path)]) == code, message
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
             assert not out.exists(), message
@@ -380,7 +379,6 @@ class TestEvalCommand:
             [
                 "eval",
                 "--checkpoint", str(run_dir / "checkpoint.json"),
-                "--store", str(run_dir / "store"),
                 "--id-test", str(data_dir / "test_id.csv"),
                 "--ood", str(data_dir / "ood_far_cluster.csv"),
                 "--ood", str(data_dir / "ood_uniform_shell.csv"),
@@ -400,6 +398,24 @@ class TestEvalCommand:
         summary = read_json(tmp_path / "eval_summary.json")
         assert [row["dataset"] for row in summary["rows"]] == stems
         assert (summary["average"]["n_id"], summary["average"]["n_ood"]) == (30, 80)
+
+    def test_reports_record_the_checkpoints_seed(self, tmp_path, data_dir):
+        # Without a seed of its own, eval once wrote "seed": 0 for a run
+        # trained at seed 3, next to that run's config_hash.
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(dict(TRAIN_SMALL, seed=3)))
+        run, out = tmp_path / "run", tmp_path / "eval"
+        assert main(["train", "--data", str(data_dir / "train.csv"), "--config", str(config_path),
+                     "--out", str(run)]) == 0
+        command = (
+            f"eval --checkpoint {run}/checkpoint.json --id-test {data_dir}/test_id.csv "
+            f"--ood {data_dir}/ood_far_cluster.csv --ood {data_dir}/ood_uniform_shell.csv --out {out}"
+        )
+        assert main(command.split()) == 0
+        config_hash = read_json(run / "checkpoint.json")["meta"]["config_hash"]
+        docs = [read_json(path) for path in sorted(out.iterdir())]
+        assert len(docs) == 3
+        assert [(doc["seed"], doc["config_hash"]) for doc in docs] == [(3, config_hash)] * 3
 
     def test_reports_rederive_from_raw_scores(self, tmp_path, data_dir, run_dir):
         run_eval(
@@ -453,7 +469,6 @@ class TestEvalCommand:
             [
                 "eval",
                 "--checkpoint", str(run_dir / "checkpoint.json"),
-                "--store", str(run_dir / "store"),
                 "--id-test", str(data_dir / "test_id.csv"),
                 "--ood", str(tmp_path / "missing.csv"),
                 "--out", str(tmp_path),
@@ -470,21 +485,22 @@ class TestEvalCommand:
         shutil.copy(data_dir / "ood_far_cluster.csv", twin)
         out = tmp_path / "eval"
         command = (
-            f"eval --checkpoint {run_dir}/checkpoint.json --store {run_dir}/store --id-test "
+            f"eval --checkpoint {run_dir}/checkpoint.json --id-test "
             f"{data_dir}/test_id.csv --ood {data_dir}/ood_far_cluster.csv --ood {twin} --out {out}"
         )
         assert main(command.split()) == 2
         assert "OOD files share a report name: ood_far_cluster" in capsys.readouterr().err
         assert not out.exists()
 
-    def _eval_exits_2_naming_both(self, checkpoint, store_base, data_dir, out, capsys):
+    def _eval_exits_2_naming_both(self, run, data_dir, out, capsys):
+        # The store eval reads is the store.csv beside the checkpoint.
         command = (
-            f"eval --checkpoint {checkpoint} --store {store_base} --id-test "
+            f"eval --checkpoint {run}/checkpoint.json --id-test "
             f"{data_dir}/test_id.csv --ood {data_dir}/ood_far_cluster.csv --out {out}"
         )
         assert main(command.split()) == 2
         assert capsys.readouterr().err == (
-            f"error: {store_base}.csv: not the store trained with {checkpoint} "
+            f"error: {run}/store.csv: not the store trained with {run}/checkpoint.json "
             "(store_checksum differs)\n"
         )
         assert not out.exists()
@@ -496,10 +512,8 @@ class TestEvalCommand:
             run_training(
                 data_dir / "train.csv", TrainConfig.from_dict({**TRAIN_SMALL, **overrides}), other
             )
-            out = tmp_path / f"eval_{name}"
-            self._eval_exits_2_naming_both(
-                run_dir / "checkpoint.json", other / "store", data_dir, out, capsys
-            )
+            shutil.copyfile(run_dir / "checkpoint.json", other / "checkpoint.json")
+            self._eval_exits_2_naming_both(other, data_dir, tmp_path / f"eval_{name}", capsys)
 
     def test_store_csv_copied_from_another_run_exits_2(self, tmp_path, data_dir, run_dir, capsys):
         # Run B (`ce`) has the width and classes of run A (`cm`), so with B's
@@ -509,17 +523,15 @@ class TestEvalCommand:
         config = TrainConfig.from_dict({**TRAIN_SMALL, "loss_kind": "ce"})
         run_training(data_dir / "train.csv", config, b)
         shutil.copyfile(b / "store.csv", a / "store.csv")
-        out = tmp_path / "eval"
-        self._eval_exits_2_naming_both(a / "checkpoint.json", a / "store", data_dir, out, capsys)
+        self._eval_exits_2_naming_both(a, data_dir, tmp_path / "eval", capsys)
 
     def test_store_with_more_classes_than_the_head_exits_2(
         self, tmp_path, data_dir, run_dir, capsys
     ):
         latents = np.random.default_rng(0).standard_normal((8, 40)) + 0.5
         save_store(build_store(latents, np.arange(40) % 4), tmp_path / "store")
-        self._eval_exits_2_naming_both(
-            run_dir / "checkpoint.json", tmp_path / "store", data_dir, tmp_path / "eval", capsys
-        )
+        shutil.copyfile(run_dir / "checkpoint.json", tmp_path / "checkpoint.json")
+        self._eval_exits_2_naming_both(tmp_path, data_dir, tmp_path / "eval", capsys)
 
     def test_bad_checkpoint_or_store_file_exits_2(self, tmp_path, data_dir, run_dir, capsys):
         # A JSON list, or a meta that is not an object, was a traceback (exit 1).
@@ -548,6 +560,11 @@ class TestEvalCommand:
             return edit
 
         unbound = checkpoint_edit(lambda doc: doc["meta"].pop("store_checksum"))
+        # The reports record the checkpoint's seed; eval once recorded its own
+        # --seed (default 0) beside the config_hash of another seed.
+        unseeded = checkpoint_edit(lambda doc: doc["meta"]["config"].pop("seed"))
+        string_seed = checkpoint_edit(lambda doc: doc["meta"]["config"].update(seed="0"))
+        unconfigured = checkpoint_edit(lambda doc: doc["meta"].pop("config"))
         # Without config_hash every report and the summary recorded "" (exit 0).
         unhashed = checkpoint_edit(lambda doc: doc["meta"].pop("config_hash"))
         narrow_head = checkpoint_edit(lambda doc: [row.pop() for row in doc["head_weight"]])
@@ -567,6 +584,9 @@ class TestEvalCommand:
             ("list_checkpoint", "checkpoint.json", lambda lines: ["[]"], "not a JSON object"),
             ("unbound", "checkpoint.json", unbound, "missing key 'store_checksum'"),
             ("unhashed", "checkpoint.json", unhashed, "missing key 'config_hash'"),
+            ("unseeded", "checkpoint.json", unseeded, "meta has no integer config.seed"),
+            ("string_seed", "checkpoint.json", string_seed, "meta has no integer config.seed"),
+            ("unconfigured", "checkpoint.json", unconfigured, "meta has no integer config.seed"),
             ("number_meta", "checkpoint.json", checkpoint_edit(lambda doc: doc.update(meta=5)),
              "meta is not a JSON object"),
             ("gap", "store.csv", gap, "class 1 has no samples"),
@@ -588,7 +608,7 @@ class TestEvalCommand:
             path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
             out = tmp_path / f"eval_{name}"
             command = (
-                f"eval --checkpoint {copy}/checkpoint.json --store {copy}/store --id-test "
+                f"eval --checkpoint {copy}/checkpoint.json --id-test "
                 f"{data_dir}/test_id.csv --ood {data_dir}/ood_far_cluster.csv --out {out}"
             )
             assert main(command.split()) == 2, name
@@ -614,7 +634,7 @@ class TestEvalCommand:
             ("knn", 50, 0.0, "eval.", "tpr must be a number in (0, 1], got 0.0"),
         ):
             command = (
-                f"eval --checkpoint {run_dir}/checkpoint.json --store {run_dir}/store --id-test "
+                f"eval --checkpoint {run_dir}/checkpoint.json --id-test "
                 f"{data_dir}/test_id.csv --ood {data_dir}/ood_far_cluster.csv --out {out} "
                 f"--score {score} --k {k} --tpr {tpr}"
             )
@@ -642,14 +662,16 @@ class TestEvalCommand:
 
 
 def test_readme_quickstart_prints_the_documented_numbers(tmp_path, capsys):
-    config = '{"epochs": 40, "widths": [64, 32, 16], "t_diag_init": 0.65}'
+    config = (
+        '{"epochs": 40, "widths": [64, 32, 16], "t_diag_init": 0.65,'
+        ' "loss_kind": "cm", "lambda": 0.001, "seed": 0}'
+    )
     (tmp_path / "config.json").write_text(config)
     for command in (
         "gen-data --out {out} --seed 0 --classes 4 --per-class 250 --dim 16 --noise-rate 0.4"
         " --ood-modes far_cluster,uniform_shell",
-        "train --data {out}/train.csv --config {out}/config.json --out {out}"
-        " --loss cm --lambda 0.001 --seed 0",
-        "eval --checkpoint {out}/checkpoint.json --store {out}/store --id-test {out}/test_id.csv"
+        "train --data {out}/train.csv --config {out}/config.json --out {out}",
+        "eval --checkpoint {out}/checkpoint.json --id-test {out}/test_id.csv"
         " --ood {out}/ood_far_cluster.csv --ood {out}/ood_uniform_shell.csv --out {out}",
     ):
         capsys.readouterr()
@@ -771,6 +793,30 @@ class TestExperiment:
         )
         assert manual_summary["average"] == sweep_summary["average"]
         assert manual_summary["rows"] == sweep_summary["rows"]
+
+    def test_a_sweep_over_given_files_matches_the_generated_sweep(self, tmp_path):
+        # A spec that names its dataset files runs on them as given: pointed
+        # at a generated sweep's data/seed0/ files, it writes the same runs.
+        spec_path, spec = _experiment_spec(tmp_path)
+        generated, given = tmp_path / "generated", tmp_path / "given"
+        assert main(["experiment", "--spec", str(spec_path), "--out", str(generated)]) == 0
+        data = generated / "data" / "seed0"
+        spec = {key: value for key, value in spec.items() if key != "noise"}
+        spec["dataset"] = {
+            "train_csv": str(data / "train.csv"),
+            "id_test_csv": str(data / "test_id.csv"),
+            "ood_csvs": [str(data / "ood_far_cluster.csv")],
+        }
+        spec_path.write_text(json.dumps(spec))
+        assert main(["experiment", "--spec", str(spec_path), "--out", str(given)]) == 0
+        assert sorted(path.name for path in given.iterdir()) == ["comparison.json", "runs"]
+
+        def runs(out):
+            return {str(p.relative_to(out)): p.read_bytes() for p in (out / "runs").rglob("*") if p.is_file()}
+
+        assert len(runs(given)) == 2 * 5 and runs(given) == runs(generated)
+        expected, got = read_json(generated / "comparison.json"), read_json(given / "comparison.json")
+        assert (got["rows"], got["methods"]) == (expected["rows"], expected["methods"])
 
     def test_parallel_and_serial_runs_agree(self, tmp_path):
         # Four cells: --threads 2 is this process and one worker, --threads 3
@@ -1089,7 +1135,7 @@ class TestOutputResolution:
         [
             "gen-data",
             "train --data train.csv",
-            "eval --checkpoint checkpoint.json --store store --id-test test_id.csv --ood ood.csv",
+            "eval --checkpoint checkpoint.json --id-test test_id.csv --ood ood.csv",
             "experiment --spec spec.json",
         ],
         ids=lambda command: command.split()[0],
@@ -1144,19 +1190,18 @@ def test_console_script_smoke(tmp_path):
     assert (tmp_path / "train.csv").exists()
     # 15 rows at batch 7 leave a final batch of 1 column against rank 3 (the class count): the
     # split clamps without a word on stderr (in-process warnings never reach capsys).
+    (tmp_path / "config.json").write_text('{"epochs": 2, "batch_size": 7}')
     result = run(
         "train",
         "--data", str(tmp_path / "train.csv"),
+        "--config", str(tmp_path / "config.json"),
         "--out", str(tmp_path / "run"),
-        "--epochs", "2",
-        "--batch-size", "7",
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
     result = run(
         "eval",
         "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
-        "--store", str(tmp_path / "run" / "store"),
         "--id-test", str(tmp_path / "test_id.csv"),
         "--ood", str(tmp_path / "ood_far_cluster.csv"),
         "--k", "3",

@@ -87,6 +87,19 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="t_diag_init"):
             _toy_config(t_diag_init=1.0)
 
+    def test_range_checks_name_their_field(self):
+        for name, value, message in (
+            ("batch_size", 0, "batch_size must be >= 1, got 0"),
+            ("momentum", 1.0, "momentum must be in [0, 1), got 1.0"),
+            ("weight_decay", -1e-4, "weight_decay must be >= 0, got -0.0001"),
+            ("pi_iters", 0, "pi_iters must be >= 1, got 0"),
+            ("widths", (), "widths must be positive, got ()"),
+            ("widths", (8, 0), "widths must be positive, got (8, 0)"),
+        ):
+            with pytest.raises(ValueError) as exc:
+                _toy_config(**{name: value})
+            assert str(exc.value) == f"invalid config: {message}", name
+
     def test_config_is_frozen(self):
         # Checked once, on construction, so no field may change after it.
         with pytest.raises(FrozenInstanceError):
