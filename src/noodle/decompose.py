@@ -42,10 +42,6 @@ class FeatureSplit:
     normalized: np.ndarray   # the column-normalized matrix that was split
     col_norms: np.ndarray    # (batch,), each column's norm before scaling
 
-    @property
-    def k_rank(self) -> int:
-        return self.basis.shape[1]
-
 
 def normalize_columns(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scale each column to unit Euclidean norm.

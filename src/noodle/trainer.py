@@ -48,13 +48,22 @@ from .scoring import EmbeddingStore, build_store
 # the dataclass field is `lam` while the external name stays `lambda`.
 _LAMBDA_KEY = "lambda"
 
-# Global gradient-norm limit of every SGD step (network and transition logits jointly).
+# The optimiser's one setting: SGD with momentum, weight decay on the weight
+# matrices only, and a global gradient-norm limit on every step (network and
+# transition logits jointly).
+LR = 0.05
+MOMENTUM = 0.9
+WEIGHT_DECAY = 1e-4
 GRAD_CLIP = 10.0
+
+# Power-iteration sweeps of every split, per batch and for the store.
+PI_ITERS = 10
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything that determines a training run, hashable for provenance.
+    """The settings of a training run, hashable for provenance; the optimiser
+    and the split run at this module's constants.
 
     Checked on construction, so an invalid config cannot exist: every field's
     type first (``files.settle_fields``), then every range, all problems in
@@ -62,12 +71,8 @@ class TrainConfig:
 
     epochs: int = 100
     batch_size: int = 64
-    lr: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
     loss_kind: str = "cm"
     lam: float = 0.001            # sparsity weight on the residual
-    pi_iters: int = 10
     seed: int = 0
     widths: tuple[int, ...] = DEFAULT_WIDTHS
     t_diag_init: float = 0.99
@@ -80,18 +85,10 @@ class TrainConfig:
             problems.append(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             problems.append(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            problems.append(f"lr must be positive, got {self.lr}")
-        if not 0.0 <= self.momentum < 1.0:
-            problems.append(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            problems.append(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.loss_kind not in LOSS_KINDS:
             problems.append(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
         if self.lam < 0:
             problems.append(f"lambda must be >= 0, got {self.lam}")
-        if self.pi_iters < 1:
-            problems.append(f"pi_iters must be >= 1, got {self.pi_iters}")
         if self.seed < 0:
             problems.append(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.t_diag_init < 1.0:
@@ -208,7 +205,7 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
                     config.loss_kind, cache.probs, data.noisy_labels[idx], transition
                 )
                 if config.lam > 0.0:
-                    split = split_features(cache.latent, num_classes, config.pi_iters, streams.decompose)
+                    split = split_features(cache.latent, num_classes, PI_ITERS, streams.decompose)
                     total = joint_loss(corrected, sparsity_loss(split.ood_part), config.lam)
                 else:
                     split, total = None, corrected
@@ -217,13 +214,13 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
                 grad_latent = None if split is None else grad_through_split(split, total.grad_latent)
                 grads = backward(params, cache, total.grad_logits, grad_latent)
                 clip_global_norm(grads, GRAD_CLIP, extra=total.grad_theta)
-                sgd_step(params, grads, opt_state, config.lr, config.momentum, config.weight_decay)
+                sgd_step(params, grads, opt_state, LR, MOMENTUM, WEIGHT_DECAY)
                 if total.grad_theta is not None:
                     # Same optimizer, shared lr; no weight decay on the transition
                     # logits (decay would pull T toward uniform).
-                    theta_state *= config.momentum
+                    theta_state *= MOMENTUM
                     theta_state += total.grad_theta
-                    transition.theta -= config.lr * theta_state
+                    transition.theta -= LR * theta_state
                 batch_losses.append(total.value)
             trace.append(float(np.mean(batch_losses)))
         store = extract_reference_store(params, data, config)
@@ -239,12 +236,12 @@ def extract_reference_store(params: MlpParams, data: LabeledSet, config: TrainCo
     ``config.seed``, which training never touches, so a standalone call
     builds exactly the store that :func:`train` builds.  When no latent
     survives the split's normalization, because each is zero (dead ReLUs)
-    or its norm overflows (a huge learning rate gets there), the network
+    or its norm overflows (inputs far out of scale get there), the network
     diverged and :class:`DivergenceError` names the epoch count.
     """
     cache = forward(params, data.features)
     store_stream = derive_streams(config.seed).store
-    split = split_features(cache.latent, data.num_classes, config.pi_iters, store_stream)
+    split = split_features(cache.latent, data.num_classes, PI_ITERS, store_stream)
     if not split.normalized.any():
         raise DivergenceError(
             f"every training latent is zero or overflows after {config.epochs} epoch(s)"

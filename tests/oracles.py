@@ -14,7 +14,7 @@ from mpmath import mp
 
 from noodle.losses import cross_entropy
 from noodle.model import backward, clip_global_norm, forward, init_mlp, sgd_step, zero_grads_like
-from noodle.trainer import GRAD_CLIP, derive_streams
+from noodle.trainer import GRAD_CLIP, LR, MOMENTUM, WEIGHT_DECAY, derive_streams
 
 
 # ---------------------------------------------------------------------------
@@ -214,5 +214,5 @@ def reference_ce_loop(data, config):
             out = cross_entropy(cache.probs, data.noisy_labels[idx])
             grads = backward(params, cache, out.grad_logits)
             clip_global_norm(grads, GRAD_CLIP)
-            sgd_step(params, grads, state, config.lr, config.momentum, config.weight_decay)
+            sgd_step(params, grads, state, LR, MOMENTUM, WEIGHT_DECAY)
     return params

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
+import importlib
 import json
 import os
 import re
@@ -37,8 +39,8 @@ from noodle.cli import (
     run_experiment,
     run_training,
 )
-from noodle.datagen import DataSpec, load_features_csv
-from noodle.files import array_checksum, read_json
+from noodle.datagen import DataSpec, load_features_csv, save_features_csv
+from noodle.files import array_checksum, read_json, write_json
 from noodle.metrics import auroc, fpr_at_tpr
 from noodle.model import DivergenceError
 from noodle.scoring import build_store, load_store, save_store
@@ -58,7 +60,6 @@ TRAIN_SMALL = {
     "epochs": 3,
     "batch_size": 16,
     "widths": [16, 8],
-    "pi_iters": 4,
     "loss_kind": "cm",
     "lambda": 0.001,
     "seed": 0,
@@ -70,6 +71,16 @@ def data_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")
     generate_dataset_files(out, 0, noise_rate=0.2, **GEN_SMALL)
     return out
+
+
+def _scaled_train_csv(data_dir, out_dir):
+    """``data_dir``'s train.csv with every feature scaled by 1e300: a network
+    trained on it diverges, whatever the step size."""
+    data = load_features_csv(data_dir / "train.csv")
+    data.features = data.features * 1e300
+    out_dir.mkdir(parents=True, exist_ok=True)
+    save_features_csv(data, out_dir / "train.csv")
+    return out_dir / "train.csv"
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +288,43 @@ class TestTrainCommand:
             assert exc.value.code == 2, flag
             assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err, flag
 
+    def test_an_older_checkpoints_config_is_refused_but_the_checkpoint_evaluates(
+        self, tmp_path, data_dir, run_dir, capsys
+    ):
+        # Before the optimiser's settings and the split's sweeps became
+        # constants, each checkpoint's meta.config recorded them too.
+        old = tmp_path / "old"
+        old.mkdir()
+        shutil.copy(run_dir / "store.csv", old / "store.csv")
+        checkpoint = read_json(run_dir / "checkpoint.json")
+        config = dict(checkpoint["meta"]["config"], lr=0.05, momentum=0.9, weight_decay=1e-4, pi_iters=10)
+        canonical = json.dumps(config, sort_keys=True).encode("utf-8")
+        checkpoint["meta"].update(config=config, config_hash=hashlib.sha256(canonical).hexdigest())
+        write_json(old / "checkpoint.json", checkpoint)
+
+        out = tmp_path / "out"
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        argv = ["train", "--data", str(data_dir / "train.csv"), "--config", str(config_path), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: unknown config keys: lr, momentum, pi_iters, weight_decay\n"
+        spec_path, spec = _experiment_spec(tmp_path)
+        spec["train"] = {key: value for key, value in config.items() if key != "seed"}
+        spec_path.write_text(json.dumps(spec))
+        assert main(["experiment", "--spec", str(spec_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("unknown config keys: lr, momentum, pi_iters, weight_decay\n"), err
+        assert not out.exists()
+
+        # eval reads only the checkpoint's config_hash and config.seed.
+        command = (
+            f"eval --checkpoint {old}/checkpoint.json --id-test {data_dir}/test_id.csv "
+            f"--ood {data_dir}/ood_far_cluster.csv --out {out}"
+        )
+        assert main(command.split()) == 0
+        summary = read_json(out / "eval_summary.json")
+        assert (summary["seed"], summary["config_hash"]) == (0, checkpoint["meta"]["config_hash"])
+
     def test_zero_epochs_still_writes_a_store(self, tmp_path, data_dir):
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps(dict(TRAIN_SMALL, epochs=0)))
@@ -306,13 +354,14 @@ class TestTrainCommand:
         assert "learning_rate" in capsys.readouterr().err
 
     def test_fixed_constants_exit_2_before_any_write(self, tmp_path, data_dir, capsys):
-        # The robust losses' parameters, the clip norm and the store ridge are
-        # constants now; a config or spec that still sets one is rejected.
+        # The robust losses' parameters, the optimiser's settings, the split's
+        # sweeps and the store ridge are constants now; a config or spec that
+        # still sets one is rejected.
         config_path = tmp_path / "cfg.json"
         out = tmp_path / "out"
         for key, value in (
             ("sce_alpha", 0.1), ("sce_beta", 1.0), ("gce_q", 0.7), ("grad_clip", 10.0), ("cov_reg", 1e-3),
-            ("k_rank", 4),
+            ("k_rank", 4), ("lr", 0.05), ("momentum", 0.9), ("weight_decay", 1e-4), ("pi_iters", 10),
         ):
             config_path.write_text(json.dumps(dict(TRAIN_SMALL, **{key: value})))
             argv = ["train", "--data", str(data_dir / "train.csv"), "--out", str(out)]
@@ -340,18 +389,20 @@ class TestTrainCommand:
         # A NaN lambda trained as lambda 0 (exit 0) and an infinite lr exited 3.
         # A negative seed failed in NumPy with only "expected non-negative integer".
         config_path = tmp_path / "cfg.json"
-        for doc, code, message in (
-            ({"lr": "fast"}, 2, "lr must be a number, got 'fast'"),
-            ({"widths": [16, 8.0]}, 2, "widths must be a list of integers"),
-            ({"widths": [16, 2]}, 2, "subspace rank 3 (the class count) exceeds the latent width 2"),
-            ({"lambda": float("nan")}, 2, "invalid config: lambda must be a finite number, got nan"),
-            ({"lr": float("inf")}, 2, "invalid config: lr must be a finite number, got inf"),
-            ({"seed": -1}, 2, "invalid config: seed must be >= 0, got -1"),
-            ({"lr": 1e30}, 3, "error: non-finite logits at epoch "),
+        train_csv, scaled_csv = data_dir / "train.csv", _scaled_train_csv(data_dir, tmp_path / "scaled")
+        for data, doc, code, message in (
+            (train_csv, {"t_diag_init": "fast"}, 2, "t_diag_init must be a number, got 'fast'"),
+            (train_csv, {"widths": [16, 8.0]}, 2, "widths must be a list of integers"),
+            (train_csv, {"widths": [16, 2]}, 2, "subspace rank 3 (the class count) exceeds the latent width 2"),
+            (train_csv, {"lambda": float("nan")}, 2, "invalid config: lambda must be a finite number, got nan"),
+            (train_csv, {"t_diag_init": float("inf")}, 2,
+             "invalid config: t_diag_init must be a finite number, got inf"),
+            (train_csv, {"seed": -1}, 2, "invalid config: seed must be >= 0, got -1"),
+            (scaled_csv, {"epochs": 3}, 3, "error: every training latent is zero or overflows after 3 epoch(s)"),
         ):
             config_path.write_text(json.dumps(doc))
             out = tmp_path / "out"
-            argv = ["train", "--data", str(data_dir / "train.csv"), "--out", str(out)]
+            argv = ["train", "--data", str(data), "--out", str(out)]
             assert main([*argv, "--config", str(config_path)]) == code, message
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
@@ -708,7 +759,7 @@ def test_readme_cli_reference_and_config_fields_match_the_code():
     assert "`--out`" in preamble
 
     listed = text.split("`TrainConfig` fields (all overridable): `", 1)[1].split("`", 1)[0]
-    assert sorted(re.split(r",\s*", listed)) == sorted(f.name for f in dataclasses.fields(TrainConfig))
+    assert re.split(r",\s*", listed) == [f.name for f in dataclasses.fields(TrainConfig)]
 
     # The sweep spec example shows every spec key and every method key, and plans.
     sweeps = text.split("## Experiment sweeps", 1)[1]
@@ -716,6 +767,21 @@ def test_readme_cli_reference_and_config_fields_match_the_code():
     assert sorted(example) == sorted(SPEC_KEYS)
     assert sorted({key for method in example["methods"] for key in method}) == sorted(METHOD_KEYS)
     plan_experiment(example, "README.md")
+
+
+def test_readme_fixed_constants_match_the_code():
+    # Each `module.NAME` value the README's fixed-settings paragraph gives is
+    # the code's, and every number the training loop fixes is among them.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = text.split("The rest is fixed:", 1)[1].split("\n\n", 1)[0]
+    named = {
+        (module, name): float(value)
+        for module, name, value in re.findall(r"`(\w+)\.([A-Z][A-Z_]*)` ([0-9]+(?:\.[0-9]+)?)", paragraph)
+    }
+    assert named == {key: float(getattr(importlib.import_module(f"noodle.{key[0]}"), key[1])) for key in named}
+    fixed = {name for name, value in vars(importlib.import_module("noodle.trainer")).items()
+             if name.isupper() and type(value) in (int, float)}
+    assert fixed and fixed <= {name for module, name in named if module == "trainer"}
 
 
 def _experiment_spec(tmp_path, seeds=(0,), methods=None):
@@ -953,16 +1019,21 @@ class TestExperiment:
         assert rows["bad"]["failures"] == 1 and rows["bad"]["seeds"] == 0
         assert doc["methods"]["bad"]["failures"]["0"] == "DivergenceError: loss diverged"
 
-    def test_diverging_cell_is_recorded_as_divergence_error(self, tmp_path, capsys):
+    def test_diverging_cell_is_recorded_as_divergence_error(self, tmp_path, data_dir, capsys):
         hot = {"name": "hot", "loss_kind": "cm", "lambda": 0.001, "score": "knn", "k": 10}
         spec_path, spec = _experiment_spec(tmp_path, methods=[hot])
-        spec["train"]["lr"] = 1e30
+        del spec["noise"]
+        spec["dataset"] = {
+            "train_csv": str(_scaled_train_csv(data_dir, tmp_path / "scaled")),
+            "id_test_csv": str(data_dir / "test_id.csv"),
+            "ood_csvs": [str(data_dir / "ood_far_cluster.csv")],
+        }
         spec_path.write_text(json.dumps(spec))
         assert main(["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 0
         assert "1 cell(s) failed" in capsys.readouterr().err
         doc = json.loads((tmp_path / "out" / "comparison.json").read_text())
         error = doc["methods"]["hot"]["failures"]["0"]
-        assert error.startswith("DivergenceError: non-finite logits at epoch 0, batch "), error
+        assert error == "DivergenceError: every training latent is zero or overflows after 3 epoch(s)", error
 
     def test_spec_validation(self, tmp_path):
         # The file loader and the library runner share one planner, and the
@@ -1014,7 +1085,8 @@ class TestExperiment:
             # so none of these fails only inside the cells.
             (dict(one, train={"epoch": 2}), "method 'a': unknown config keys: epoch"),
             (dict(one, train={"epochs": -1}), "method 'a': invalid config: epochs must be >= 0"),
-            (dict(one, train={"lr": "fast"}), "method 'a': invalid config: lr must be a number, got 'fast'"),
+            (dict(one, train={"t_diag_init": "fast"}),
+             "method 'a': invalid config: t_diag_init must be a number, got 'fast'"),
             (dict(one, train={"epochs": True}), "epochs must be an integer, got True"),
             (dict(one, train={"normalize": False}), "method 'a': unknown config keys: normalize"),
             (dict(one, noise={"rate": "0.4"}), "noise.rate must be a number, got '0.4'"),

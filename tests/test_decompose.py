@@ -132,11 +132,11 @@ class TestSplitFeatures:
         recon = split.id_part + split.ood_part
         np.testing.assert_allclose(recon[:, 2], 0.0, atol=1e-14)
 
-    def test_oversized_rank_clamps_with_warning(self):
-        # The clamp is silent: the suite's filterwarnings = ["error"] fails any warning.
+    def test_oversized_rank_clamps_silently(self):
+        # The suite's filterwarnings = ["error"] fails any warning.
         rng = np.random.default_rng(9)
         split = split_features(rng.standard_normal((3, 2)), 5, 4, rng)
-        assert split.k_rank == 2
+        assert split.basis.shape[1] == 2
 
     def test_deterministic_under_identical_rng(self):
         h = np.random.default_rng(10).standard_normal((6, 8))
@@ -201,7 +201,7 @@ class TestGradThroughSplit:
 def test_feature_split_reports_rank():
     rng = np.random.default_rng(18)
     split = split_features(rng.standard_normal((6, 9)), 4, 5, rng)
-    assert split.k_rank == 4
+    assert split.basis.shape[1] == 4
 
 
 def test_no_warning_on_exact_cap_rank():
@@ -209,4 +209,4 @@ def test_no_warning_on_exact_cap_rank():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         split = split_features(rng.standard_normal((3, 5)), 3, 4, rng)
-    assert split.k_rank == 3
+    assert split.basis.shape[1] == 3

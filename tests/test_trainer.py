@@ -37,16 +37,7 @@ def _toy_data(seed=0, classes=3, per_class=12, dim=6, noise_rate=0.0):
 
 
 def _toy_config(**overrides):
-    base = TrainConfig(
-        epochs=3,
-        batch_size=8,
-        lr=0.05,
-        weight_decay=0.0,
-        widths=(16, 8),
-        pi_iters=4,
-        seed=0,
-    )
-    return replace(base, **overrides)
+    return replace(TrainConfig(epochs=3, batch_size=8, widths=(16, 8), seed=0), **overrides)
 
 
 class TestTrainConfig:
@@ -74,13 +65,13 @@ class TestTrainConfig:
     def test_hash_is_stable_and_field_sensitive(self):
         a = _toy_config()
         assert a.config_hash() == _toy_config().config_hash()
-        assert a.config_hash() != replace(a, lr=0.06).config_hash()
+        assert a.config_hash() != replace(a, t_diag_init=0.98).config_hash()
         assert a.config_hash() != replace(a, lam=0.002).config_hash()
 
     def test_validate_collects_problems(self):
         with pytest.raises(ValueError) as exc:
-            _toy_config(lr=-1.0, loss_kind="zzz", seed=-1)
-        assert "lr" in str(exc.value) and "loss_kind" in str(exc.value)
+            _toy_config(lam=-1.0, loss_kind="zzz", seed=-1)
+        assert "lambda" in str(exc.value) and "loss_kind" in str(exc.value)
         assert "seed must be >= 0, got -1" in str(exc.value)
 
     def test_t_diag_init_range(self):
@@ -89,10 +80,12 @@ class TestTrainConfig:
 
     def test_range_checks_name_their_field(self):
         for name, value, message in (
+            ("epochs", -1, "epochs must be >= 0, got -1"),
             ("batch_size", 0, "batch_size must be >= 1, got 0"),
-            ("momentum", 1.0, "momentum must be in [0, 1), got 1.0"),
-            ("weight_decay", -1e-4, "weight_decay must be >= 0, got -0.0001"),
-            ("pi_iters", 0, "pi_iters must be >= 1, got 0"),
+            ("loss_kind", "zzz", f"loss_kind must be one of {LOSS_KINDS}, got 'zzz'"),
+            ("lam", -1.0, "lambda must be >= 0, got -1.0"),
+            ("seed", -1, "seed must be >= 0, got -1"),
+            ("t_diag_init", 0.0, "t_diag_init must be in (0, 1), got 0.0"),
             ("widths", (), "widths must be positive, got ()"),
             ("widths", (8, 0), "widths must be positive, got (8, 0)"),
         ):
@@ -103,22 +96,22 @@ class TestTrainConfig:
     def test_config_is_frozen(self):
         # Checked once, on construction, so no field may change after it.
         with pytest.raises(FrozenInstanceError):
-            _toy_config().lr = -1.0
+            _toy_config().lam = -1.0
 
     def test_validate_checks_types_and_stores_the_default_form(self):
         for name, value, message in (
-            ("lr", "fast", "lr must be a number, got 'fast'"),
+            ("t_diag_init", "fast", "t_diag_init must be a number, got 'fast'"),
             ("epochs", 2.0, "epochs must be an integer, got 2.0"),
             ("epochs", True, "epochs must be an integer, got True"),
             ("lam", None, "lambda must be a number, got None"),
             ("loss_kind", 1, "loss_kind must be a string, got 1"),
             ("widths", 16, "widths must be a list of integers, got 16"),
             ("widths", (16, 8.0), "widths must be a list of integers, got (16, 8.0)"),
-            # NaN trained as lambda 0, an infinite lr diverged (exit 3) and an
-            # int too large for a float raised OverflowError.
+            # NaN trained as lambda 0, an infinite step size diverged (exit 3)
+            # and an int too large for a float raised OverflowError.
             ("lam", float("nan"), "lambda must be a finite number, got nan"),
-            ("lr", float("inf"), "lr must be a finite number, got inf"),
-            ("lr", -float("inf"), "lr must be a finite number, got -inf"),
+            ("lam", float("inf"), "lambda must be a finite number, got inf"),
+            ("t_diag_init", -float("inf"), "t_diag_init must be a finite number, got -inf"),
             ("t_diag_init", 10**400, f"t_diag_init must be a finite number, got {10**400}"),
         ):
             with pytest.raises(ValueError, match=re.escape(message)):
@@ -187,30 +180,33 @@ class TestTrainBasics:
         accuracy = (probs.argmax(axis=0) == data.clean_labels).mean()
         assert accuracy >= 0.99
 
-    def test_loss_decreases_on_full_batch_descent(self):
+    def test_loss_decreases_on_full_batch_descent(self, monkeypatch):
         # Full batch, no momentum, small lr: the first epochs must not climb.
+        monkeypatch.setattr("noodle.trainer.LR", 0.01)
+        monkeypatch.setattr("noodle.trainer.MOMENTUM", 0.0)
         data = _toy_data(seed=2)
-        config = _toy_config(
-            epochs=6, batch_size=1000, lr=0.01, momentum=0.0, loss_kind="ce", lam=0.0
-        )
+        config = _toy_config(epochs=6, batch_size=1000, loss_kind="ce", lam=0.0)
         trace = train(data, config).loss_trace
         for a, b in zip(trace, trace[1:]):
             assert b <= a + 1e-6
 
-    def test_overflowing_loss_raises_divergence_error(self):
+    def test_overflowing_loss_raises_divergence_error(self, monkeypatch):
         # A huge first step overflows the logits of the second batch for
         # every loss kind, before a loss sees a NaN softmax; the abort names
         # the epoch and batch.  A smaller huge step leaves finite logits but
         # latents whose norms overflow, so the store's split normalizes every
-        # one to zero.  No NumPy warning comes before either error.
+        # one to zero.  No NumPy warning comes before either error.  Weight
+        # decay is off: at such steps it overflows the weights sooner.
+        monkeypatch.setattr("noodle.trainer.WEIGHT_DECAY", 0.0)
         data = _toy_data()
         for lr, message in (
             (1e300, r"^non-finite logits at epoch 0, batch 1$"),
             (1e100, r"^every training latent is zero or overflows after 3 epoch\(s\)$"),
         ):
+            monkeypatch.setattr("noodle.trainer.LR", lr)
             for kind in LOSS_KINDS:
                 with pytest.raises(DivergenceError, match=message):
-                    train(data, _toy_config(loss_kind=kind, lr=lr))
+                    train(data, _toy_config(loss_kind=kind))
 
     def test_empty_training_set_rejected(self):
         data = _toy_data()
@@ -259,7 +255,7 @@ class TestReferenceEquivalence:
         from oracles import reference_ce_loop
 
         data = _toy_data(seed=3, noise_rate=0.3)
-        config = _toy_config(epochs=5, loss_kind="ce", lam=0.0, weight_decay=1e-4)
+        config = _toy_config(epochs=5, loss_kind="ce", lam=0.0)
         result = train(data, config)
         reference = reference_ce_loop(data, config)
         assert params_checksum(result.params) == params_checksum(reference)
