@@ -21,7 +21,7 @@ from .datagen import (
     save_ood_csv,
 )
 from .decompose import FeatureSplit, grad_through_split, normalize_columns, split_features
-from .linalg import approx_topk_singular_vectors, l21_norm, l21_subgradient, qr_thin
+from .linalg import approx_topk_singular_vectors, qr_thin
 from .losses import (
     LossOutput,
     TransitionMatrix,

@@ -413,7 +413,7 @@ def _run_cell(cell: dict) -> dict:
             Path(cell["id_test_csv"]),
             [Path(p) for p in cell["ood_csvs"]],
             *astuple(cell["eval"]),  # score, k, tpr
-            cell["seed"],
+            None,  # the checkpoint's seed, which is the cell's
             run_dir,
         )
         return {"ok": True, "summary": summary}

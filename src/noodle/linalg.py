@@ -180,25 +180,3 @@ def approx_topk_singular_vectors(
         q = _orthonormalize(z, rng)
     return q
 
-
-def l21_norm(m: np.ndarray) -> float:
-    """Sum of the Euclidean norms of the columns of ``m``."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"l21_norm expects a 2-D array, got {m.ndim}-D")
-    return float(np.linalg.norm(m, axis=0).sum())
-
-
-def l21_subgradient(m: np.ndarray) -> np.ndarray:
-    """Column-wise subgradient of :func:`l21_norm`.
-
-    Column ``j`` of the result is ``m[:, j] / ||m[:, j]||`` when the norm
-    exceeds 1e-12 and the zero vector otherwise (the canonical element of
-    the subdifferential at a zero column).
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"l21_subgradient expects a 2-D array, got {m.ndim}-D")
-    norms = np.linalg.norm(m, axis=0)
-    nonzero = norms > 1e-12
-    return np.where(nonzero, m / np.where(nonzero, norms, 1.0), 0.0)

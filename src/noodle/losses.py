@@ -14,11 +14,11 @@ deviation from the textbook formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import l21_norm, l21_subgradient
+from .decompose import NORM_EPS
 
 LOSS_KINDS = ("ce", "cm", "sce", "gce")
 
@@ -195,40 +195,36 @@ def gce_loss(probs: np.ndarray, labels: np.ndarray) -> LossOutput:
 def sparsity_loss(ood_part: np.ndarray) -> LossOutput:
     """Batch-mean L2,1 norm of the residual feature matrix.
 
-    value = ||ood_part||_{2,1} / B;  grad_latent is the matching column-wise
-    subgradient / B.  Penalizing the sum of residual column norms pushes each
-    sample's feature vector toward the shared low-rank subspace, with columns
-    (samples) competing individually, the batch analogue of column sparsity.
+    value = ||ood_part||_{2,1} / B, the sum of the column norms over B;
+    grad_latent is the matching column-wise subgradient / B: column ``j`` is
+    ``ood_part[:, j] / ||ood_part[:, j]||`` when that norm exceeds
+    ``NORM_EPS`` and the zero vector otherwise (the canonical element of the
+    subdifferential at a zero column).  Penalizing the sum of residual column
+    norms pushes each sample's feature vector toward the shared low-rank
+    subspace, with columns (samples) competing individually, the batch
+    analogue of column sparsity.
     """
     ood_part = np.asarray(ood_part, dtype=float)
     if ood_part.ndim != 2 or ood_part.shape[1] == 0:
         raise ValueError("ood_part must be (latent_dim, batch) with batch >= 1")
     b = ood_part.shape[1]
-    return LossOutput(l21_norm(ood_part) / b, grad_latent=l21_subgradient(ood_part) / b)
+    norms = np.linalg.norm(ood_part, axis=0)
+    nonzero = norms > NORM_EPS
+    grad = np.where(nonzero, ood_part / np.where(nonzero, norms, 1.0), 0.0)
+    return LossOutput(float(norms.sum()) / b, grad_latent=grad / b)
 
 
 def joint_loss(corrected: LossOutput, sparse: LossOutput, weight: float) -> LossOutput:
-    """Weighted sum ``corrected + weight * sparse`` of values and all gradients.
-
-    ``weight = 0`` returns the corrected loss unchanged, so a zero sparsity
-    weight is exactly plain loss-corrected training.
-    """
+    """The objective ``corrected + weight * sparse``: the classification
+    loss's value, logit and transition gradients, plus the weighted sparsity
+    value and latent gradient (the only fields a sparsity loss sets)."""
     if weight < 0:
         raise ValueError(f"weight must be nonnegative, got {weight}")
-    if weight == 0.0:
-        return replace(corrected)
-
-    def combine(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
-        if b is None:
-            return a
-        scaled = weight * b
-        return scaled if a is None else a + scaled
-
     return LossOutput(
         corrected.value + weight * sparse.value,
-        grad_logits=combine(corrected.grad_logits, sparse.grad_logits),
-        grad_theta=combine(corrected.grad_theta, sparse.grad_theta),
-        grad_latent=combine(corrected.grad_latent, sparse.grad_latent),
+        corrected.grad_logits,
+        corrected.grad_theta,
+        weight * sparse.grad_latent,
     )
 
 

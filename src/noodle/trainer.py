@@ -163,7 +163,9 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
         count (the split's rank) above the latent width ``widths[-1]``.
     DivergenceError
         On non-finite logits or loss, identifying the offending epoch and
-        batch, or when no training latent can be normalized for the store.
+        batch; after an epoch in which every latent is zero or its norm
+        overflows, naming the epoch; or when no training latent can be
+        normalized for the store.
     """
     n = len(data)
     if n == 0:
@@ -196,11 +198,16 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
         for epoch in range(config.epochs):
             order = streams.shuffle.permutation(n)
             batch_losses: list[float] = []
+            live_latents = 0
             for batch, b_start in enumerate(range(0, n, batch_size)):
                 idx = order[b_start : b_start + batch_size]
                 cache = forward(params, data.features[idx])
                 if not np.isfinite(cache.logits).all():
                     raise DivergenceError(f"non-finite logits at epoch {epoch}, batch {batch}")
+                # Live latents: neither zero (dead ReLUs) nor overflowing, the
+                # ones that the store's check below would keep.
+                norms = np.linalg.norm(cache.latent, axis=0)
+                live_latents += np.count_nonzero((norms > 0) & (norms < np.inf))
                 corrected = classification_loss(
                     config.loss_kind, cache.probs, data.noisy_labels[idx], transition
                 )
@@ -222,6 +229,8 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
                     theta_state += total.grad_theta
                     transition.theta -= LR * theta_state
                 batch_losses.append(total.value)
+            if not live_latents:
+                raise DivergenceError(f"every training latent is zero or overflows in epoch {epoch}")
             trace.append(float(np.mean(batch_losses)))
         store = extract_reference_store(params, data, config)
     return TrainResult(params, transition, trace, store)

@@ -398,7 +398,7 @@ class TestTrainCommand:
             (train_csv, {"t_diag_init": float("inf")}, 2,
              "invalid config: t_diag_init must be a finite number, got inf"),
             (train_csv, {"seed": -1}, 2, "invalid config: seed must be >= 0, got -1"),
-            (scaled_csv, {"epochs": 3}, 3, "error: every training latent is zero or overflows after 3 epoch(s)"),
+            (scaled_csv, {"epochs": 3}, 3, "error: every training latent is zero or overflows in epoch 0"),
         ):
             config_path.write_text(json.dumps(doc))
             out = tmp_path / "out"
@@ -1033,7 +1033,7 @@ class TestExperiment:
         assert "1 cell(s) failed" in capsys.readouterr().err
         doc = json.loads((tmp_path / "out" / "comparison.json").read_text())
         error = doc["methods"]["hot"]["failures"]["0"]
-        assert error == "DivergenceError: every training latent is zero or overflows after 3 epoch(s)", error
+        assert error == "DivergenceError: every training latent is zero or overflows in epoch 0", error
 
     def test_spec_validation(self, tmp_path):
         # The file loader and the library runner share one planner, and the

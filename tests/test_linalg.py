@@ -8,12 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noodle import linalg
-from noodle.linalg import (
-    approx_topk_singular_vectors,
-    l21_norm,
-    l21_subgradient,
-    qr_thin,
-)
+from noodle.linalg import approx_topk_singular_vectors, qr_thin
+from noodle.losses import sparsity_loss
 from oracles import (
     central_difference,
     gap_conditioned,
@@ -197,51 +193,55 @@ class TestPowerIteration:
 
 
 class TestL21:
+    """The L2,1 norm and its subgradient, as ``losses.sparsity_loss``
+    computes them: the batch mean of the column norms, and each nonzero
+    column over its norm, over the batch size."""
+
     def test_zero_matrix(self):
-        assert l21_norm(np.zeros((3, 4))) == 0.0
-        np.testing.assert_array_equal(l21_subgradient(np.zeros((3, 4))), np.zeros((3, 4)))
+        out = sparsity_loss(np.zeros((3, 4)))
+        assert out.value == 0.0
+        np.testing.assert_array_equal(out.grad_latent, np.zeros((3, 4)))
 
     def test_single_column_values(self):
-        assert l21_norm(np.array([[3.0, 0.0], [4.0, 0.0]])) == 5.0
+        assert sparsity_loss(np.array([[3.0, 0.0], [4.0, 0.0]])).value == 2.5
         np.testing.assert_allclose(
-            l21_subgradient(np.array([[3.0], [4.0]])), [[0.6], [0.8]], rtol=1e-15
+            sparsity_loss(np.array([[3.0], [4.0]])).grad_latent, [[0.6], [0.8]], rtol=1e-15
         )
 
     def test_matches_per_column_summation(self):
         rng = np.random.default_rng(13)
         m = rng.standard_normal((4, 6))
         direct = sum(float(np.sqrt((m[:, j] ** 2).sum())) for j in range(6))
-        np.testing.assert_allclose(l21_norm(m), direct, rtol=1e-12)
+        np.testing.assert_allclose(sparsity_loss(m).value, direct / 6, rtol=1e-12)
 
     def test_absolute_homogeneity(self):
         rng = np.random.default_rng(14)
         m = rng.standard_normal((5, 5))
+        value = sparsity_loss(m).value
         # Powers of two rescale without rounding, so equality is exact.
         for c in (2.0, -0.5, 8.0):
-            assert l21_norm(c * m) == abs(c) * l21_norm(m)
-        assert l21_norm(m) > 0.0
+            assert sparsity_loss(c * m).value == abs(c) * value
+        assert value > 0.0
 
     def test_zero_iff_zero_matrix(self):
         m = np.zeros((4, 4))
-        assert l21_norm(m) == 0.0
+        assert sparsity_loss(m).value == 0.0
         m[2, 3] = 1e-9
-        assert l21_norm(m) > 0.0
+        assert sparsity_loss(m).value > 0.0
 
     def test_subgradient_matches_finite_differences(self):
         rng = np.random.default_rng(15)
         m = rng.standard_normal((5, 5))
         assert (np.linalg.norm(m, axis=0) > 1e-3).all()
-        numeric = central_difference(lambda x: l21_norm(x), m.copy())
-        np.testing.assert_allclose(l21_subgradient(m), numeric, atol=1e-6)
+        numeric = central_difference(lambda x: sparsity_loss(x).value, m.copy())
+        np.testing.assert_allclose(sparsity_loss(m).grad_latent, numeric, atol=1e-6)
 
     def test_nonzero_columns_have_unit_subgradient(self):
         rng = np.random.default_rng(16)
         m = rng.standard_normal((6, 8))
-        g = l21_subgradient(m)
+        g = sparsity_loss(m).grad_latent * 8
         np.testing.assert_allclose(np.linalg.norm(g, axis=0), 1.0, atol=1e-12)
 
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
-            l21_norm(np.ones(3))
-        with pytest.raises(ValueError):
-            l21_subgradient(np.ones(3))
+            sparsity_loss(np.ones(3))

@@ -194,19 +194,47 @@ class TestTrainBasics:
         # A huge first step overflows the logits of the second batch for
         # every loss kind, before a loss sees a NaN softmax; the abort names
         # the epoch and batch.  A smaller huge step leaves finite logits but
-        # latents whose norms overflow, so the store's split normalizes every
-        # one to zero.  No NumPy warning comes before either error.  Weight
-        # decay is off: at such steps it overflows the weights sooner.
+        # latents whose norms overflow, every one of them from epoch 1 on.
+        # No NumPy warning comes before either error.  Weight decay is off:
+        # at such steps it overflows the weights sooner.
         monkeypatch.setattr("noodle.trainer.WEIGHT_DECAY", 0.0)
         data = _toy_data()
         for lr, message in (
             (1e300, r"^non-finite logits at epoch 0, batch 1$"),
-            (1e100, r"^every training latent is zero or overflows after 3 epoch\(s\)$"),
+            (1e100, r"^every training latent is zero or overflows in epoch 1$"),
         ):
             monkeypatch.setattr("noodle.trainer.LR", lr)
             for kind in LOSS_KINDS:
                 with pytest.raises(DivergenceError, match=message):
                     train(data, _toy_config(loss_kind=kind))
+
+    @pytest.mark.parametrize("scale", [0.0, 1e300])
+    @pytest.mark.parametrize("loss_kind, lam", [("cm", 0.001), ("ce", 0.0)])
+    def test_epoch_without_a_usable_latent_stops_training(self, scale, loss_kind, lam):
+        # Dead (all-zero) or overflowing latents end the run after one epoch,
+        # on both lambda paths.
+        data = _toy_data()
+        data.features = data.features * scale
+        with pytest.raises(DivergenceError, match=r"^every training latent is zero or overflows in epoch 0$"):
+            train(data, _toy_config(loss_kind=loss_kind, lam=lam))
+
+    def test_zero_epochs_on_dead_latents_fails_in_the_store(self):
+        data = _toy_data()
+        data.features = np.zeros_like(data.features)
+        with pytest.raises(DivergenceError, match=r"^every training latent is zero or overflows after 0 epoch\(s\)$"):
+            train(data, _toy_config(epochs=0))
+
+    def test_non_finite_loss_names_epoch_and_batch(self, monkeypatch):
+        import noodle.trainer
+
+        real = noodle.trainer.classification_loss
+
+        def nan_loss(*args, **kwargs):
+            return replace(real(*args, **kwargs), value=float("nan"))
+
+        monkeypatch.setattr(noodle.trainer, "classification_loss", nan_loss)
+        with pytest.raises(DivergenceError, match=r"^non-finite loss at epoch 0, batch 0$"):
+            train(_toy_data(), _toy_config())
 
     def test_empty_training_set_rejected(self):
         data = _toy_data()
