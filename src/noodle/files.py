@@ -5,23 +5,29 @@ timestamps, and the checksum that ties files together.
   round-trip floats.  Checkpoints, traces and every summary use it.
 - Labeled float table: a CSV of integer label columns, then float columns
   ``<prefix>0..<prefix>{d-1}`` printed as ``%.16e`` (17 significant digits
-  round-trip any float64).  The parser is strict and names the file and line.
+  round-trip any float64).  The parser is strict: one bulk parse, and a file
+  it refuses is read again line by line to name the file and line at fault.
 - Checksums: a SHA-256 over arrays' shapes and bytes, which ties a
   checkpoint to the parameters it holds and to the store it was trained with.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import sys
+import warnings
 from dataclasses import fields
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 FLOAT_FMT = "%.16e"
+# The bytes that read_table trusts np.loadtxt with; see its docstring.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\n\r"
+_INT64 = np.iinfo(np.int64)
 
 
 def array_checksum(*arrays: np.ndarray) -> str:
@@ -123,20 +129,67 @@ def write_table(
             fh.write(line % (*row_labels, *row.tolist()))
 
 
+def _table_dim(fh, path, label_names: Sequence[str], prefix: str) -> int:
+    """Read the header line of ``fh``; the number of value columns it names."""
+    header = fh.readline().rstrip("\n")
+    cols = header.split(",")
+    dim = len(cols) - len(label_names)
+    if dim < 1 or cols != _table_header(label_names, prefix, dim):
+        raise ValueError(f"{path}: line 1: bad header {header!r}")
+    return dim
+
+
+def _plain_text(path: str | os.PathLike) -> bool:
+    """Whether every byte of the file is printable ASCII, LF or CR."""
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            if block.translate(None, _PLAIN_BYTES):
+                return False
+    return True
+
+
 def read_table(
     path: str | os.PathLike, label_names: Sequence[str], prefix: str
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Inverse of :func:`write_table`: one int64 array per label column and
     the ``(n, d)`` values.  Blank lines are skipped; a bad header, a wrong
-    field count, a malformed label or number, a non-finite value, or no data
-    rows raise ValueError naming the file and line."""
+    field count, a malformed label or number, a label outside the int64
+    range, a non-finite value, or no data rows raise ValueError naming the
+    file and line.
+
+    The body is parsed by one ``np.loadtxt`` call.  A file it refuses, or one
+    with a non-finite value or no rows, is read again by
+    :func:`_read_table_lines`, which returns what it accepts and otherwise
+    names the line at fault.  Only printable-ASCII files reach ``loadtxt``: on
+    them it accepts a subset of what the line-wise reader does, with equal
+    values, while on other text it reads some non-ASCII letters as digits and
+    strips the separators ``\\x1c``-``\\x1f`` from a float, which the line-wise
+    reader refuses."""
+    label_fields = [(f"label{i}", np.int64) for i in range(len(label_names))]
+    table = None
+    with open(path, "r", encoding="utf-8") as fh:
+        dim = _table_dim(fh, path, label_names, prefix)
+        if _plain_text(path):
+            # A warning refuses the file as an error does: NumPy warns on an empty body.
+            with warnings.catch_warnings(), contextlib.suppress(ValueError, Warning):
+                warnings.simplefilter("error")
+                table = np.loadtxt(
+                    fh, delimiter=",", comments=None, dtype=[*label_fields, ("values", float, (dim,))], ndmin=1
+                )
+    if table is None or not np.isfinite(table["values"]).all():
+        return _read_table_lines(path, label_names, prefix)
+    labels = [np.ascontiguousarray(table[name]) for name, _ in label_fields]
+    return labels, np.ascontiguousarray(table["values"])
+
+
+def _read_table_lines(
+    path: str | os.PathLike, label_names: Sequence[str], prefix: str
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """:func:`read_table`, one line at a time: ``int()`` per label and one
+    float array per row, so an error names the line it is on."""
     n_labels = len(label_names)
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        cols = header.split(",")
-        dim = len(cols) - n_labels
-        if dim < 1 or cols != _table_header(label_names, prefix, dim):
-            raise ValueError(f"{path}: line 1: bad header {header!r}")
+        n_fields = n_labels + _table_dim(fh, path, label_names, prefix)
         labels: list[list[int]] = [[] for _ in label_names]
         rows: list[np.ndarray] = []
         for lineno, line in enumerate(fh, start=2):
@@ -144,13 +197,15 @@ def read_table(
             if not line:
                 continue
             parts = line.split(",")
-            if len(parts) != len(cols):
+            if len(parts) != n_fields:
                 raise ValueError(
-                    f"{path}: line {lineno}: expected {len(cols)} fields, got {len(parts)}"
+                    f"{path}: line {lineno}: expected {n_fields} fields, got {len(parts)}"
                 )
             try:
                 for column, part in zip(labels, parts):
                     column.append(int(part))
+                    if not _INT64.min <= column[-1] <= _INT64.max:
+                        raise ValueError(f"label {part!r} outside the int64 range")
                 values = np.array(parts[n_labels:], dtype=float)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None

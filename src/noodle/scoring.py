@@ -32,8 +32,10 @@ COV_REG = 1e-3
 # sphere's diameter, i.e. farther than any real embedding can be.
 ZERO_QUERY_SCORE = -2.0
 
-# Queries are scored in chunks of about _CHUNK_BYTES of working memory; kNN takes exact
-# distances for k + _KNN_EXTRA candidates, picked with a slack far above rounding error.
+# Queries are scored in chunks of about _CHUNK_BYTES of working memory.  kNN takes exact
+# distances only for the rows whose Gram value lies within _GRAM_SLACK (far above its
+# rounding error) of the k-th; a query with more than k + _KNN_EXTRA rows up to that band
+# is recomputed against the whole store, which keeps a chunk's exact distances small.
 _CHUNK_BYTES = 1 << 20
 _KNN_EXTRA = 16
 _GRAM_SLACK = 1e-12
@@ -157,25 +159,37 @@ def _chunks(count: int, bytes_per_query: int):
 
 def _knn_scores(emb: np.ndarray, units: np.ndarray, k: int) -> np.ndarray:
     """Negated k-th smallest ``norm(e - u)`` over the rows ``e`` of ``emb`` for each unit
-    column ``u``.  The Gram form ``|e|² - 2 e·u`` (less the constant ``|u|²``) loses about
-    1e-8 next to a duplicate row, so it only picks candidates; a query whose candidates all
-    lie within ``_GRAM_SLACK`` of the k-th may have more near-ties and is recomputed."""
+    column ``u``.  One product ``[u, 1] @ [-2e, |e|²]ᵀ`` gives the Gram form ``|e|² - 2 e·u``
+    (``norm(e - u)² - 1``) to about 1e-14, far inside ``_GRAM_SLACK``.  So with ``g`` the
+    k-th smallest Gram value, every row below ``g - slack`` is nearer than the k-th and every
+    row above ``g + slack`` farther, and the k-th distance is the ``(k - below)``-th smallest
+    exact distance over the rows in between.  A query with more than ``k + _KNN_EXTRA`` rows
+    up to ``g + slack`` has many near-ties and is recomputed against the whole store."""
     n, dim = emb.shape
-    kth, width = min(k, n) - 1, min(k + _KNN_EXTRA, n)
-    sq_rows = np.einsum("ij,ij->i", emb, emb)
+    kth, width = min(k, n) - 1, k + _KNN_EXTRA
+    lifted = np.vstack([-2.0 * emb.T, np.einsum("ij,ij->i", emb, emb)])
     out = np.empty(units.shape[1])
-    for cols in _chunks(units.shape[1], 8 * (n + width * dim)):
+    # A chunk's Gram values and their partitioned copy.
+    for cols in _chunks(units.shape[1], 16 * n):
         u = units[:, cols].T
-        gram = sq_rows - 2.0 * (u @ emb.T)
-        order = np.argpartition(gram, width - 1, axis=1)[:, :width]
-        near = np.take_along_axis(gram, order, axis=1)
-        bound = np.partition(near, kth, axis=1)[:, kth] + _GRAM_SLACK
+        gram = np.hstack([u, np.ones((len(u), 1))]) @ lifted
+        nearest = np.partition(gram, kth, axis=1)
+        g = nearest[:, kth, None]
+        below = (nearest[:, :kth] < g - _GRAM_SLACK).sum(axis=1)
+        band = (gram >= g - _GRAM_SLACK) & (gram <= g + _GRAM_SLACK)
+        queries, rows = np.divmod(np.flatnonzero(band), n)
+        counts = np.bincount(queries, minlength=len(u))
+        # Many near-ties, or no k-th in the band at all (a NaN query).
+        full = (below + counts > width) | (below + counts <= kth)
+        queries, rows = queries[~full[queries]], rows[~full[queries]]
+        counts[full] = 0
         # Summed as the rows of a C-ordered (rows, dim) array, the layout a
         # full sort reduces: other layouts add the coordinates in another order.
-        diffs = np.subtract(emb[order], u[:, None, :], order="C")
-        distances = np.linalg.norm(diffs.reshape(-1, dim), axis=1).reshape(order.shape)
-        scores = np.partition(distances, kth, axis=1)[:, kth]
-        for j in np.flatnonzero(near.max(axis=1) <= bound) if width < n else ():
+        distances = np.linalg.norm(np.subtract(emb[rows], u[queries], order="C"), axis=1)
+        ranked = distances[np.lexsort((distances, queries))]
+        scores = np.empty(len(u))
+        scores[~full] = ranked[(np.cumsum(counts) - counts + kth - below)[~full]]
+        for j in np.flatnonzero(full):
             scores[j] = np.partition(np.linalg.norm(emb - u[j], axis=1), kth)[kth]
         out[cols] = -scores
     return out

@@ -39,8 +39,9 @@ from noodle.cli import (
     run_experiment,
     run_training,
 )
-from noodle.datagen import DataSpec, load_features_csv, save_features_csv
-from noodle.files import array_checksum, read_json, write_json
+from noodle import files
+from noodle.datagen import DataSpec, LabeledSet, load_features_csv, save_features_csv, save_ood_csv
+from noodle.files import array_checksum, read_json, read_table, write_json
 from noodle.metrics import auroc, fpr_at_tpr
 from noodle.model import DivergenceError
 from noodle.scoring import build_store, load_store, save_store
@@ -408,6 +409,24 @@ class TestTrainCommand:
             assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
             assert not out.exists(), message
 
+    def test_label_outside_int64_exits_2_naming_the_line(self, tmp_path, data_dir, run_dir, capsys):
+        # It was a bare OverflowError traceback (exit 1) from both commands.
+        lines = (data_dir / "train.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = "99999999999999999999" + lines[2][lines[2].index(","):]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "out"
+        for argv in (
+            ["train", "--data", str(bad)],
+            ["eval", "--checkpoint", str(run_dir / "checkpoint.json"), "--id-test", str(bad),
+             "--ood", str(data_dir / "ood_far_cluster.csv")],
+        ):
+            assert main([*argv, "--out", str(out)]) == 2, argv[0]
+            assert capsys.readouterr().err == (
+                f"error: {bad}: line 3: label '99999999999999999999' outside the int64 range\n"
+            )
+            assert not out.exists(), argv[0]
+
     def test_non_object_config_exits_2(self, tmp_path, data_dir, capsys):
         # A JSON list was an AttributeError traceback (exit 1), and a parse
         # error did not name the file.
@@ -422,6 +441,25 @@ class TestTrainCommand:
             assert main([*argv, "--config", str(config_path)]) == 2
             assert capsys.readouterr().err == f"error: {config_path}: {message}\n"
             assert not out.exists()
+
+
+def test_tables_the_package_writes_take_the_bulk_parse(tmp_path, data_dir, run_dir, monkeypatch):
+    # The line-wise reader is for files the bulk parse refuses; one the
+    # package wrote never needs it.  Extremes: signed zeros, a subnormal,
+    # the smallest normal and the largest finite floats.
+    def refuse(path, *args):
+        raise AssertionError(f"{path} went through the line-wise reader")
+
+    monkeypatch.setattr(files, "_read_table_lines", refuse)
+    big = np.finfo(float).max
+    extremes = np.array([[0.0, -0.0, 5e-324, -big], [np.finfo(float).tiny, 1.0, -1e-300, big]])
+    save_features_csv(LabeledSet(extremes, np.array([0, 1]), np.array([1, 1]), 2), tmp_path / "set.csv")
+    save_ood_csv(extremes, tmp_path / "ood.csv")
+    tables = sorted(data_dir.glob("*.csv"))
+    assert len(tables) == 5
+    for path in (*tables, tmp_path / "set.csv", tmp_path / "ood.csv"):
+        read_table(path, ("label", "noisy_label"), "f")
+    assert len(load_store(run_dir / "store")) > 0
 
 
 class TestEvalCommand:

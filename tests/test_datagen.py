@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.stats import chisquare
 
+from noodle import files
 from noodle.datagen import (
     LabeledSet,
     NoiseSpec,
@@ -23,6 +25,7 @@ from noodle.datagen import (
     save_features_csv,
     save_ood_csv,
 )
+from noodle.files import _read_table_lines, read_table, write_table
 
 
 # Finite float64 matrices of every magnitude, subnormals and signed zeros included.
@@ -208,10 +211,15 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(data.noisy_labels, [1, 1])
 
     def test_empty_data_section_is_an_error(self, tmp_path):
+        # NumPy's bulk parse only warns on an empty body, so the caller's
+        # warning filter must not decide whether that is an error.
         path = tmp_path / "empty.csv"
-        path.write_text("label,noisy_label,f0\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="no data rows"):
-            load_features_csv(path)
+        path.write_text("label,noisy_label,f0\n\n", encoding="utf-8")
+        for action in ("error", "ignore"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                with pytest.raises(ValueError, match="no data rows"):
+                    load_features_csv(path)
 
     def test_malformed_rows_name_the_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -223,6 +231,14 @@ class TestCsvRoundTrip:
             load_features_csv(path)
         path.write_text("label,noisy_label,f0\n0,0,inf\n", encoding="utf-8")
         with pytest.raises(ValueError, match="non-finite"):
+            load_features_csv(path)
+
+    def test_label_outside_int64_names_the_line(self, tmp_path):
+        # It was a bare OverflowError from the final array build, naming no file or line.
+        path = tmp_path / "big.csv"
+        path.write_text("label,noisy_label,f0\n0,0,1.0\n99999999999999999999,0,2.0\n", encoding="utf-8")
+        message = f"{path}: line 3: label '99999999999999999999' outside the int64 range"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_features_csv(path)
 
     def test_bad_header_is_an_error(self, tmp_path):
@@ -247,6 +263,86 @@ class TestCsvRoundTrip:
         first_row = path.read_text(encoding="utf-8").splitlines()[1]
         assert first_row.startswith("-1,-1,")
         np.testing.assert_array_equal(load_ood_csv(path).view(np.int64), features.view(np.int64))
+
+
+_LABELS = ("label", "noisy_label")
+# Fields that one reader or the other may refuse, or read in its own way.
+_ODD_FIELDS = (
+    "abc", "nan", "-inf", "inf", "1e400", "1_0", "1_0.5", "\uff11", "\u0661", "1.0", "1e3", "",
+    " ", " 7 ", "+3", "-0", "-0.0", "4.9e-324", "0x10", "#1", "1\u01fe", "1\x1c", "\x1f2", "\t2",
+    "2\xa0", "1 2", "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+    "-9223372036854775809", "99999999999999999999",
+)
+
+
+def _refuse(path, *args):
+    raise AssertionError(f"{path} went through the line-wise reader")
+
+
+def _outcome(reader, path):
+    """The dtype, shape and bytes of each array ``reader`` returns, or its error."""
+    try:
+        labels, values = reader(path, _LABELS, "f")
+    except ValueError as exc:
+        return str(exc)
+    return [(a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes()) for a in (*labels, values)]
+
+
+class TestTableReaders:
+    """``read_table``'s bulk parse against the line-wise reader it falls back to."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(features=FEATURES, draw=st.data())
+    def test_written_tables_parse_in_bulk_to_the_same_bits(self, tmp_path_factory, features, draw):
+        labels = arrays(np.int64, len(features), elements=st.integers(-(2**63), 2**63 - 1))
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        write_table(path, _LABELS, "f", (draw.draw(labels), draw.draw(labels)), features)
+        expected = _outcome(_read_table_lines, path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(files, "_read_table_lines", _refuse)
+            assert _outcome(read_table, path) == expected
+
+    @pytest.mark.parametrize("field", _ODD_FIELDS)
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_each_odd_field_parses_alike_or_fails_alike(self, tmp_path, field, column):
+        row = ["1", "0", "2.5", "-0.5"]
+        row[column] = field
+        path = tmp_path / "t.csv"
+        path.write_text(f"label,noisy_label,f0,f1\n0,1,1.0,2.0\n{','.join(row)}\n", encoding="utf-8")
+        assert _outcome(read_table, path) == _outcome(_read_table_lines, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        features=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 3)), elements=FINITE),
+        draw=st.data(),
+    )
+    def test_mutated_tables_parse_alike_or_fail_alike(self, tmp_path_factory, features, draw):
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        labels = np.arange(len(features))
+        write_table(path, _LABELS, "f", (labels, labels), features)
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        rows = [line.split(",") for line in lines]
+        kinds = st.sampled_from(("blank", "field", "field", "pad", "drop", "extra"))
+        for kind in draw.draw(st.lists(kinds, min_size=1, max_size=6), "edits"):
+            i = draw.draw(st.integers(0, len(rows) - 1), "row")
+            if not rows[i]:
+                continue
+            j = draw.draw(st.integers(0, len(rows[i]) - 1), "column")
+            if kind == "blank":
+                rows.insert(i, [""])
+            elif kind == "field":
+                rows[i][j] = draw.draw(st.sampled_from(_ODD_FIELDS), "field")
+            elif kind == "pad":
+                rows[i][j] = f" {rows[i][j]}  "
+            elif kind == "drop":
+                del rows[i][j]
+            else:
+                rows[i].append("0")
+        if draw.draw(st.booleans(), "header only"):
+            rows = []
+        newline = draw.draw(st.sampled_from(("\n", "\r\n")), "newline")
+        path.write_bytes(newline.join([header, *map(",".join, rows), ""]).encode("utf-8"))
+        assert _outcome(read_table, path) == _outcome(_read_table_lines, path)
 
 
 class TestLabeledSetValidation:
