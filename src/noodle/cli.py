@@ -4,7 +4,7 @@ Subcommands::
 
     noodle gen-data   --out DIR [--seed N --classes K --noise-rate F ...]
     noodle train      --data train.csv --out DIR [--config cfg.json]
-    noodle eval       --checkpoint ckpt --id-test f --ood f --out DIR [--score S --k K --tpr T]
+    noodle eval       --checkpoint ckpt --id-test f --ood f --out DIR [--score S --k K]
     noodle experiment --spec exp.json --out DIR [--threads N]
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical failure
@@ -27,7 +27,7 @@ import threading
 from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, astuple, fields, replace
+from dataclasses import asdict, astuple, fields
 from functools import partial
 from pathlib import Path
 from typing import Iterable
@@ -221,9 +221,11 @@ def run_eval(
     its checksum must equal the checkpoint meta's ``store_checksum``, so a
     store of another width, class count, encoder or run is rejected with
     ``ValueError``, and so are a checkpoint without that key or its
-    ``config_hash`` and two OOD files with one stem.  The reports record
-    ``seed``; None records the checkpoint's ``meta.config.seed``, and a
-    checkpoint without an integer one is a ``ValueError``."""
+    ``config_hash``, two OOD files with one stem, and a feature file whose
+    width is not the checkpoint's input width (checked as each file is
+    loaded).  The reports record ``seed``; None records the checkpoint's
+    ``meta.config.seed``, and a checkpoint without an integer one is a
+    ``ValueError``."""
     evaluation = EvalSpec(score, k, tpr)
     if not ood_paths:
         raise ValueError("need at least one OOD file")
@@ -245,10 +247,16 @@ def run_eval(
             f"{store_base}.csv: not the store trained with {checkpoint_path} (store_checksum differs)"
         )
     config_hash = meta["config_hash"]
-    ood_sets = ((Path(p).stem, load_ood_csv(p)) for p in ood_paths)
-    reports = evaluate(
-        params, store, load_features_csv(id_test_path), ood_sets, evaluation, seed, config_hash
-    )
+
+    def checked(path, features: np.ndarray) -> np.ndarray:
+        if (dim := features.shape[1]) != params.in_dim:
+            raise ValueError(f"{path}: {dim} features, but {checkpoint_path} takes {params.in_dim}")
+        return features
+
+    id_set = load_features_csv(id_test_path)
+    checked(id_test_path, id_set.features)
+    ood_sets = ((Path(p).stem, checked(p, load_ood_csv(p))) for p in ood_paths)
+    reports = evaluate(params, store, id_set, ood_sets, evaluation, seed, config_hash)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for report in reports:
@@ -286,7 +294,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         [Path(p) for p in args.ood],
         args.score,
         args.k,
-        args.tpr,
+        EvalSpec.tpr,
         None,
         out_dir,
     )
@@ -303,7 +311,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # experiment
 
 
-SPEC_KEYS = ("format", "version", "dataset", "noise", "train", "methods", "seeds", "eval")
+SPEC_KEYS = ("format", "version", "dataset", "noise", "train", "methods", "seeds")
 METHOD_KEYS = ("name", "loss_kind", "lambda", "score", "k")
 DATASET_FILE_KEYS = ("train_csv", "id_test_csv", "ood_csvs")
 
@@ -311,7 +319,7 @@ DATASET_FILE_KEYS = ("train_csv", "id_test_csv", "ood_csvs")
 def plan_experiment(spec, source: str) -> tuple[DataSpec | dict, list[dict]]:
     """Check a spec and resolve it into its data and cells; every error starts with ``source``.
 
-    Unknown keys (top level, ``noise``, ``eval``, each method), a ``format`` or
+    Unknown keys (top level, ``noise``, each method), a ``format`` or
     ``version`` other than this one's, a ``noise_rate`` in ``dataset`` or a
     ``seed`` in ``train`` (the runner sets both), repeated or non-integer seeds,
     a mistyped or missing dataset file, two OOD files with one stem, a partial
@@ -321,7 +329,7 @@ def plan_experiment(spec, source: str) -> tuple[DataSpec | dict, list[dict]]:
     or a :class:`DataSpec`, and one cell per (method, seed), method-major:
     ``name``, ``seed``, ``config`` (``train`` <- the method's
     ``loss_kind``/``lambda`` <- the seed, through ``TrainConfig.from_dict``)
-    and ``eval`` (an :class:`EvalSpec`)."""
+    and ``eval`` (an :class:`EvalSpec` of the method's ``score`` and ``k``)."""
     try:
         if not isinstance(spec, dict):
             raise ValueError("experiment spec must be a JSON object")
@@ -329,13 +337,12 @@ def plan_experiment(spec, source: str) -> tuple[DataSpec | dict, list[dict]]:
         seeds = spec.get("seeds", [])
         if not isinstance(methods, list) or not isinstance(seeds, list):
             raise ValueError("methods and seeds must be JSON lists")
-        sections = [spec.get(key, {}) for key in ("dataset", "noise", "train", "eval")]
+        sections = [spec.get(key, {}) for key in ("dataset", "noise", "train")]
         if not all(isinstance(doc, dict) for doc in [*sections, *methods]):
-            raise ValueError("dataset, noise, train, eval and each method must be objects")
-        dataset, noise, train, eval_doc = sections
+            raise ValueError("dataset, noise, train and each method must be objects")
+        dataset, noise, train = sections
         reject_unknown(spec, SPEC_KEYS, "spec keys")
         reject_unknown(noise, ("rate",), "noise keys")
-        reject_unknown(eval_doc, ("tpr",), "eval keys")
         for key, value in (("format", EXPERIMENT_FORMAT), ("version", 1)):
             if key in spec and (type(spec[key]) is not type(value) or spec[key] != value):
                 raise ValueError(f"{key} must be {value!r}, got {spec[key]!r}")
@@ -375,16 +382,12 @@ def plan_experiment(spec, source: str) -> tuple[DataSpec | dict, list[dict]]:
             raise ValueError(f"dataset files are given, so {', '.join(ignored)} would be ignored")
         # A given file set is exactly the dataset section, and noise is empty.
         data = dataset if given else DataSpec.from_dict(dict(dataset, noise_rate=NoiseSpec(**noise).rate))
-        try:
-            evaluation = EvalSpec(**eval_doc)
-        except ValueError as exc:
-            raise ValueError(f"eval.{exc}") from exc
         cells = []
         for m in methods:
             try:
                 reject_unknown(m, METHOD_KEYS, "method keys")
                 overrides = {key: m[key] for key in ("loss_kind", "lambda") if key in m}
-                method_eval = replace(evaluation, **{key: m[key] for key in ("score", "k") if key in m})
+                method_eval = EvalSpec(**{key: m[key] for key in ("score", "k") if key in m})
                 configs = [TrainConfig.from_dict({**train, **overrides, "seed": seed}) for seed in seeds]
             except ValueError as exc:
                 raise ValueError(f"method {m['name']!r}: {exc}") from exc
@@ -392,12 +395,6 @@ def plan_experiment(spec, source: str) -> tuple[DataSpec | dict, list[dict]]:
     except (ValueError, FileNotFoundError) as exc:
         raise type(exc)(f"{source}: {exc}") from exc
     return data, cells
-
-
-def load_experiment_spec(path: Path) -> dict:
-    spec = read_json(path)
-    plan_experiment(spec, str(path))
-    return spec
 
 
 def _run_cell(cell: dict) -> dict:
@@ -466,8 +463,9 @@ def _run_cells(cells: list[dict], processes: int) -> list[dict]:
 def run_experiment(spec: dict, spec_file: str, out_dir: Path, threads: int) -> dict:
     """Run every (method, seed) cell of ``spec`` and return the comparison.
 
-    The spec is planned first (``spec_file`` names it in error messages and
-    in ``comparison.json``).  Data is a function of the seed alone, so it is
+    The spec is planned first.  ``spec_file`` starts every error message, from
+    planning and from data generation, and its file name is recorded in
+    ``comparison.json``.  Data is a function of the seed alone, so it is
     generated once per seed into ``data/seed<s>/`` (or taken from the spec's
     files) and shared by all methods.  Each cell trains and evaluates into
     ``runs/<method>/seed<s>/``; a failing cell is recorded under ``failures``
@@ -521,7 +519,7 @@ def run_experiment(spec: dict, spec_file: str, out_dir: Path, threads: int) -> d
     comparison = {
         "format": EXPERIMENT_FORMAT,
         "version": 1,
-        "spec_file": spec_file,
+        "spec_file": Path(spec_file).name,
         "rows": rows,
         "methods": by_method,
     }
@@ -530,10 +528,8 @@ def run_experiment(spec: dict, spec_file: str, out_dir: Path, threads: int) -> d
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    spec_path = Path(args.spec)
-    spec = load_experiment_spec(spec_path)
-    out_dir = Path(args.out)
-    comparison = run_experiment(spec, spec_path.name, out_dir, args.threads)
+    spec_path, out_dir = Path(args.spec), Path(args.out)
+    comparison = run_experiment(read_json(spec_path), str(spec_path), out_dir, args.threads)
 
     failures = sum(row["failures"] for row in comparison["rows"])
     for row in comparison["rows"]:
@@ -582,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--ood", action="append", required=True, help="repeatable OOD CSV path")
     e.add_argument("--score", choices=SCORE_KINDS, default=EvalSpec.score)
     e.add_argument("--k", type=int, default=EvalSpec.k)
-    e.add_argument("--tpr", type=float, default=EvalSpec.tpr)
     e.add_argument("--out", required=True, help="output directory")
     e.set_defaults(func=cmd_eval)
 

@@ -46,12 +46,12 @@ def write_json(path: str | os.PathLike, doc) -> None:
 
 
 def read_json(path: str | os.PathLike) -> dict:
-    """The object a JSON file holds; malformed JSON or any other document is a
-    ValueError naming ``path``."""
+    """The object a JSON file holds; malformed JSON or UTF-8, or any other
+    document, is a ValueError naming ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: not a JSON object")
@@ -154,8 +154,9 @@ def read_table(
     """Inverse of :func:`write_table`: one int64 array per label column and
     the ``(n, d)`` values.  Blank lines are skipped; a bad header, a wrong
     field count, a malformed label or number, a label outside the int64
-    range, a non-finite value, or no data rows raise ValueError naming the
-    file and line.
+    range, a non-finite value, a byte that is not UTF-8 (kept as a surrogate,
+    so no field holding one parses), or no data rows raise ValueError naming
+    the file and line.
 
     The body is parsed by one ``np.loadtxt`` call.  A file it refuses, or one
     with a non-finite value or no rows, is read again by
@@ -167,7 +168,7 @@ def read_table(
     reader refuses."""
     label_fields = [(f"label{i}", np.int64) for i in range(len(label_names))]
     table = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         dim = _table_dim(fh, path, label_names, prefix)
         if _plain_text(path):
             # A warning refuses the file as an error does: NumPy warns on an empty body.
@@ -188,7 +189,7 @@ def _read_table_lines(
     """:func:`read_table`, one line at a time: ``int()`` per label and one
     float array per row, so an error names the line it is on."""
     n_labels = len(label_names)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         n_fields = n_labels + _table_dim(fh, path, label_names, prefix)
         labels: list[list[int]] = [[] for _ in label_names]
         rows: list[np.ndarray] = []

@@ -32,7 +32,6 @@ from noodle.cli import (
     _run_cells,
     build_parser,
     generate_dataset_files,
-    load_experiment_spec,
     main,
     plan_experiment,
     run_eval,
@@ -209,14 +208,14 @@ class TestGenData:
 
     def test_file_set_too_large_for_a_spec_exits_2_naming_the_spec(self, tmp_path, capsys):
         # Planning cannot see the size; the sweep's data generation refused it
-        # without the spec's name.
+        # without the spec's name, then with its file name only.
         spec = {"methods": [{"name": "a"}], "seeds": [0], "dataset": {"per_class": 1000000000000}}
         path = tmp_path / "big.json"
         path.write_text(json.dumps(spec))
         out = tmp_path / "out"
         assert main(["experiment", "--spec", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "error: big.json: the file set does not fit in memory: classes 4 x (per_class 1000000000000 + "
+            f"error: {path}: the file set does not fit in memory: classes 4 x (per_class 1000000000000 + "
             "val_per_class 50 + test_per_class 250) rows and ood_size 1000 per OOD mode, in dim 32\n"
         )
         assert not out.exists()
@@ -441,6 +440,33 @@ class TestTrainCommand:
             assert main([*argv, "--config", str(config_path)]) == 2
             assert capsys.readouterr().err == f"error: {config_path}: {message}\n"
             assert not out.exists()
+
+    def test_a_byte_that_is_not_utf8_exits_2_naming_the_file(self, tmp_path, data_dir, run_dir, capsys):
+        # A bare UnicodeDecodeError named neither the file nor the line.
+        table = (data_dir / "train.csv").read_bytes().split(b"\n")
+        table[2] = table[2].replace(b",", b",\xff", 1)
+        body, header = tmp_path / "body.csv", tmp_path / "header.csv"
+        body.write_bytes(b"\n".join(table))
+        header.write_bytes(b"\n".join([table[0].replace(b"f0", b"f\xff0"), *table[1:2], *table[3:]]))
+        config, spec = tmp_path / "config.json", tmp_path / "spec.json"
+        config.write_bytes(b'{"epochs": \xff}')
+        spec.write_bytes(b'{"seeds": [0], \xff}')
+        checkpoint = shutil.copytree(run_dir, tmp_path / "run") / "checkpoint.json"
+        checkpoint.write_bytes(checkpoint.read_bytes().replace(b"{", b"{\xff", 1))
+        ood = data_dir / "ood_far_cluster.csv"
+        out = tmp_path / "out"
+        for argv, prefix in (
+            (["train", "--data", str(body)], f"{body}: line 3: "),
+            (["train", "--data", str(header)], f"{header}: line 1: bad header "),
+            (["train", "--data", str(data_dir / "train.csv"), "--config", str(config)], f"{config}: "),
+            (["experiment", "--spec", str(spec)], f"{spec}: "),
+            (["eval", "--checkpoint", str(checkpoint), "--id-test", str(body), "--ood", str(ood)],
+             f"{checkpoint}: "),
+        ):
+            assert main([*argv, "--out", str(out)]) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {prefix}") and err.count("\n") == 1, err
+            assert not out.exists(), argv
 
 
 def test_tables_the_package_writes_take_the_bulk_parse(tmp_path, data_dir, run_dir, monkeypatch):
@@ -709,31 +735,44 @@ class TestEvalCommand:
     ):
         # `noodle eval` took any k for msp and energy (exit 0, k recorded as
         # given) and refused k=0 for knn only after reading every input, while
-        # a spec refused all of them.  Both now build one EvalSpec first.  A
-        # spec's tpr is its eval section's, so that section names it.
+        # a spec refused all of them.  Both now build one EvalSpec first.
         def no_read(path):
             pytest.fail(f"{path} was read before the settings were checked")
 
         monkeypatch.setattr("noodle.cli.load_checkpoint", no_read)
         spec_path, out = tmp_path / "spec.json", tmp_path / "out"
-        for score, k, tpr, where, message in (
-            ("msp", 0, 0.95, "method 'a': ", "need an integer k >= 1, got 0"),
-            ("energy", -3, 0.95, "method 'a': ", "need an integer k >= 1, got -3"),
-            ("knn", 0, 0.95, "method 'a': ", "need an integer k >= 1, got 0"),
-            ("knn", 50, 0.0, "eval.", "tpr must be a number in (0, 1], got 0.0"),
+        for score, k, message in (
+            ("msp", 0, "need an integer k >= 1, got 0"),
+            ("energy", -3, "need an integer k >= 1, got -3"),
+            ("knn", 0, "need an integer k >= 1, got 0"),
         ):
             command = (
                 f"eval --checkpoint {run_dir}/checkpoint.json --id-test "
                 f"{data_dir}/test_id.csv --ood {data_dir}/ood_far_cluster.csv --out {out} "
-                f"--score {score} --k {k} --tpr {tpr}"
+                f"--score {score} --k {k}"
             )
             assert main(command.split()) == 2, message
             assert capsys.readouterr().err == f"error: {message}\n"
-            spec = {"methods": [{"name": "a", "score": score, "k": k}], "seeds": [0], "eval": {"tpr": tpr}}
+            spec = {"methods": [{"name": "a", "score": score, "k": k}], "seeds": [0]}
             spec_path.write_text(json.dumps(spec))
             assert main(["experiment", "--spec", str(spec_path), "--out", str(out)]) == 2, message
-            assert capsys.readouterr().err == f"error: {spec_path}: {where}{message}\n"
+            assert capsys.readouterr().err == f"error: {spec_path}: method 'a': {message}\n"
             assert not out.exists(), message
+
+    def test_a_feature_file_of_another_width_exits_2_naming_it(self, tmp_path, data_dir, run_dir, capsys):
+        # Forwarding one refused it without naming the file or the checkpoint.
+        narrow = tmp_path / "narrow"
+        generate_dataset_files(narrow, 0, **dict(GEN_SMALL, dim=4))
+        checkpoint, out = run_dir / "checkpoint.json", tmp_path / "out"
+        for id_test, ood, bad in (
+            (narrow / "test_id.csv", [data_dir / "ood_far_cluster.csv"], narrow / "test_id.csv"),
+            (data_dir / "test_id.csv", [data_dir / "ood_far_cluster.csv", narrow / "ood_uniform_shell.csv"],
+             narrow / "ood_uniform_shell.csv"),
+        ):
+            argv = ["eval", "--checkpoint", str(checkpoint), "--id-test", str(id_test), "--out", str(out)]
+            assert main([*argv, *(arg for path in ood for arg in ("--ood", str(path)))]) == 2
+            assert capsys.readouterr().err == f"error: {bad}: 4 features, but {checkpoint} takes 8\n"
+            assert not out.exists()
 
     def test_unknown_score_kind_rejected(self, tmp_path, data_dir, run_dir):
         with pytest.raises(ValueError, match="unknown score kind"):
@@ -1074,8 +1113,8 @@ class TestExperiment:
         assert error == "DivergenceError: every training latent is zero or overflows in epoch 0", error
 
     def test_spec_validation(self, tmp_path):
-        # The file loader and the library runner share one planner, and the
-        # runner rejects a bad spec before it writes anything.
+        # The runner plans the spec before it writes anything, and every
+        # error starts with the spec_file it was given.
         one = {"methods": [{"name": "a"}], "seeds": [0]}
         # A complete dataset file set whose two OOD files share a stem.
         twins = {
@@ -1093,7 +1132,8 @@ class TestExperiment:
             ({"methods": [{"name": "a", "score": "zzz"}], "seeds": [0]}, "unknown score kind"),
             (dict(one, surprise=1), "surprise"),
             (dict(one, noise={"rat": 0.4}), "unknown noise keys: rat"),
-            (dict(one, eval={"TPR": 0.5}), "unknown eval keys: TPR"),
+            # Every evaluation is at 95% TPR, so a spec has no eval section.
+            (dict(one, eval={"tpr": 0.95}), "unknown spec keys: eval"),
             (dict(one, seeds=[0, 0]), "distinct integers"),
             (dict(one, seeds=[1.7]), "distinct integers"),
             (dict(one, methods=["a"]), "each method must be objects"),
@@ -1111,9 +1151,6 @@ class TestExperiment:
             (dict(one, methods=[{"loss_kind": "ce"}]), "one path component"),
             (dict(one, methods=[{"name": "a", "k": 0}]), "integer k >= 1"),
             (dict(one, methods=[{"name": "a", "k": 2.5}]), "method 'a': k must be an integer, got 2.5"),
-            (dict(one, eval={"tpr": 0}), r"eval.tpr must be a number in \(0, 1\]"),
-            (dict(one, eval={"tpr": 1.5}), r"eval.tpr must be a number in \(0, 1\]"),
-            (dict(one, eval={"tpr": "0.9"}), "eval.tpr must be a number, got '0.9'"),
             # The output directory is --out alone; run_experiment ignored this one.
             (dict(one, out="sweep"), "unknown spec keys: out"),
             # NumPy's SeedSequence refused it inside the cell.
@@ -1152,9 +1189,8 @@ class TestExperiment:
         ]
         path = tmp_path / "bad.json"
         for spec, message in cases:
-            path.write_text(json.dumps(spec))
             with pytest.raises(ValueError, match=message) as err:
-                load_experiment_spec(path)
+                run_experiment(spec, str(path), tmp_path / "out", 1)
             assert str(err.value).startswith(f"{path}: "), str(err.value)
             with pytest.raises(ValueError, match=message) as err:
                 run_experiment(spec, path.name, tmp_path / "out", 1)
@@ -1163,9 +1199,10 @@ class TestExperiment:
 
     def test_late_failures_exit_2_before_any_write(self, tmp_path, capsys):
         # Unchecked, each of these fails only after writing: an escaping name
-        # writes outside runs/, k=0 and tpr=0 fail every trained cell, and
-        # out=5 was a TypeError traceback once the output directory was chosen
-        # (a spec names no output directory now).
+        # writes outside runs/, k=0 and tpr=0 fail every trained cell (an eval
+        # section is now an unknown key), and out=5 was a TypeError traceback
+        # once the output directory was chosen (a spec names no output
+        # directory now).
         bad = [
             {"methods": [{"name": "../escape"}], "seeds": [0]},
             {"methods": [{"name": "a", "k": 0}], "seeds": [0]},
@@ -1196,13 +1233,60 @@ class TestExperiment:
             ({"dataset": {"separation": 10**400}}, f"separation must be a finite number, got {10**400}"),
         ):
             spec = {"methods": [{"name": "a"}], "seeds": [0], **section}
-            path.write_text(json.dumps(spec))
             with pytest.raises(ValueError) as err:
-                load_experiment_spec(path)
+                run_experiment(spec, str(path), tmp_path / "out", 1)
             assert str(err.value) == f"{path}: {message}"
             with pytest.raises(ValueError) as err:
                 plan_experiment(spec, "spec.json")
             assert str(err.value) == f"spec.json: {message}"
+
+    def test_a_sweep_plans_its_spec_once(self, tmp_path, monkeypatch):
+        # The command planned the spec to check it, then the runner again.
+        plans = []
+
+        def counted(spec, source):
+            plans.append(source)
+            return plan_experiment(spec, source)
+
+        monkeypatch.setattr("noodle.cli.plan_experiment", counted)
+        solo = {"name": "solo", "loss_kind": "ce", "lambda": 0.0, "score": "knn", "k": 10}
+        spec_path, _ = _experiment_spec(tmp_path, methods=[solo])
+        assert main(["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 0
+        assert plans == [str(spec_path)]
+        assert read_json(tmp_path / "out" / "comparison.json")["spec_file"] == "experiment.json"
+
+    def test_an_eval_section_and_a_tpr_flag_exit_2(self, tmp_path, data_dir, run_dir, capsys):
+        # Every evaluation is at 95% TPR, the rate its fpr95 label names.
+        spec_path, spec = _experiment_spec(tmp_path)
+        spec_path.write_text(json.dumps(dict(spec, eval={"tpr": 0.95})))
+        out = tmp_path / "out"
+        assert main(["experiment", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {spec_path}: unknown spec keys: eval\n"
+        command = (
+            f"eval --checkpoint {run_dir}/checkpoint.json --id-test {data_dir}/test_id.csv "
+            f"--ood {data_dir}/ood_far_cluster.csv --out {out} --tpr 0.9"
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(command.split())
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tpr 0.9" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_spec_error_starts_with_the_spec_path(self, tmp_path, capsys):
+        # The planner's errors, a missing dataset file and the data
+        # generation's refusal, for a spec below the working directory.
+        path = tmp_path / "specs" / "spec.json"
+        path.parent.mkdir()
+        out = tmp_path / "out"
+        for section, message in (
+            ({"train": {"epoch": 2}}, "method 'a': unknown config keys: epoch"),
+            ({"dataset": {"train_csv": str(tmp_path / "gone.csv")}}, f"dataset file missing: {tmp_path}/gone.csv"),
+            ({"dataset": {"per_class": 10**12}}, "the file set does not fit in memory: "),
+        ):
+            path.write_text(json.dumps({"methods": [{"name": "a"}], "seeds": [0], **section}))
+            assert main(["experiment", "--spec", str(path), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+            assert not out.exists()
 
     def test_missing_dataset_file_exits_2(self, tmp_path, capsys):
         spec = {

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from noodle import linalg
 from noodle.linalg import approx_topk_singular_vectors, qr_thin
-from noodle.losses import sparsity_loss
 from oracles import (
-    central_difference,
     gap_conditioned,
     principal_angles,
     qr_sign_normalized,
@@ -190,58 +188,3 @@ class TestPowerIteration:
             approx_topk_singular_vectors(h, 5, 5, rng)
         with pytest.raises(ValueError):
             approx_topk_singular_vectors(h, 2, 0, rng)
-
-
-class TestL21:
-    """The L2,1 norm and its subgradient, as ``losses.sparsity_loss``
-    computes them: the batch mean of the column norms, and each nonzero
-    column over its norm, over the batch size."""
-
-    def test_zero_matrix(self):
-        out = sparsity_loss(np.zeros((3, 4)))
-        assert out.value == 0.0
-        np.testing.assert_array_equal(out.grad_latent, np.zeros((3, 4)))
-
-    def test_single_column_values(self):
-        assert sparsity_loss(np.array([[3.0, 0.0], [4.0, 0.0]])).value == 2.5
-        np.testing.assert_allclose(
-            sparsity_loss(np.array([[3.0], [4.0]])).grad_latent, [[0.6], [0.8]], rtol=1e-15
-        )
-
-    def test_matches_per_column_summation(self):
-        rng = np.random.default_rng(13)
-        m = rng.standard_normal((4, 6))
-        direct = sum(float(np.sqrt((m[:, j] ** 2).sum())) for j in range(6))
-        np.testing.assert_allclose(sparsity_loss(m).value, direct / 6, rtol=1e-12)
-
-    def test_absolute_homogeneity(self):
-        rng = np.random.default_rng(14)
-        m = rng.standard_normal((5, 5))
-        value = sparsity_loss(m).value
-        # Powers of two rescale without rounding, so equality is exact.
-        for c in (2.0, -0.5, 8.0):
-            assert sparsity_loss(c * m).value == abs(c) * value
-        assert value > 0.0
-
-    def test_zero_iff_zero_matrix(self):
-        m = np.zeros((4, 4))
-        assert sparsity_loss(m).value == 0.0
-        m[2, 3] = 1e-9
-        assert sparsity_loss(m).value > 0.0
-
-    def test_subgradient_matches_finite_differences(self):
-        rng = np.random.default_rng(15)
-        m = rng.standard_normal((5, 5))
-        assert (np.linalg.norm(m, axis=0) > 1e-3).all()
-        numeric = central_difference(lambda x: sparsity_loss(x).value, m.copy())
-        np.testing.assert_allclose(sparsity_loss(m).grad_latent, numeric, atol=1e-6)
-
-    def test_nonzero_columns_have_unit_subgradient(self):
-        rng = np.random.default_rng(16)
-        m = rng.standard_normal((6, 8))
-        g = sparsity_loss(m).grad_latent * 8
-        np.testing.assert_allclose(np.linalg.norm(g, axis=0), 1.0, atol=1e-12)
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            sparsity_loss(np.ones(3))

@@ -243,6 +243,38 @@ class TestSparsityLoss:
         with pytest.raises(ValueError):
             sparsity_loss(np.zeros((4, 0)))
 
+    def test_absolute_homogeneity(self):
+        rng = np.random.default_rng(14)
+        m = rng.standard_normal((5, 5))
+        value = sparsity_loss(m).value
+        # Powers of two rescale without rounding, so equality is exact.
+        for c in (2.0, -0.5, 8.0):
+            assert sparsity_loss(c * m).value == abs(c) * value
+        assert value > 0.0
+
+    def test_zero_iff_zero_matrix(self):
+        m = np.zeros((4, 4))
+        assert sparsity_loss(m).value == 0.0
+        m[2, 3] = 1e-9
+        assert sparsity_loss(m).value > 0.0
+
+    def test_subgradient_matches_finite_differences(self):
+        rng = np.random.default_rng(15)
+        m = rng.standard_normal((5, 5))
+        assert (np.linalg.norm(m, axis=0) > 1e-3).all()
+        numeric = central_difference(lambda x: sparsity_loss(x).value, m.copy())
+        np.testing.assert_allclose(sparsity_loss(m).grad_latent, numeric, atol=1e-6)
+
+    def test_nonzero_columns_have_unit_subgradient(self):
+        rng = np.random.default_rng(16)
+        m = rng.standard_normal((6, 8))
+        g = sparsity_loss(m).grad_latent * 8
+        np.testing.assert_allclose(np.linalg.norm(g, axis=0), 1.0, atol=1e-12)
+
+    def test_rejects_non_2d(self):
+        with pytest.raises(ValueError):
+            sparsity_loss(np.ones(3))
+
 
 class TestJointLoss:
     def test_weighted_sum_arithmetic(self):
