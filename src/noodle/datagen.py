@@ -12,7 +12,7 @@ Out-of-distribution files use the same schema with both label columns -1.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -90,7 +90,6 @@ class LabeledSet:
     clean_labels: np.ndarray   # (n,) int64 in [0, num_classes)
     noisy_labels: np.ndarray   # (n,) int64 in [0, num_classes)
     num_classes: int
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=float)
@@ -190,7 +189,6 @@ def make_gaussian_mixture(
         clean_labels=labels,
         noisy_labels=labels.copy(),
         num_classes=num_classes,
-        meta={"means": means, "separation": separation, "spread": spread},
     )
 
 

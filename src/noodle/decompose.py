@@ -43,20 +43,28 @@ class FeatureSplit:
     col_norms: np.ndarray    # (batch,), each column's norm before scaling
 
 
+def usable_columns(norms: np.ndarray) -> np.ndarray:
+    """The one rule for which columns the unit sphere can hold: a finite norm above
+    ``NORM_EPS``.  Raw norms and :func:`normalize_columns`' recorded ones agree."""
+    return (norms > NORM_EPS) & np.isfinite(norms)
+
+
 def normalize_columns(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scale each column to unit Euclidean norm.
 
     Columns with norm <= ``NORM_EPS`` cannot be meaningfully normalized; they are
     passed through unchanged and their recorded norm is set to 0 so callers
-    can treat them specially (the gradient pullback becomes the identity).
+    can treat them specially (the gradient pullback becomes the identity).  A
+    norm that overflows is recorded as it is, without a floating-point warning.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2:
         raise ValueError("expected a 2-D feature matrix")
-    norms = np.linalg.norm(h, axis=0)
-    degenerate = norms <= NORM_EPS
-    out_norms = np.where(degenerate, 0.0, norms)
-    scaled = h / np.where(degenerate, 1.0, norms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(h, axis=0)
+        degenerate = norms <= NORM_EPS
+        out_norms = np.where(degenerate, 0.0, norms)
+        scaled = h / np.where(degenerate, 1.0, norms)
     return scaled, out_norms
 
 

@@ -40,10 +40,6 @@ class MlpParams:
         return self.weights[0].shape[1]
 
     @property
-    def latent_dim(self) -> int:
-        return self.weights[-1].shape[0]
-
-    @property
     def num_classes(self) -> int:
         return self.head_weight.shape[0]
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import normalize_columns
+from .decompose import normalize_columns, usable_columns
 from .files import read_table, settle_fields, write_table
 
 SCORE_KINDS = ("knn", "mahalanobis", "msp", "energy")
@@ -28,8 +28,9 @@ DEFAULT_KNN_K = 50
 # Ridge strength of the shared covariance, relative to its mean eigenvalue.
 COV_REG = 1e-3
 
-# A zero-latent query cannot be placed on the unit sphere; it is scored at the
-# sphere's diameter, i.e. farther than any real embedding can be.
+# A query latent that the unit sphere cannot hold (``decompose.usable_columns``:
+# its norm is at most 1e-12 or overflows) is scored at the sphere's diameter,
+# i.e. farther than any real embedding can be.
 ZERO_QUERY_SCORE = -2.0
 
 # Queries are scored in chunks of about _CHUNK_BYTES of working memory.  kNN takes exact
@@ -83,10 +84,6 @@ class EmbeddingStore:
     def latent_dim(self) -> int:
         return self.embeddings.shape[1]
 
-    @property
-    def num_classes(self) -> int:
-        return self.class_means.shape[0]
-
 
 def _statistics(
     embeddings: np.ndarray, labels: np.ndarray, num_classes: int
@@ -128,9 +125,9 @@ def build_store(id_latents: np.ndarray, labels: np.ndarray) -> EmbeddingStore:
             (the in-subspace part of the training features).
         labels: length-n integer labels; every class in [0, max+1) must occur.
 
-    Samples whose latent column has a zero norm (dead ReLU paths) or a norm
-    that is not finite (it overflows) cannot live on the unit sphere and are
-    dropped, silently: ``n - len(store)`` counts them.  The remaining rows
+    Samples whose latent norm is at most ``NORM_EPS`` (dead ReLU paths) or
+    overflows cannot live on the unit sphere (``decompose.usable_columns``) and
+    are dropped, silently: ``n - len(store)`` counts them.  The remaining rows
     must cover every class.  The class means and shared precision are derived
     from those rows, as :func:`load_store` derives them again from the saved
     rows.
@@ -144,10 +141,8 @@ def build_store(id_latents: np.ndarray, labels: np.ndarray) -> EmbeddingStore:
     if id_latents.ndim != 2 or labels.shape != (id_latents.shape[1],):
         raise ValueError("need (latent_dim, n) latents and n labels")
     num_classes = int(labels.max()) + 1
-    # An overflowing norm is dropped below, so its overflow is no news.
-    with np.errstate(over="ignore", invalid="ignore"):
-        normalized, norms = normalize_columns(id_latents)
-    alive = (norms > 0) & np.isfinite(norms)
+    normalized, norms = normalize_columns(id_latents)
+    alive = usable_columns(norms)
     embeddings, labels = normalized.T[alive], labels[alive]
     return EmbeddingStore(embeddings, labels, *_statistics(embeddings, labels, num_classes))
 
@@ -210,8 +205,9 @@ def batch_scores(
     output-based scores ignore the store.  ``knn``, the negated distance to
     the k-th nearest store embedding (``k`` clamped to the store size), equals
     a brute-force full sort; ``mahalanobis`` is the negated minimum squared
-    Mahalanobis distance to a class mean.  Both normalize the query; a zero
-    query scores ``ZERO_QUERY_SCORE`` under ``knn`` and is used raw under
+    Mahalanobis distance to a class mean.  Both normalize the query; one that
+    ``decompose.usable_columns`` rejects scores ``ZERO_QUERY_SCORE`` under
+    ``knn`` and is used as ``normalize_columns`` leaves it under
     ``mahalanobis``.  ``msp`` is the top probability, ``energy`` log-sum-exp.
     """
     if kind in ("knn", "mahalanobis"):
@@ -221,7 +217,7 @@ def batch_scores(
     if kind == "knn":
         if k < 1 or len(store) == 0:
             raise ValueError(f"need k >= 1 and a non-empty store, got k={k}, {len(store)} rows")
-        return np.where(norms > 0, _knn_scores(store.embeddings, units, k), ZERO_QUERY_SCORE)
+        return np.where(usable_columns(norms), _knn_scores(store.embeddings, units, k), ZERO_QUERY_SCORE)
     if kind == "mahalanobis":
         out = np.empty(units.shape[1])
         for cols in _chunks(units.shape[1], 8 * store.class_means.size):

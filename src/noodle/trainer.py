@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .datagen import LabeledSet
-from .decompose import grad_through_split, split_features
+from .decompose import grad_through_split, split_features, usable_columns
 from .files import array_checksum, reject_unknown, settle_fields
 from .losses import (
     LOSS_KINDS,
@@ -163,9 +163,9 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
         count (the split's rank) above the latent width ``widths[-1]``.
     DivergenceError
         On non-finite logits or loss, identifying the offending epoch and
-        batch; after an epoch in which every latent is zero or its norm
-        overflows, naming the epoch; or when no training latent can be
-        normalized for the store.
+        batch; after an epoch with no usable latent
+        (``decompose.usable_columns``), naming the epoch; or when a class
+        has no usable latent left for the store.
     """
     n = len(data)
     if n == 0:
@@ -204,18 +204,18 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
                 cache = forward(params, data.features[idx])
                 if not np.isfinite(cache.logits).all():
                     raise DivergenceError(f"non-finite logits at epoch {epoch}, batch {batch}")
-                # Live latents: neither zero (dead ReLUs) nor overflowing, the
-                # ones that the store's check below would keep.
-                norms = np.linalg.norm(cache.latent, axis=0)
-                live_latents += np.count_nonzero((norms > 0) & (norms < np.inf))
                 corrected = classification_loss(
                     config.loss_kind, cache.probs, data.noisy_labels[idx], transition
                 )
                 if config.lam > 0.0:
                     split = split_features(cache.latent, num_classes, PI_ITERS, streams.decompose)
+                    norms = split.col_norms
                     total = joint_loss(corrected, sparsity_loss(split.ood_part), config.lam)
                 else:
                     split, total = None, corrected
+                    norms = np.linalg.norm(cache.latent, axis=0)
+                # Live latents: neither dead ReLUs nor overflowing, by the store's rule.
+                live_latents += np.count_nonzero(usable_columns(norms))
                 if not np.isfinite(total.value):
                     raise DivergenceError(f"non-finite loss at epoch {epoch}, batch {batch}")
                 grad_latent = None if split is None else grad_through_split(split, total.grad_latent)
@@ -243,16 +243,18 @@ def extract_reference_store(params: MlpParams, data: LabeledSet, config: TrainCo
     Labels stored are the (noisy) training labels; the clean ones are not
     available to the method.  The split draws from the store stream of
     ``config.seed``, which training never touches, so a standalone call
-    builds exactly the store that :func:`train` builds.  When no latent
-    survives the split's normalization, because each is zero (dead ReLUs)
-    or its norm overflows (inputs far out of scale get there), the network
-    diverged and :class:`DivergenceError` names the epoch count.
+    builds exactly the store that :func:`train` builds.  When a class keeps no
+    latent that ``decompose.usable_columns`` accepts (each is zero, as from
+    dead ReLUs, or overflows, as inputs far out of scale make it), the network
+    diverged and :class:`DivergenceError` names those classes and the epochs.
     """
     cache = forward(params, data.features)
     store_stream = derive_streams(config.seed).store
     split = split_features(cache.latent, data.num_classes, PI_ITERS, store_stream)
-    if not split.normalized.any():
+    kept = np.bincount(data.noisy_labels[usable_columns(split.col_norms)], minlength=data.num_classes)
+    if (lost := np.flatnonzero(kept == 0)).size:
         raise DivergenceError(
-            f"every training latent is zero or overflows after {config.epochs} epoch(s)"
+            f"every training latent of class(es) {', '.join(map(str, lost))} is zero or "
+            f"overflows after {config.epochs} epoch(s)"
         )
     return build_store(split.id_part, data.noisy_labels)

@@ -39,7 +39,7 @@ from noodle.cli import (
     run_training,
 )
 from noodle import files
-from noodle.datagen import DataSpec, LabeledSet, load_features_csv, save_features_csv, save_ood_csv
+from noodle.datagen import DataSpec, LabeledSet, load_features_csv, load_ood_csv, save_features_csv, save_ood_csv
 from noodle.files import array_checksum, read_json, read_table, write_json
 from noodle.metrics import auroc, fpr_at_tpr
 from noodle.model import DivergenceError
@@ -73,11 +73,12 @@ def data_dir(tmp_path_factory):
     return out
 
 
-def _scaled_train_csv(data_dir, out_dir):
-    """``data_dir``'s train.csv with every feature scaled by 1e300: a network
+def _scaled_train_csv(data_dir, out_dir, scale=1e300, label=None):
+    """``data_dir``'s train.csv with the features scaled by ``scale``, only the
+    rows of noisy label ``label`` when one is given.  At 1e300 a network
     trained on it diverges, whatever the step size."""
     data = load_features_csv(data_dir / "train.csv")
-    data.features = data.features * 1e300
+    data.features[slice(None) if label is None else data.noisy_labels == label] *= scale
     out_dir.mkdir(parents=True, exist_ok=True)
     save_features_csv(data, out_dir / "train.csv")
     return out_dir / "train.csv"
@@ -388,8 +389,13 @@ class TestTrainCommand:
         # warnings before its error line (a traceback with warnings as errors).
         # A NaN lambda trained as lambda 0 (exit 0) and an infinite lr exited 3.
         # A negative seed failed in NumPy with only "expected non-negative integer".
+        # Zeroed class-2 rows and tiny features (latent norms at most 1e-12)
+        # leave the store a class without a usable latent: a failed run.
         config_path = tmp_path / "cfg.json"
         train_csv, scaled_csv = data_dir / "train.csv", _scaled_train_csv(data_dir, tmp_path / "scaled")
+        dead_csv = _scaled_train_csv(data_dir, tmp_path / "dead", 0.0, 2)
+        tiny_csv = _scaled_train_csv(data_dir, tmp_path / "tiny", 1e-14)
+        store_failure = "error: every training latent of class(es) {} is zero or overflows after 0 epoch(s)"
         for data, doc, code, message in (
             (train_csv, {"t_diag_init": "fast"}, 2, "t_diag_init must be a number, got 'fast'"),
             (train_csv, {"widths": [16, 8.0]}, 2, "widths must be a list of integers"),
@@ -399,6 +405,8 @@ class TestTrainCommand:
              "invalid config: t_diag_init must be a finite number, got inf"),
             (train_csv, {"seed": -1}, 2, "invalid config: seed must be >= 0, got -1"),
             (scaled_csv, {"epochs": 3}, 3, "error: every training latent is zero or overflows in epoch 0"),
+            (dead_csv, {"epochs": 0}, 3, store_failure.format("2")),
+            (tiny_csv, {"epochs": 0}, 3, store_failure.format("0, 1, 2")),
         ):
             config_path.write_text(json.dumps(doc))
             out = tmp_path / "out"
@@ -531,6 +539,19 @@ class TestEvalCommand:
         docs = [read_json(path) for path in sorted(out.iterdir())]
         assert len(docs) == 3
         assert [(doc["seed"], doc["config_hash"]) for doc in docs] == [(3, config_hash)] * 3
+
+    def test_an_ood_file_whose_latent_norms_overflow_scores_minus_2(self, tmp_path, data_dir, run_dir, capsys):
+        # Normalized, such a query would sit at the origin, 1 from every
+        # store row; its overflow is no news on stderr.
+        far = tmp_path / "ood_far.csv"
+        save_ood_csv(load_ood_csv(data_dir / "ood_far_cluster.csv") * 1e160, far)
+        command = (
+            f"eval --checkpoint {run_dir}/checkpoint.json --id-test {data_dir}/test_id.csv "
+            f"--ood {far} --out {tmp_path / 'eval'}"
+        )
+        assert main(command.split()) == 0
+        assert capsys.readouterr().err == ""
+        assert read_json(tmp_path / "eval" / "report_ood_far.json")["ood_scores"] == [-2.0] * 40
 
     def test_reports_rederive_from_raw_scores(self, tmp_path, data_dir, run_dir):
         run_eval(
@@ -1111,6 +1132,24 @@ class TestExperiment:
         doc = json.loads((tmp_path / "out" / "comparison.json").read_text())
         error = doc["methods"]["hot"]["failures"]["0"]
         assert error == "DivergenceError: every training latent is zero or overflows in epoch 0", error
+
+    def test_a_class_without_a_usable_latent_is_recorded_as_divergence_error(self, tmp_path, data_dir, capsys):
+        # The cell failed in training, not on bad input: not the store's
+        # "ValueError: class 2 has no samples".
+        spec_path, spec = _experiment_spec(tmp_path)
+        del spec["noise"]
+        spec["train"]["epochs"] = 0
+        spec["dataset"] = {
+            "train_csv": str(_scaled_train_csv(data_dir, tmp_path / "dead", 0.0, 2)),
+            "id_test_csv": str(data_dir / "test_id.csv"),
+            "ood_csvs": [str(data_dir / "ood_far_cluster.csv")],
+        }
+        spec_path.write_text(json.dumps(spec))
+        assert main(["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 0
+        assert "2 cell(s) failed" in capsys.readouterr().err
+        doc = json.loads((tmp_path / "out" / "comparison.json").read_text())
+        message = "DivergenceError: every training latent of class(es) 2 is zero or overflows after 0 epoch(s)"
+        assert [doc["methods"][name]["failures"]["0"] for name in ("noodle", "ce")] == [message] * 2
 
     def test_spec_validation(self, tmp_path):
         # The runner plans the spec before it writes anything, and every

@@ -17,6 +17,7 @@ from noodle import files
 from noodle.datagen import (
     LabeledSet,
     NoiseSpec,
+    _spread_out_means,
     inject_symmetric_noise,
     load_features_csv,
     load_ood_csv,
@@ -39,12 +40,17 @@ def _mixture(seed, **kwargs):
     return make_gaussian_mixture(rng=np.random.default_rng(seed), **defaults)
 
 
+def _mixture_means(seed, num_classes=4, dim=8, separation=6.0):
+    # The means are the mixture's first draw from its generator.
+    return _spread_out_means(num_classes, dim, separation, np.random.default_rng(seed))
+
+
 class TestGaussianMixture:
     def test_zero_spread_limit_hits_means_exactly(self):
         # spread 1e-300 scales the noise below representability next to O(1)
         # means, so the additions round to the means themselves.
         data = _mixture(0, num_classes=2, per_class=1, spread=1e-300)
-        means = data.meta["means"]
+        means = _mixture_means(0, num_classes=2)
         np.testing.assert_array_equal(data.features, means[data.clean_labels])
 
     def test_separated_classes_are_nearest_neighbor_learnable(self):
@@ -63,8 +69,7 @@ class TestGaussianMixture:
         np.testing.assert_array_equal(a.clean_labels, b.clean_labels)
 
     def test_mean_separation_is_enforced(self):
-        data = _mixture(3, num_classes=6, separation=9.0, dim=16)
-        means = data.meta["means"]
+        means = _mixture_means(3, num_classes=6, separation=9.0, dim=16)
         diffs = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=-1)
         diffs[np.diag_indices(6)] = np.inf
         assert diffs.min() >= 9.0

@@ -7,8 +7,12 @@ class of the package defines a ``validate`` method, no ``__post_init__``
 calls ``type`` or ``isinstance`` (``files.settle_fields`` types every
 settings field), the CLI neither calls ``type_problem`` nor tests membership
 in a list of kinds, the planner names the spec in one handler, only
-``files.py`` computes unknown keys, and no module under ``src/noodle`` reads
-the environment (``os.environ`` or ``os.getenv``)."""
+``files.py`` computes unknown keys, no module under ``src/noodle`` reads
+the environment (``os.environ`` or ``os.getenv``), and one rule says which
+latents the unit sphere can hold: ``decompose.usable_columns``, a finite norm
+above ``NORM_EPS`` (outside ``decompose.py`` no module compares with
+``np.inf`` or calls ``np.isfinite`` on norms, and only ``losses.py`` reads
+``NORM_EPS``)."""
 
 from __future__ import annotations
 
@@ -232,5 +236,30 @@ def test_package_reads_no_environment():
         for path in sorted((ROOT / "src/noodle").rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if reads(node)
+    ]
+    assert found == []
+
+
+def test_one_rule_says_which_latents_are_usable():
+    # `decompose.usable_columns` is the one home of the rule; the epoch count,
+    # the store's check, `build_store` and kNN once judged zero, tiny and
+    # overflowing latents four ways.  `losses.py` applies `NORM_EPS` to
+    # residual norms, another question.
+    def name(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None) or ""
+
+    def judged(node, path):
+        if isinstance(node, ast.Compare):
+            return any(name(side) == "inf" for side in (node.left, *node.comparators))
+        if isinstance(node, ast.Call) and name(node.func) == "isfinite":
+            return any("norm" in name(part) for arg in node.args for part in ast.walk(arg))
+        return name(node) == "NORM_EPS" and path.name != "losses.py"
+
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src/noodle").rglob("*.py"))
+        if path.name != "decompose.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if judged(node, path)
     ]
     assert found == []

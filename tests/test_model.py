@@ -284,7 +284,6 @@ def test_init_mlp_bounds_and_validation():
     for b in params.biases:
         np.testing.assert_array_equal(b, 0.0)
     assert params.widths == (8, 6)
-    assert params.latent_dim == 6
     with pytest.raises(ValueError):
         init_mlp(0, 4, np.random.default_rng(0))
     with pytest.raises(ValueError):

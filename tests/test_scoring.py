@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from noodle import scoring
-from noodle.decompose import normalize_columns
+from noodle.decompose import normalize_columns, split_features, usable_columns
 from noodle.files import array_checksum
 from noodle.scoring import (
     COV_REG,
@@ -64,7 +64,7 @@ def _random_store(seed, dim=5, n=40, classes=3):
 class TestBuildStore:
     def test_axis_fixture_statistics(self):
         store = _axis_store()
-        assert len(store) == 5 and store.num_classes == 2
+        assert len(store) == 5 and store.class_means.shape[0] == 2
         np.testing.assert_allclose(np.linalg.norm(store.embeddings, axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(store.class_means[0], [1.0, 0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(store.class_means[1], [0.0, 1.0, 0.0], atol=1e-15)
@@ -126,6 +126,42 @@ class TestBuildStore:
             build_store(np.eye(3), np.array([0, 1]))
 
 
+# Latent columns of each kind, as (kind, norm) draws: ordinary, zero, tiny
+# (norm at most 1e-12) and overflowing (finite entries whose squares overflow).
+LATENT_COLUMNS = st.one_of(
+    st.tuples(st.just("ordinary"), st.floats(1e-6, 1e6)),
+    st.tuples(st.just("zero"), st.just(0.0)),
+    st.tuples(st.just("tiny"), st.floats(0.0, 5e-13)),
+    st.tuples(st.just("overflowing"), st.floats(1e160, 1e300)),
+)
+
+
+class TestUsableColumns:
+    @settings(max_examples=60, deadline=None)
+    @given(columns=st.lists(LATENT_COLUMNS, max_size=10), seed=st.integers(0, 2**32 - 1))
+    def test_one_rule_for_the_epoch_count_the_store_and_knn(self, columns, seed):
+        # Three ordinary columns first, so that the store always has both classes.
+        rng = np.random.default_rng(seed)
+        columns = [("ordinary", 1.0)] * 3 + columns
+        directions = rng.standard_normal((4, len(columns)))
+        latents = directions / np.linalg.norm(directions, axis=0) * [norm for _, norm in columns]
+        labels = np.concatenate([[0, 1, 0], rng.integers(0, 2, len(columns) - 3)])
+        with np.errstate(over="ignore"):
+            usable = usable_columns(np.linalg.norm(latents, axis=0))
+        assert usable.tolist() == [kind == "ordinary" for kind, _ in columns]
+        # The norms that normalization records, in the store and in a split
+        # (the epoch count's source at lambda > 0), give the same answer.
+        units, recorded = normalize_columns(latents)
+        np.testing.assert_array_equal(usable_columns(recorded), usable)
+        split = split_features(latents, 2, 3, rng)
+        np.testing.assert_array_equal(usable_columns(split.col_norms), usable)
+        store = build_store(latents, labels)
+        np.testing.assert_array_equal(store.embeddings, units.T[usable])
+        np.testing.assert_array_equal(store.labels, labels[usable])
+        scores = batch_scores("knn", store, latents, None, None, k=2)
+        np.testing.assert_array_equal(scores == ZERO_QUERY_SCORE, ~usable)
+
+
 def _score(kind, store, column, k=DEFAULT_KNN_K):
     """``batch_scores`` on a batch of one column, as a float."""
     column = np.asarray(column, dtype=float).reshape(-1, 1)
@@ -149,6 +185,14 @@ class TestKnnScore:
     def test_zero_query_gets_the_sentinel(self):
         store = _axis_store()
         assert _score("knn", store, np.zeros(3)) == ZERO_QUERY_SCORE
+
+    def test_overflowing_query_gets_the_sentinel_without_a_warning(self):
+        # Finite entries whose squares overflow: the norm is inf and the unit
+        # column would be the origin, 1 from every embedding; the suite turns
+        # a RuntimeWarning into a failure.
+        store, rng = _random_store(10)
+        queries = 1e200 * rng.standard_normal((5, 6))
+        np.testing.assert_array_equal(batch_scores("knn", store, queries, None, None), ZERO_QUERY_SCORE)
 
     def test_scale_invariance(self):
         store, rng = _random_store(4)

@@ -221,8 +221,35 @@ class TestTrainBasics:
     def test_zero_epochs_on_dead_latents_fails_in_the_store(self):
         data = _toy_data()
         data.features = np.zeros_like(data.features)
-        with pytest.raises(DivergenceError, match=r"^every training latent is zero or overflows after 0 epoch\(s\)$"):
+        with pytest.raises(
+            DivergenceError,
+            match=r"^every training latent of class\(es\) 0, 1, 2 is zero or overflows after 0 epoch\(s\)$",
+        ):
             train(data, _toy_config(epochs=0))
+
+    @pytest.mark.parametrize(
+        "scale, label, classes", [(0.0, 2, "2"), (1e-14, None, "0, 1, 2"), (1e300, 0, "0")]
+    )
+    def test_the_store_names_each_class_left_without_a_usable_latent(self, scale, label, classes):
+        # The rows of one label (or all rows) scaled: tiny latents (norm at
+        # most 1e-12) are as unusable as zero or overflowing ones, and a class
+        # with none left is a failed run, not a store problem.
+        data = _toy_data()
+        rows = slice(None) if label is None else data.noisy_labels == label
+        data.features[rows] *= scale
+        message = rf"^every training latent of class\(es\) {classes} is zero or overflows after 0 epoch\(s\)$"
+        with pytest.raises(DivergenceError, match=message):
+            train(data, _toy_config(epochs=0))
+
+    @pytest.mark.parametrize("loss_kind, lam", [("cm", 0.001), ("ce", 0.0)])
+    def test_an_epoch_of_tiny_latents_has_no_usable_latent(self, monkeypatch, loss_kind, lam):
+        # A step size of 1e-300 keeps every latent of norm below 1e-12 for the
+        # whole epoch; the epoch count judges them by the store's rule on both paths.
+        monkeypatch.setattr("noodle.trainer.LR", 1e-300)
+        data = _toy_data()
+        data.features = data.features * 1e-14
+        with pytest.raises(DivergenceError, match=r"^every training latent is zero or overflows in epoch 0$"):
+            train(data, _toy_config(loss_kind=loss_kind, lam=lam))
 
     def test_non_finite_loss_names_epoch_and_batch(self, monkeypatch):
         import noodle.trainer
@@ -347,7 +374,7 @@ class TestReferenceStore:
         store = result.store
         assert len(store) == len(data)
         np.testing.assert_allclose(np.linalg.norm(store.embeddings, axis=1), 1.0, atol=1e-9)
-        assert store.num_classes == data.num_classes
+        assert store.class_means.shape[0] == data.num_classes
 
     def test_store_embeddings_span_at_most_the_class_count(self):
         # The store holds the projected part of one full-pass split at the
@@ -373,7 +400,9 @@ class TestReferenceStore:
         config = _toy_config()
         params = init_mlp(data.dim, data.num_classes, np.random.default_rng(0), config.widths)
         params.weights[-1][:] = 0.0
-        with pytest.raises(DivergenceError, match=r"^every training latent is zero or overflows after 3 epoch"):
+        with pytest.raises(
+            DivergenceError, match=r"^every training latent of class\(es\) 0, 1, 2 is zero or overflows after 3 epoch"
+        ):
             extract_reference_store(params, data, config)
 
     def test_store_uses_noisy_labels(self):
