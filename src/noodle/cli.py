@@ -50,7 +50,7 @@ from .datagen import (
 from .files import array_checksum, read_json, reject_unknown, require_keys, write_json
 from .metrics import ScoreReport, emit_report, id_accuracy, make_report
 from .model import DivergenceError, MlpParams, forward, load_checkpoint, save_checkpoint
-from .scoring import SCORE_KINDS, EmbeddingStore, EvalSpec, batch_scores, load_store, save_store
+from .scoring import SCORE_KINDS, EmbeddingStore, EvalSpec, batch_scores, load_store, save_store, store_path
 from .trainer import TrainConfig, train
 
 EXPERIMENT_FORMAT = "noodle-experiment"
@@ -153,7 +153,7 @@ def run_training(data_path: Path, config: TrainConfig, out_dir: Path) -> list[Pa
             "epoch_mean_loss": result.loss_trace,
         },
     )
-    return [checkpoint, Path(str(store_base) + ".csv"), trace_path]
+    return [checkpoint, Path(store_path(store_base)), trace_path]
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -230,7 +230,7 @@ def run_eval(
     if not ood_paths:
         raise ValueError("need at least one OOD file")
     _check_report_names(ood_paths, "OOD files")
-    for path in [checkpoint_path, Path(str(store_base) + ".csv"), id_test_path, *ood_paths]:
+    for path in [checkpoint_path, store_path(store_base), id_test_path, *ood_paths]:
         if not Path(path).exists():
             raise FileNotFoundError(f"missing input file: {path}")
 
@@ -244,7 +244,7 @@ def run_eval(
     store = load_store(store_base)
     if array_checksum(store.labels, store.embeddings) != meta["store_checksum"]:
         raise ValueError(
-            f"{store_base}.csv: not the store trained with {checkpoint_path} (store_checksum differs)"
+            f"{store_path(store_base)}: not the store trained with {checkpoint_path} (store_checksum differs)"
         )
     config_hash = meta["config_hash"]
 
@@ -573,7 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="score ID/OOD files and emit reports")
-    e.add_argument("--checkpoint", required=True, help="checkpoint.json, with its store.csv beside it")
+    e.add_argument(
+        "--checkpoint", required=True, help=f"checkpoint.json, with its {store_path('store')} beside it"
+    )
     e.add_argument("--id-test", required=True)
     e.add_argument("--ood", action="append", required=True, help="repeatable OOD CSV path")
     e.add_argument("--score", choices=SCORE_KINDS, default=EvalSpec.score)

@@ -1,12 +1,18 @@
-"""The two on-disk formats, both UTF-8 with LF line endings and no
-timestamps, and the checksum that ties files together.
+"""The three on-disk formats, none holding a timestamp, and the checksum
+that ties files together.
 
-- JSON: sorted keys, one-space indent, trailing newline, shortest
-  round-trip floats.  Checkpoints, traces and every summary use it.
-- Labeled float table: a CSV of integer label columns, then float columns
-  ``<prefix>0..<prefix>{d-1}`` printed as ``%.16e`` (17 significant digits
-  round-trip any float64).  The parser is strict: one bulk parse, and a file
-  it refuses is read again line by line to name the file and line at fault.
+- JSON: UTF-8 with LF line endings, sorted keys, one-space indent, trailing
+  newline, shortest round-trip floats.  Checkpoints, traces and every
+  summary use it.
+- Labeled float table: a UTF-8 CSV with LF line endings of integer label
+  columns, then float columns ``<prefix>0..<prefix>{d-1}`` printed as
+  ``%.16e`` (17 significant digits round-trip any float64).  The parser is
+  strict: one bulk parse, and a file it refuses is read again line by line to
+  name the file and line at fault.  The data files use it.
+- Labeled array: one ``.npy`` file holding a 1-D structured array of fields
+  ``label`` (``<i8``) and ``embedding`` (``<f8``, ``d`` wide), the store's
+  format.  The reader checks the header before it reads a record, takes that
+  layout only and never unpickles.
 - Checksums: a SHA-256 over arrays' shapes and bytes, which ties a
   checkpoint to the parameters it holds and to the store it was trained with.
 """
@@ -216,3 +222,50 @@ def _read_table_lines(
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return [np.array(column, dtype=np.int64) for column in labels], np.stack(rows)
+
+
+def _labeled_dtype(dim: int) -> np.dtype:
+    return np.dtype([("label", "<i8"), ("embedding", "<f8", (dim,))])
+
+
+def write_labeled_array(path: str | os.PathLike, labels: np.ndarray, values: np.ndarray) -> None:
+    """Write ``n`` integer labels and their ``(n, d)`` float rows as one
+    labeled array: ``n`` records of fields ``label`` and ``embedding``."""
+    if values.ndim != 2 or values.shape[0] == 0 or labels.shape != values.shape[:1]:
+        raise ValueError("need n labels and a non-empty (n, d) value array")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got {labels.dtype}")
+    records = np.empty(len(labels), _labeled_dtype(values.shape[1]))
+    records["label"], records["embedding"] = labels, values
+    with open(path, "wb") as fh:
+        np.save(fh, records, allow_pickle=False)
+
+
+def read_labeled_array(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`write_labeled_array`: the int64 labels and the
+    ``(n, d)`` float64 rows.  The header is checked before any record is
+    read: a file that is not a version 1.0 ``.npy`` file, holds any other
+    shape, field set, width, dtype or byte order (pickled objects included,
+    which are never unpickled), holds no rows, or whose records are cut short
+    or run on raises ValueError naming ``path``."""
+    with open(path, "rb") as fh:
+        try:
+            if np.lib.format.read_magic(fh) != (1, 0):
+                raise ValueError("not a version 1.0 .npy file")
+            shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        width = dtype.fields["embedding"][0].shape if "embedding" in (dtype.fields or {}) else ()
+        if len(shape) != 1 or len(width) != 1 or dtype != _labeled_dtype(*width):
+            raise ValueError(
+                f"{path}: expected a 1-D array of fields label <i8 and embedding <f8 (d wide), "
+                f"got shape {shape} and dtype {dtype}"
+            )
+        if shape[0] == 0:
+            raise ValueError(f"{path}: no rows")
+        size, expected = os.fstat(fh.fileno()).st_size - fh.tell(), shape[0] * dtype.itemsize
+        if size != expected:
+            raise ValueError(f"{path}: {size} bytes of records, but its header's shape needs {expected}")
+        fh.seek(0)
+        records = np.load(fh, allow_pickle=False)
+    return np.ascontiguousarray(records["label"]), np.ascontiguousarray(records["embedding"])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import normalize_columns, usable_columns
-from .files import read_table, settle_fields, write_table
+from .files import read_labeled_array, settle_fields, write_labeled_array
 
 SCORE_KINDS = ("knn", "mahalanobis", "msp", "energy")
 
@@ -267,19 +267,24 @@ def select_threshold(id_scores: np.ndarray, tpr: float = 0.95) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: <base>.csv holds labels + embeddings, the whole store; the
-# statistics are derived from it.
+# Persistence: <base>.npy holds labels + embeddings, the whole store, as one
+# labeled array (see ``files``); the statistics are derived from it.
+
+
+def store_path(base_path: str | os.PathLike) -> str:
+    """The file that holds the store saved under ``base_path``: ``<base>.npy``."""
+    return os.fspath(base_path) + ".npy"
 
 
 def save_store(store: EmbeddingStore, base_path: str | os.PathLike) -> None:
-    write_table(os.fspath(base_path) + ".csv", ("label",), "e", (store.labels,), store.embeddings)
+    write_labeled_array(store_path(base_path), store.labels, store.embeddings)
 
 
 def load_store(base_path: str | os.PathLike) -> EmbeddingStore:
-    """Inverse of :func:`save_store`: the rows come from ``<base>.csv`` and the
+    """Inverse of :func:`save_store`: the rows come from ``<base>.npy`` and the
     statistics are derived from them as :func:`build_store` derives them."""
-    path = os.fspath(base_path) + ".csv"
-    (labels,), embeddings = read_table(path, ("label",), "e")
+    path = store_path(base_path)
+    labels, embeddings = read_labeled_array(path)
     try:
         return EmbeddingStore(embeddings, labels, *_statistics(embeddings, labels, int(labels.max()) + 1))
     except ValueError as exc:

@@ -39,8 +39,16 @@ from noodle.cli import (
     run_training,
 )
 from noodle import files
-from noodle.datagen import DataSpec, LabeledSet, load_features_csv, load_ood_csv, save_features_csv, save_ood_csv
-from noodle.files import array_checksum, read_json, read_table, write_json
+from noodle.datagen import (
+    OOD_MODES,
+    DataSpec,
+    LabeledSet,
+    load_features_csv,
+    load_ood_csv,
+    save_features_csv,
+    save_ood_csv,
+)
+from noodle.files import array_checksum, read_json, read_labeled_array, read_table, write_json, write_labeled_array
 from noodle.metrics import auroc, fpr_at_tpr
 from noodle.model import DivergenceError
 from noodle.scoring import build_store, load_store, save_store
@@ -64,6 +72,17 @@ TRAIN_SMALL = {
     "lambda": 0.001,
     "seed": 0,
 }
+
+
+def _never_unpickled():
+    pytest.fail("a store file was unpickled")
+
+
+class _NeverUnpickled:
+    """An object whose unpickling fails the test that loads it."""
+
+    def __reduce__(self):
+        return _never_unpickled, ()
 
 
 @pytest.fixture(scope="module")
@@ -252,7 +271,7 @@ class TestGenData:
 class TestTrainCommand:
     def test_produces_all_artifacts(self, run_dir):
         names = sorted(path.name for path in run_dir.iterdir())
-        assert names == ["checkpoint.json", "store.csv", "trace.json"]
+        assert names == ["checkpoint.json", "store.npy", "trace.json"]
         trace = json.loads((run_dir / "trace.json").read_text())
         assert trace["format"] == "noodle-trace"
         assert len(trace["epoch_mean_loss"]) == TRAIN_SMALL["epochs"]
@@ -260,7 +279,7 @@ class TestTrainCommand:
     def test_rerun_is_byte_identical(self, tmp_path, data_dir, run_dir):
         config = TrainConfig.from_dict(TRAIN_SMALL)
         run_training(data_dir / "train.csv", config, tmp_path)
-        for name in ("checkpoint.json", "store.csv", "trace.json"):
+        for name in ("checkpoint.json", "store.npy", "trace.json"):
             assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes(), name
 
     def test_checkpoint_meta_binds_the_store(self, data_dir, run_dir):
@@ -280,7 +299,7 @@ class TestTrainCommand:
         out = tmp_path / "out"
         argv = ["train", "--data", str(data_dir / "train.csv"), "--out", str(out)]
         assert main([*argv, "--config", str(config_path)]) == 0
-        for name in ("checkpoint.json", "store.csv", "trace.json"):
+        for name in ("checkpoint.json", "store.npy", "trace.json"):
             assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
         for flag, value in (("--seed", "1"), ("--epochs", "1"), ("--lambda", "0"), ("--loss", "ce"),
                             ("--batch-size", "8"), ("--lr", "0.1"), ("--pi-iters", "2")):
@@ -296,7 +315,7 @@ class TestTrainCommand:
         # constants, each checkpoint's meta.config recorded them too.
         old = tmp_path / "old"
         old.mkdir()
-        shutil.copy(run_dir / "store.csv", old / "store.csv")
+        shutil.copy(run_dir / "store.npy", old / "store.npy")
         checkpoint = read_json(run_dir / "checkpoint.json")
         config = dict(checkpoint["meta"]["config"], lr=0.05, momentum=0.9, weight_decay=1e-4, pi_iters=10)
         canonical = json.dumps(config, sort_keys=True).encode("utf-8")
@@ -338,7 +357,7 @@ class TestTrainCommand:
             ]
         )
         assert code == 0
-        assert (tmp_path / "out" / "store.csv").exists()
+        assert (tmp_path / "out" / "store.npy").exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path, data_dir, capsys):
         config_path = tmp_path / "cfg.json"
@@ -489,11 +508,14 @@ def test_tables_the_package_writes_take_the_bulk_parse(tmp_path, data_dir, run_d
     extremes = np.array([[0.0, -0.0, 5e-324, -big], [np.finfo(float).tiny, 1.0, -1e-300, big]])
     save_features_csv(LabeledSet(extremes, np.array([0, 1]), np.array([1, 1]), 2), tmp_path / "set.csv")
     save_ood_csv(extremes, tmp_path / "ood.csv")
+    # Every table the package writes: gen-data's, in every OOD mode, which
+    # are the quickstart's, and none from train.
     tables = sorted(data_dir.glob("*.csv"))
-    assert len(tables) == 5
+    assert set(GEN_SMALL["ood_modes"]) == set(OOD_MODES)
+    assert [path.name for path in tables] == sorted(name for name in QUICKSTART_FILES if name.endswith(".csv"))
+    assert list(run_dir.glob("*.csv")) == []
     for path in (*tables, tmp_path / "set.csv", tmp_path / "ood.csv"):
         read_table(path, ("label", "noisy_label"), "f")
-    assert len(load_store(run_dir / "store")) > 0
 
 
 class TestEvalCommand:
@@ -629,14 +651,14 @@ class TestEvalCommand:
         assert not out.exists()
 
     def _eval_exits_2_naming_both(self, run, data_dir, out, capsys):
-        # The store eval reads is the store.csv beside the checkpoint.
+        # The store eval reads is the store.npy beside the checkpoint.
         command = (
             f"eval --checkpoint {run}/checkpoint.json --id-test "
             f"{data_dir}/test_id.csv --ood {data_dir}/ood_far_cluster.csv --out {out}"
         )
         assert main(command.split()) == 2
         assert capsys.readouterr().err == (
-            f"error: {run}/store.csv: not the store trained with {run}/checkpoint.json "
+            f"error: {run}/store.npy: not the store trained with {run}/checkpoint.json "
             "(store_checksum differs)\n"
         )
         assert not out.exists()
@@ -651,14 +673,14 @@ class TestEvalCommand:
             shutil.copyfile(run_dir / "checkpoint.json", other / "checkpoint.json")
             self._eval_exits_2_naming_both(other, data_dir, tmp_path / f"eval_{name}", capsys)
 
-    def test_store_csv_copied_from_another_run_exits_2(self, tmp_path, data_dir, run_dir, capsys):
+    def test_store_copied_from_another_run_exits_2(self, tmp_path, data_dir, run_dir, capsys):
         # Run B (`ce`) has the width and classes of run A (`cm`), so with B's
-        # store.csv in A's directory only the checksum tells the two apart.
+        # store.npy in A's directory only the checksum tells the two apart.
         a, b = tmp_path / "a", tmp_path / "b"
         shutil.copytree(run_dir, a)
         config = TrainConfig.from_dict({**TRAIN_SMALL, "loss_kind": "ce"})
         run_training(data_dir / "train.csv", config, b)
-        shutil.copyfile(b / "store.csv", a / "store.csv")
+        shutil.copyfile(b / "store.npy", a / "store.npy")
         self._eval_exits_2_naming_both(a, data_dir, tmp_path / "eval", capsys)
 
     def test_store_with_more_classes_than_the_head_exits_2(
@@ -671,27 +693,29 @@ class TestEvalCommand:
 
     def test_bad_checkpoint_or_store_file_exits_2(self, tmp_path, data_dir, run_dir, capsys):
         # A JSON list, or a meta that is not an object, was a traceback (exit 1).
-        # The store's statistics come from store.csv, so a class gap or a
+        # The store's statistics come from store.npy, so a class gap or a
         # negative label is named in that file, and so is a row off the unit
         # sphere; a checkpoint that records no store checksum must be retrained.
         # The architecture is read off the arrays: a one-entry head bias was
         # broadcast (exit 0), a head weight one column short failed in a matmul
         # and a ragged weight row in NumPy's array build, neither naming the file.
-        def gap(lines):
-            return [lines[0], *(("0" + line[1:]) if line.startswith("1,") else line for line in lines[1:])]
+        def store_edit(change):
+            def edit(path):
+                labels, rows = read_labeled_array(path)
+                change(labels, rows)
+                write_labeled_array(path, labels, rows)
 
-        def negative(lines):
-            return [lines[0], "-1" + lines[1][1:], *lines[2:]]
+            return edit
 
-        def off_sphere(lines):
-            label, *values = lines[1].split(",")
-            return [lines[0], ",".join([label, "2", *["0"] * (len(values) - 1)]), *lines[2:]]
+        gap = store_edit(lambda labels, rows: labels.__setitem__(labels == 1, 0))
+        negative = store_edit(lambda labels, rows: labels.__setitem__(0, -1))
+        off_sphere = store_edit(lambda labels, rows: rows.__setitem__(0, 2 * np.eye(rows.shape[1])[0]))
 
         def checkpoint_edit(change):
-            def edit(lines):
-                doc = json.loads("\n".join(lines))
+            def edit(path):
+                doc = read_json(path)
                 change(doc)
-                return [json.dumps(doc)]
+                path.write_text(json.dumps(doc) + "\n")
 
             return edit
 
@@ -713,11 +737,12 @@ class TestEvalCommand:
             checkpoint_edit(lambda doc, v=value: doc["head_bias"].__setitem__(0, v))
             for value in ("abc", [1], {"a": 1})
         )
-        ragged_doc = json.loads(ragged((run_dir / "checkpoint.json").read_text().splitlines())[0])
+        weights = read_json(run_dir / "checkpoint.json")["weights"][0]
+        weights[1].pop()
         with pytest.raises(ValueError, match="inhomogeneous shape") as numpy_error:
-            np.array(ragged_doc["weights"][0], dtype=float)
+            np.array(weights, dtype=float)
         for name, file, edit, message in (
-            ("list_checkpoint", "checkpoint.json", lambda lines: ["[]"], "not a JSON object"),
+            ("list_checkpoint", "checkpoint.json", lambda path: path.write_text("[]\n"), "not a JSON object"),
             ("unbound", "checkpoint.json", unbound, "missing key 'store_checksum'"),
             ("unhashed", "checkpoint.json", unhashed, "missing key 'config_hash'"),
             ("unseeded", "checkpoint.json", unseeded, "meta has no integer config.seed"),
@@ -725,9 +750,9 @@ class TestEvalCommand:
             ("unconfigured", "checkpoint.json", unconfigured, "meta has no integer config.seed"),
             ("number_meta", "checkpoint.json", checkpoint_edit(lambda doc: doc.update(meta=5)),
              "meta is not a JSON object"),
-            ("gap", "store.csv", gap, "class 1 has no samples"),
-            ("negative", "store.csv", negative, "labels must be nonnegative"),
-            ("off_sphere", "store.csv", off_sphere, "store embeddings must have unit norm"),
+            ("gap", "store.npy", gap, "class 1 has no samples"),
+            ("negative", "store.npy", negative, "labels must be nonnegative"),
+            ("off_sphere", "store.npy", off_sphere, "store embeddings must have unit norm"),
             ("short_head_bias", "checkpoint.json", checkpoint_edit(lambda doc: doc.update(head_bias=[0.5])),
              "head_bias has shape (1,), expected (3,)"),
             ("narrow_head", "checkpoint.json", narrow_head, "head_weight has shape (3, 7), expected (3, 8)"),
@@ -741,7 +766,7 @@ class TestEvalCommand:
             copy = tmp_path / name
             shutil.copytree(run_dir, copy)
             path = copy / file
-            path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+            edit(path)
             out = tmp_path / f"eval_{name}"
             command = (
                 f"eval --checkpoint {copy}/checkpoint.json --id-test "
@@ -750,6 +775,64 @@ class TestEvalCommand:
             assert main(command.split()) == 2, name
             assert capsys.readouterr().err == f"error: {path}: {message}\n", name
             assert not out.exists(), name
+
+    def test_a_malformed_store_file_exits_2_naming_it(self, tmp_path, data_dir, run_dir, capsys):
+        # The store is one structured array of int64 labels and float64 rows,
+        # little-endian; any other file in its place is refused before a
+        # record is read, and a pickled one is never unpickled.
+        labels, rows = read_labeled_array(run_dir / "store.npy")
+        n, dim = rows.shape
+        whole = (run_dir / "store.npy").read_bytes()
+
+        def records(*extra, label="<i8", row="<f8"):
+            out = np.zeros(n, [("label", label), ("embedding", row, (dim,)), *extra])
+            out["label"], out["embedding"] = labels, rows
+            return out
+
+        layout = "expected a 1-D array of fields label <i8 and embedding <f8 (d wide), got shape"
+        for name, content, message in (
+            ("truncated", whole[:-5], f"{n * (8 + 8 * dim) - 5} bytes of records, but its header's shape "
+             f"needs {n * (8 + 8 * dim)}"),
+            ("float32_rows", records(row="<f4"), f"{layout} ({n},) and dtype "
+             f"[('label', '<i8'), ('embedding', '<f4', ({dim},))]"),
+            ("float_labels", records(label="<f8"), f"{layout} ({n},) and dtype "
+             f"[('label', '<f8'), ('embedding', '<f8', ({dim},))]"),
+            ("extra_field", records(("weight", "<f8")), f"{layout} ({n},) and dtype "
+             f"[('label', '<i8'), ('embedding', '<f8', ({dim},)), ('weight', '<f8')]"),
+            ("big_endian", records(label=">i8", row=">f8"), f"{layout} ({n},) and dtype "
+             f"[('label', '>i8'), ('embedding', '>f8', ({dim},))]"),
+            ("plain_rows", rows, f"{layout} ({n}, {dim}) and dtype float64"),
+            ("no_rows", records()[:0], "no rows"),
+            ("pickled", np.array([_NeverUnpickled()], dtype=object), f"{layout} (1,) and dtype object"),
+        ):
+            run = shutil.copytree(run_dir, tmp_path / name)
+            path = run / "store.npy"
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            else:
+                np.save(path, content, allow_pickle=True)
+            out = tmp_path / f"eval_{name}"
+            command = (
+                f"eval --checkpoint {run}/checkpoint.json --id-test "
+                f"{data_dir}/test_id.csv --ood {data_dir}/ood_far_cluster.csv --out {out}"
+            )
+            assert main(command.split()) == 2, name
+            assert capsys.readouterr().err == f"error: {path}: {message}\n", name
+            assert not out.exists(), name
+
+    def test_a_run_with_only_a_csv_store_exits_2_before_any_write(self, tmp_path, data_dir, run_dir, capsys):
+        # Runs trained before the store became an array file hold store.csv;
+        # eval names the store.npy they lack, and they must be retrained.
+        run = shutil.copytree(run_dir, tmp_path / "run")
+        (run / "store.npy").rename(run / "store.csv")
+        out = tmp_path / "out"
+        command = (
+            f"eval --checkpoint {run}/checkpoint.json --id-test "
+            f"{data_dir}/test_id.csv --ood {data_dir}/ood_far_cluster.csv --out {out}"
+        )
+        assert main(command.split()) == 2
+        assert capsys.readouterr().err == f"error: missing input file: {run}/store.npy\n"
+        assert not out.exists()
 
     def test_bad_settings_exit_2_alike_from_eval_and_a_spec_before_any_read(
         self, tmp_path, data_dir, run_dir, monkeypatch, capsys
@@ -810,6 +893,15 @@ class TestEvalCommand:
             )
 
 
+# The files README's quickstart lists, gen-data's, train's and eval's in turn.
+QUICKSTART_FILES = (
+    "config.json",
+    "train.csv", "val.csv", "test_id.csv", "ood_far_cluster.csv", "ood_uniform_shell.csv",
+    "checkpoint.json", "store.npy", "trace.json",
+    "report_ood_far_cluster.json", "report_ood_uniform_shell.json", "eval_summary.json",
+)
+
+
 def test_readme_quickstart_prints_the_documented_numbers(tmp_path, capsys):
     config = (
         '{"epochs": 40, "widths": [64, 32, 16], "t_diag_init": 0.65,'
@@ -830,13 +922,7 @@ def test_readme_quickstart_prints_the_documented_numbers(tmp_path, capsys):
         "ood_uniform_shell: fpr95=0.5600 auroc=0.8776 id_acc=0.9480",
         "average: fpr95=0.2970 auroc=0.9266 id_acc=0.9480",
     ]
-    # The files README's quickstart lists, gen-data's, train's and eval's in turn.
-    assert sorted(path.name for path in tmp_path.iterdir()) == sorted([
-        "config.json",
-        "train.csv", "val.csv", "test_id.csv", "ood_far_cluster.csv", "ood_uniform_shell.csv",
-        "checkpoint.json", "store.csv", "trace.json",
-        "report_ood_far_cluster.json", "report_ood_uniform_shell.json", "eval_summary.json",
-    ])
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(QUICKSTART_FILES)
 
 
 def test_readme_cli_reference_and_config_fields_match_the_code():
@@ -925,7 +1011,7 @@ class TestExperiment:
             "ood_far_cluster.csv", "test_id.csv", "train.csv", "val.csv"
         ]
         assert sorted(path.name for path in (out / "runs" / "solo" / "seed0").iterdir()) == [
-            "checkpoint.json", "eval_summary.json", "report_ood_far_cluster.json", "store.csv", "trace.json"
+            "checkpoint.json", "eval_summary.json", "report_ood_far_cluster.json", "store.npy", "trace.json"
         ]
 
     def test_sweep_matches_a_manual_chain_exactly(self, tmp_path):

@@ -12,7 +12,8 @@ the environment (``os.environ`` or ``os.getenv``), and one rule says which
 latents the unit sphere can hold: ``decompose.usable_columns``, a finite norm
 above ``NORM_EPS`` (outside ``decompose.py`` no module compares with
 ``np.inf`` or calls ``np.isfinite`` on norms, and only ``losses.py`` reads
-``NORM_EPS``)."""
+``NORM_EPS``), and only ``files.py`` calls ``np.save``, ``np.load``,
+``np.loadtxt``, ``json.dump`` or ``json.load``."""
 
 from __future__ import annotations
 
@@ -261,5 +262,28 @@ def test_one_rule_says_which_latents_are_usable():
         if path.name != "decompose.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if judged(node, path)
+    ]
+    assert found == []
+
+
+FILE_CALLS = {"np": ("save", "load", "loadtxt"), "numpy": ("save", "load", "loadtxt"), "json": ("dump", "load")}
+
+
+def test_only_files_reads_and_writes_array_and_json_files():
+    # `files.py` holds every file format with its strict reader; a file
+    # written or read elsewhere is a format that no reader checks.
+    def calls(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in FILE_CALLS:
+                yield from (f"imports {alias.name}" for alias in node.names if alias.name in FILE_CALLS[node.module])
+            func = getattr(node, "func", None)
+            if isinstance(func, ast.Attribute) and func.attr in FILE_CALLS.get(getattr(func.value, "id", None), ()):
+                yield f"calls {func.value.id}.{func.attr}"
+
+    found = [
+        f"{path.relative_to(ROOT)}: {call}"
+        for path in sorted((ROOT / "src/noodle").rglob("*.py"))
+        if path.name != "files.py"
+        for call in calls(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []

@@ -27,6 +27,7 @@ from noodle.scoring import (
     load_store,
     save_store,
     select_threshold,
+    store_path,
 )
 from oracles import (
     knn_full_sort,
@@ -439,7 +440,7 @@ class TestPersistence:
             bits = [getattr(s, name).view(np.int64) for s in (loaded, store)]
             np.testing.assert_array_equal(*bits)
         save_store(loaded, base / "b")
-        assert (base / "a.csv").read_bytes() == (base / "b.csv").read_bytes()
+        assert (base / "a.npy").read_bytes() == (base / "b.npy").read_bytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -460,10 +461,11 @@ class TestPersistence:
         checksums = [array_checksum(s.labels, s.embeddings) for s in (loaded, store)]
         assert checksums[0] == checksums[1]
 
-    def test_save_writes_only_the_csv(self, tmp_path):
+    def test_save_writes_only_the_array_file(self, tmp_path):
         store, _ = _random_store(14)
         save_store(store, tmp_path / "s")
-        assert [path.name for path in tmp_path.iterdir()] == ["s.csv"]
+        assert [path.name for path in tmp_path.iterdir()] == ["s.npy"]
+        assert store_path(tmp_path / "s") == str(tmp_path / "s.npy")
 
     def test_scores_identical_after_reload(self, tmp_path):
         store, rng = _random_store(15)
@@ -477,24 +479,31 @@ class TestPersistence:
             )
 
     def test_corrupt_header_rejected(self, tmp_path):
+        # The header is checked before any record is read.
         store, _ = _random_store(17)
         save_store(store, tmp_path / "s")
-        csv = tmp_path / "s.csv"
-        lines = csv.read_text().splitlines()
-        lines[0] = "label,x0,x1,x2,x3,x4"
-        csv.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="bad header"):
-            load_store(tmp_path / "s")
+        path = tmp_path / "s.npy"
+        good = path.read_bytes()
+        for old, new, message in (
+            (b"NUMPY", b"NUMPX", "the magic string is not correct"),
+            (b"'descr'", b"'descx'", "Header does not contain the correct keys"),
+            (b"'<f8'", b"'<f4'", "expected a 1-D array of fields label <i8 and embedding <f8"),
+            (b"\x01\x00", b"\x02\x00", "not a version 1.0 .npy file"),
+        ):
+            path.write_bytes(good.replace(old, new, 1))
+            with pytest.raises(ValueError, match=rf"s\.npy: {message}"):
+                load_store(tmp_path / "s")
 
     def test_short_row_rejected(self, tmp_path):
-        # Also a malformed label, float and a non-finite value; each names the line.
+        # Records cut short, a whole row short, or running on past the header's shape.
         store, _ = _random_store(18)
         save_store(store, tmp_path / "s")
-        csv = tmp_path / "s.csv"
-        lines = csv.read_text().splitlines()
-        for bad in ("0,1.0", "x,1,0,0,0,0", "0,1,abc,0,0,0", "0,1,0,nan,0,0"):
-            csv.write_text("\n".join([*lines[:2], bad, *lines[3:]]) + "\n")
-            with pytest.raises(ValueError, match=r"s\.csv: line 3"):
+        path = tmp_path / "s.npy"
+        good = path.read_bytes()
+        row = 8 + 8 * store.latent_dim
+        for content in (good[:-1], good[:-row], good + bytes(row)):
+            path.write_bytes(content)
+            with pytest.raises(ValueError, match=r"s\.npy: \d+ bytes of records, but its header's shape needs"):
                 load_store(tmp_path / "s")
 
 
