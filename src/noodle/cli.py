@@ -221,9 +221,10 @@ def run_eval(
     its checksum must equal the checkpoint meta's ``store_checksum``, so a
     store of another width, class count, encoder or run is rejected with
     ``ValueError``, and so are a checkpoint without that key or its
-    ``config_hash``, two OOD files with one stem, and a feature file whose
+    ``config_hash``, two OOD files with one stem, a feature file whose
     width is not the checkpoint's input width (checked as each file is
-    loaded).  The reports record ``seed``; None records the checkpoint's
+    loaded) and an ID file with a label the checkpoint's head has no class
+    for.  The reports record ``seed``; None records the checkpoint's
     ``meta.config.seed``, and a checkpoint without an integer one is a
     ``ValueError``."""
     evaluation = EvalSpec(score, k, tpr)
@@ -255,6 +256,11 @@ def run_eval(
 
     id_set = load_features_csv(id_test_path)
     checked(id_test_path, id_set.features)
+    if id_set.num_classes > params.num_classes:
+        raise ValueError(
+            f"{id_test_path}: label {id_set.num_classes - 1}, but {checkpoint_path} "
+            f"has {params.num_classes} classes"
+        )
     ood_sets = ((Path(p).stem, checked(p, load_ood_csv(p))) for p in ood_paths)
     reports = evaluate(params, store, id_set, ood_sets, evaluation, seed, config_hash)
 

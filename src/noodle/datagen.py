@@ -1,12 +1,8 @@
-"""Synthetic labeled mixtures, label-noise injection, and the CSV interchange format.
+"""Synthetic labeled mixtures, label-noise injection, and the data files.
 
-The CSV schema is shared by every file the pipeline reads or writes:
-
-    label,noisy_label,f0,f1,...,f{d-1}
-
-with integer label columns and features printed to 17 significant digits so a
-write/read round trip is exact in float64 (a :mod:`noodle.files` table).
-Out-of-distribution files use the same schema with both label columns -1.
+A data file is a :mod:`noodle.files` data table: per sample its clean label,
+its noisy label and its features, which read back exactly in float64.
+Out-of-distribution files hold -1 in both label columns.
 """
 
 from __future__ import annotations
@@ -277,30 +273,26 @@ def inject_symmetric_noise(
 
 
 # ---------------------------------------------------------------------------
-# CSV interchange
-
-_LABEL_COLUMNS = ("label", "noisy_label")
+# Data files
 
 
 def save_features_csv(dataset: LabeledSet, path: str | os.PathLike) -> None:
-    """Write ``dataset`` in the shared CSV schema (UTF-8, LF line endings)."""
-    write_table(
-        path, _LABEL_COLUMNS, "f", (dataset.clean_labels, dataset.noisy_labels), dataset.features
-    )
+    """Write ``dataset`` as a data table (UTF-8, LF line endings)."""
+    write_table(path, dataset.clean_labels, dataset.noisy_labels, dataset.features)
 
 
 def save_ood_csv(features: np.ndarray, path: str | os.PathLike) -> None:
     """Write unlabeled OOD features; both label columns are set to -1."""
     features = np.asarray(features, dtype=float)
     sentinel = np.full(features.shape[0], -1, dtype=np.int64)
-    write_table(path, _LABEL_COLUMNS, "f", (sentinel, sentinel), features)
+    write_table(path, sentinel, sentinel, features)
 
 
 def load_features_csv(path: str | os.PathLike) -> LabeledSet:
     """Read a labeled CSV back into a :class:`LabeledSet` whose class count is
     ``max(label) + 1``, with a floor of 2; a negative label is a ValueError
     naming ``path``."""
-    (clean, noisy), features = read_table(path, _LABEL_COLUMNS, "f")
+    clean, noisy, features = read_table(path)
     num_classes = max(int(max(clean.max(), noisy.max())) + 1, 2)
     try:
         return LabeledSet(features, clean, noisy, num_classes)
@@ -311,7 +303,7 @@ def load_features_csv(path: str | os.PathLike) -> LabeledSet:
 def load_ood_csv(path: str | os.PathLike) -> np.ndarray:
     """Read an OOD CSV, returning only the feature block.
 
-    Label columns are ignored, so any file in the shared schema can be scored
-    as OOD (useful for sanity checks that score an ID file as if it were OOD).
+    Label columns are ignored, so any data file can be scored as OOD
+    (useful for sanity checks that score an ID file as if it were OOD).
     """
-    return read_table(path, _LABEL_COLUMNS, "f")[1]
+    return read_table(path)[2]

@@ -4,11 +4,12 @@ that ties files together.
 - JSON: UTF-8 with LF line endings, sorted keys, one-space indent, trailing
   newline, shortest round-trip floats.  Checkpoints, traces and every
   summary use it.
-- Labeled float table: a UTF-8 CSV with LF line endings of integer label
-  columns, then float columns ``<prefix>0..<prefix>{d-1}`` printed as
-  ``%.16e`` (17 significant digits round-trip any float64).  The parser is
-  strict: one bulk parse, and a file it refuses is read again line by line to
-  name the file and line at fault.  The data files use it.
+- Data table: a UTF-8 CSV with LF line endings under the header
+  ``label,noisy_label,f0,...,f{d-1}``, one row per sample: its clean and its
+  noisy integer label, then its ``d`` features printed as ``%.16e`` (17
+  significant digits round-trip any float64).  The parser is strict: one bulk
+  parse, and a file it refuses is read again line by line to name the file
+  and line at fault.  Every data file is one.
 - Labeled array: one ``.npy`` file holding a 1-D structured array of fields
   ``label`` (``<i8``) and ``embedding`` (``<f8``, ``d`` wide), the store's
   format.  The reader checks the header before it reads a record, takes that
@@ -113,34 +114,27 @@ def settle_fields(obj, key: Callable[[str], str] = str) -> list[str]:
     return problems
 
 
-def _table_header(label_names: Sequence[str], prefix: str, dim: int) -> list[str]:
-    return [*label_names, *(f"{prefix}{j}" for j in range(dim))]
+def _table_header(dim: int) -> str:
+    return ",".join(["label", "noisy_label", *(f"f{j}" for j in range(dim))])
 
 
-def write_table(
-    path: str | os.PathLike,
-    label_names: Sequence[str],
-    prefix: str,
-    labels: Sequence[np.ndarray],
-    values: np.ndarray,
-) -> None:
-    """Write one row per sample: its integer labels, then its float values."""
+def write_table(path: str | os.PathLike, clean: np.ndarray, noisy: np.ndarray, values: np.ndarray) -> None:
+    """Write one row per sample: its clean label, its noisy label, then its values."""
     if values.ndim != 2 or values.shape[0] == 0:
         raise ValueError("need a non-empty 2-D value array")
     dim = values.shape[1]
-    line = ",".join(["%d"] * len(label_names) + [FLOAT_FMT] * dim) + "\n"
+    line = ",".join(["%d", "%d"] + [FLOAT_FMT] * dim) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_table_header(label_names, prefix, dim)) + "\n")
-        for row_labels, row in zip(zip(*labels), values):
-            fh.write(line % (*row_labels, *row.tolist()))
+        fh.write(_table_header(dim) + "\n")
+        for labels, row in zip(zip(clean, noisy), values):
+            fh.write(line % (*labels, *row.tolist()))
 
 
-def _table_dim(fh, path, label_names: Sequence[str], prefix: str) -> int:
-    """Read the header line of ``fh``; the number of value columns it names."""
+def _table_dim(fh, path) -> int:
+    """Read the header line of ``fh``; the number of feature columns it names."""
     header = fh.readline().rstrip("\n")
-    cols = header.split(",")
-    dim = len(cols) - len(label_names)
-    if dim < 1 or cols != _table_header(label_names, prefix, dim):
+    dim = header.count(",") - 1
+    if dim < 1 or header != _table_header(dim):
         raise ValueError(f"{path}: line 1: bad header {header!r}")
     return dim
 
@@ -154,10 +148,8 @@ def _plain_text(path: str | os.PathLike) -> bool:
     return True
 
 
-def read_table(
-    path: str | os.PathLike, label_names: Sequence[str], prefix: str
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Inverse of :func:`write_table`: one int64 array per label column and
+def read_table(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse of :func:`write_table`: the int64 clean and noisy labels and
     the ``(n, d)`` values.  Blank lines are skipped; a bad header, a wrong
     field count, a malformed label or number, a label outside the int64
     range, a non-finite value, a byte that is not UTF-8 (kept as a surrogate,
@@ -172,32 +164,26 @@ def read_table(
     values, while on other text it reads some non-ASCII letters as digits and
     strips the separators ``\\x1c``-``\\x1f`` from a float, which the line-wise
     reader refuses."""
-    label_fields = [(f"label{i}", np.int64) for i in range(len(label_names))]
     table = None
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        dim = _table_dim(fh, path, label_names, prefix)
+        dim = _table_dim(fh, path)
         if _plain_text(path):
             # A warning refuses the file as an error does: NumPy warns on an empty body.
             with warnings.catch_warnings(), contextlib.suppress(ValueError, Warning):
                 warnings.simplefilter("error")
-                table = np.loadtxt(
-                    fh, delimiter=",", comments=None, dtype=[*label_fields, ("values", float, (dim,))], ndmin=1
-                )
+                columns = [("clean", np.int64), ("noisy", np.int64), ("values", float, (dim,))]
+                table = np.loadtxt(fh, delimiter=",", comments=None, dtype=columns, ndmin=1)
     if table is None or not np.isfinite(table["values"]).all():
-        return _read_table_lines(path, label_names, prefix)
-    labels = [np.ascontiguousarray(table[name]) for name, _ in label_fields]
-    return labels, np.ascontiguousarray(table["values"])
+        return _read_table_lines(path)
+    return tuple(np.ascontiguousarray(table[name]) for name in ("clean", "noisy", "values"))
 
 
-def _read_table_lines(
-    path: str | os.PathLike, label_names: Sequence[str], prefix: str
-) -> tuple[list[np.ndarray], np.ndarray]:
+def _read_table_lines(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`read_table`, one line at a time: ``int()`` per label and one
     float array per row, so an error names the line it is on."""
-    n_labels = len(label_names)
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        n_fields = n_labels + _table_dim(fh, path, label_names, prefix)
-        labels: list[list[int]] = [[] for _ in label_names]
+        n_fields = 2 + _table_dim(fh, path)
+        labels: tuple[list[int], list[int]] = ([], [])
         rows: list[np.ndarray] = []
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
@@ -213,7 +199,7 @@ def _read_table_lines(
                     column.append(int(part))
                     if not _INT64.min <= column[-1] <= _INT64.max:
                         raise ValueError(f"label {part!r} outside the int64 range")
-                values = np.array(parts[n_labels:], dtype=float)
+                values = np.array(parts[2:], dtype=float)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
             if not np.isfinite(values).all():
@@ -221,7 +207,7 @@ def _read_table_lines(
             rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return [np.array(column, dtype=np.int64) for column in labels], np.stack(rows)
+    return (*(np.array(column, dtype=np.int64) for column in labels), np.stack(rows))
 
 
 def _labeled_dtype(dim: int) -> np.dtype:

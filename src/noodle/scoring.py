@@ -8,8 +8,9 @@ baselines.  Neighbor search is exact: scores equal a brute-force full sort.
 
 The store's class means and shared precision are a pure function of its unit
 rows and labels.  They are derived from those rows when the store is built
-and again when it is loaded, so a saved store is one CSV of its rows.  The
-checkpoint trained with a store records its checksum (see ``cli.run_eval``).
+and again when it is loaded, so a saved store is one ``.npy`` file of its rows
+and labels.  The checkpoint trained with a store records its checksum (see
+``cli.run_eval``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ COV_REG = 1e-3
 
 # A query latent that the unit sphere cannot hold (``decompose.usable_columns``:
 # its norm is at most 1e-12 or overflows) is scored at the sphere's diameter,
-# i.e. farther than any real embedding can be.
+# i.e. farther than any real embedding can be.  Under ``mahalanobis`` it scores
+# ``-4 * λ_max(shared_precision)``: a unit query and a class mean (a mean of
+# unit rows) are at most 2 apart, so no usable query scores below that.
 ZERO_QUERY_SCORE = -2.0
 
 # Queries are scored in chunks of about _CHUNK_BYTES of working memory.  kNN takes exact
@@ -207,8 +210,9 @@ def batch_scores(
     a brute-force full sort; ``mahalanobis`` is the negated minimum squared
     Mahalanobis distance to a class mean.  Both normalize the query; one that
     ``decompose.usable_columns`` rejects scores ``ZERO_QUERY_SCORE`` under
-    ``knn`` and is used as ``normalize_columns`` leaves it under
-    ``mahalanobis``.  ``msp`` is the top probability, ``energy`` log-sum-exp.
+    ``knn`` and ``-4 * λ_max(shared_precision)``, the least score a usable
+    query can reach, under ``mahalanobis``.  ``msp`` is the top probability,
+    ``energy`` log-sum-exp.
     """
     if kind in ("knn", "mahalanobis"):
         units, norms = normalize_columns(latents)
@@ -223,7 +227,8 @@ def batch_scores(
         for cols in _chunks(units.shape[1], 8 * store.class_means.size):
             diffs = store.class_means - units[:, cols].T[:, None, :]
             out[cols] = -np.einsum("qij,jk,qik->qi", diffs, store.shared_precision, diffs).min(1)
-        return out
+        floor = -4.0 * np.linalg.eigvalsh(store.shared_precision)[-1]
+        return np.where(usable_columns(norms), out, floor)
     if kind == "msp":
         probs = np.asarray(probs, dtype=float)
         if (probs < 0).any() or not (np.abs(probs.sum(axis=0) - 1.0) <= 1e-6).all():

@@ -159,13 +159,15 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
     Raises
     ------
     ValueError
-        On no samples, a class that no noisy label names, or a class
-        count (the split's rank) above the latent width ``widths[-1]``.
+        On no samples, a class that no noisy label names, fewer samples than
+        the store needs (one more than the class count), or a class count
+        (the split's rank) above the latent width ``widths[-1]``.
     DivergenceError
         On non-finite logits or loss, identifying the offending epoch and
         batch; after an epoch with no usable latent
         (``decompose.usable_columns``), naming the epoch; or when a class
-        has no usable latent left for the store.
+        has no usable latent left for the store, or fewer latents than the
+        class count plus one are.
     """
     n = len(data)
     if n == 0:
@@ -174,6 +176,8 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
     unlabeled = np.flatnonzero(np.bincount(data.noisy_labels, minlength=num_classes) == 0)
     if unlabeled.size:  # the store needs every class: fail now, not after training
         raise ValueError(f"no training labels for class(es) {', '.join(map(str, unlabeled))}")
+    if n < num_classes + 1:
+        raise ValueError(f"need at least {num_classes + 1} training samples for {num_classes} classes, got {n}")
     if not 1.0 / num_classes < config.t_diag_init:
         raise ValueError(
             f"t_diag_init={config.t_diag_init} must exceed 1/{num_classes} for {num_classes} classes"
@@ -246,7 +250,9 @@ def extract_reference_store(params: MlpParams, data: LabeledSet, config: TrainCo
     builds exactly the store that :func:`train` builds.  When a class keeps no
     latent that ``decompose.usable_columns`` accepts (each is zero, as from
     dead ReLUs, or overflows, as inputs far out of scale make it), the network
-    diverged and :class:`DivergenceError` names those classes and the epochs.
+    diverged and :class:`DivergenceError` names those classes and the epochs;
+    so it does when fewer latents than the class count plus one remain, too
+    few for the store's shared covariance.
     """
     cache = forward(params, data.features)
     store_stream = derive_streams(config.seed).store
@@ -256,5 +262,10 @@ def extract_reference_store(params: MlpParams, data: LabeledSet, config: TrainCo
         raise DivergenceError(
             f"every training latent of class(es) {', '.join(map(str, lost))} is zero or "
             f"overflows after {config.epochs} epoch(s)"
+        )
+    if (usable := int(kept.sum())) < data.num_classes + 1:
+        raise DivergenceError(
+            f"only {usable} training latent(s) are neither zero nor overflowing after "
+            f"{config.epochs} epoch(s); the store needs {data.num_classes + 1}"
         )
     return build_store(split.id_part, data.noisy_labels)

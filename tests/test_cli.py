@@ -414,6 +414,12 @@ class TestTrainCommand:
         train_csv, scaled_csv = data_dir / "train.csv", _scaled_train_csv(data_dir, tmp_path / "scaled")
         dead_csv = _scaled_train_csv(data_dir, tmp_path / "dead", 0.0, 2)
         tiny_csv = _scaled_train_csv(data_dir, tmp_path / "tiny", 1e-14)
+        # One row per class is one too few for the store; five rows with two
+        # zeroed leave every class a usable latent, but one too few again.
+        few_csv, sparse_csv = tmp_path / "few.csv", tmp_path / "sparse.csv"
+        save_features_csv(LabeledSet(np.eye(3, 8), [0, 1, 2], [0, 1, 2], 3), few_csv)
+        sparse = np.vstack([np.eye(3, 8), np.zeros((2, 8))])
+        save_features_csv(LabeledSet(sparse, [0, 1, 2, 0, 1], [0, 1, 2, 0, 1], 3), sparse_csv)
         store_failure = "error: every training latent of class(es) {} is zero or overflows after 0 epoch(s)"
         for data, doc, code, message in (
             (train_csv, {"t_diag_init": "fast"}, 2, "t_diag_init must be a number, got 'fast'"),
@@ -426,6 +432,9 @@ class TestTrainCommand:
             (scaled_csv, {"epochs": 3}, 3, "error: every training latent is zero or overflows in epoch 0"),
             (dead_csv, {"epochs": 0}, 3, store_failure.format("2")),
             (tiny_csv, {"epochs": 0}, 3, store_failure.format("0, 1, 2")),
+            (few_csv, {}, 2, "error: need at least 4 training samples for 3 classes, got 3"),
+            (sparse_csv, {"epochs": 0}, 3,
+             "error: only 3 training latent(s) are neither zero nor overflowing after 0 epoch(s); the store needs 4"),
         ):
             config_path.write_text(json.dumps(doc))
             out = tmp_path / "out"
@@ -500,7 +509,7 @@ def test_tables_the_package_writes_take_the_bulk_parse(tmp_path, data_dir, run_d
     # The line-wise reader is for files the bulk parse refuses; one the
     # package wrote never needs it.  Extremes: signed zeros, a subnormal,
     # the smallest normal and the largest finite floats.
-    def refuse(path, *args):
+    def refuse(path):
         raise AssertionError(f"{path} went through the line-wise reader")
 
     monkeypatch.setattr(files, "_read_table_lines", refuse)
@@ -515,7 +524,7 @@ def test_tables_the_package_writes_take_the_bulk_parse(tmp_path, data_dir, run_d
     assert [path.name for path in tables] == sorted(name for name in QUICKSTART_FILES if name.endswith(".csv"))
     assert list(run_dir.glob("*.csv")) == []
     for path in (*tables, tmp_path / "set.csv", tmp_path / "ood.csv"):
-        read_table(path, ("label", "noisy_label"), "f")
+        read_table(path)
 
 
 class TestEvalCommand:
@@ -878,6 +887,26 @@ class TestEvalCommand:
             assert capsys.readouterr().err == f"error: {bad}: 4 features, but {checkpoint} takes 8\n"
             assert not out.exists()
 
+    def test_an_id_file_naming_a_class_the_checkpoint_lacks_exits_2(self, tmp_path, data_dir, run_dir, capsys):
+        # Its rows could never be predicted right: eval exited 0 with a lower id_acc.
+        data = load_features_csv(data_dir / "test_id.csv")
+        data.clean_labels[:5] = data.noisy_labels[:5] = 3
+        bad, out = tmp_path / "test_id.csv", tmp_path / "out"
+        save_features_csv(data, bad)
+        checkpoint, far = run_dir / "checkpoint.json", data_dir / "ood_far_cluster.csv"
+        message = f"{bad}: label 3, but {checkpoint} has 3 classes"
+        argv = ["eval", "--checkpoint", str(checkpoint), "--id-test", str(bad), "--ood", str(far), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        # A sweep over given files records it as the cell's failure.
+        dataset = {"train_csv": str(data_dir / "train.csv"), "id_test_csv": str(bad), "ood_csvs": [str(far)]}
+        spec = {"dataset": dataset, "train": {"epochs": 1, "widths": [16, 8]}, "methods": [{"name": "a"}], "seeds": [0]}
+        comparison = run_experiment(spec, "spec.json", out, 1)
+        run = out / "runs" / "a" / "seed0"
+        message = f"{bad}: label 3, but {run / 'checkpoint.json'} has 3 classes"
+        assert comparison["methods"]["a"]["failures"] == {"0": f"ValueError: {message}"}
+
     def test_unknown_score_kind_rejected(self, tmp_path, data_dir, run_dir):
         with pytest.raises(ValueError, match="unknown score kind"):
             run_eval(
@@ -902,27 +931,54 @@ QUICKSTART_FILES = (
 )
 
 
-def test_readme_quickstart_prints_the_documented_numbers(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def quickstart_dir(tmp_path_factory):
+    """The README quickstart's gen-data and train steps, run once."""
+    out = tmp_path_factory.mktemp("quickstart")
     config = (
         '{"epochs": 40, "widths": [64, 32, 16], "t_diag_init": 0.65,'
         ' "loss_kind": "cm", "lambda": 0.001, "seed": 0}'
     )
-    (tmp_path / "config.json").write_text(config)
+    (out / "config.json").write_text(config)
     for command in (
         "gen-data --out {out} --seed 0 --classes 4 --per-class 250 --dim 16 --noise-rate 0.4"
         " --ood-modes far_cluster,uniform_shell",
         "train --data {out}/train.csv --config {out}/config.json --out {out}",
-        "eval --checkpoint {out}/checkpoint.json --id-test {out}/test_id.csv"
-        " --ood {out}/ood_far_cluster.csv --ood {out}/ood_uniform_shell.csv --out {out}",
     ):
-        capsys.readouterr()
-        assert main(command.format(out=tmp_path).split()) == 0
+        assert main(command.format(out=out).split()) == 0
+    return out
+
+
+def test_readme_quickstart_prints_the_documented_numbers(quickstart_dir, capsys):
+    out = quickstart_dir
+    command = (
+        f"eval --checkpoint {out}/checkpoint.json --id-test {out}/test_id.csv"
+        f" --ood {out}/ood_far_cluster.csv --ood {out}/ood_uniform_shell.csv --out {out}"
+    )
+    capsys.readouterr()
+    assert main(command.split()) == 0
     assert capsys.readouterr().out.splitlines()[:3] == [
         "ood_far_cluster: fpr95=0.0340 auroc=0.9757 id_acc=0.9480",
         "ood_uniform_shell: fpr95=0.5600 auroc=0.8776 id_acc=0.9480",
         "average: fpr95=0.2970 auroc=0.9266 id_acc=0.9480",
     ]
-    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(QUICKSTART_FILES)
+    assert sorted(path.name for path in out.iterdir()) == sorted(QUICKSTART_FILES)
+
+
+@pytest.mark.parametrize("score", ["knn", "mahalanobis"])
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_queries_the_sphere_cannot_hold_rank_below_every_id_query(tmp_path, quickstart_dir, score, scale):
+    # Mahalanobis scored them at the origin, nearer the class means than
+    # real ID queries: AUROC 0.038 at both scales.
+    out = quickstart_dir
+    far = tmp_path / "ood_far.csv"
+    save_ood_csv(load_ood_csv(out / "ood_far_cluster.csv") * scale, far)
+    command = (
+        f"eval --checkpoint {out}/checkpoint.json --id-test {out}/test_id.csv"
+        f" --ood {far} --score {score} --out {tmp_path / 'eval'}"
+    )
+    assert main(command.split()) == 0
+    assert read_json(tmp_path / "eval" / "report_ood_far.json")["metrics"]["auroc"] == 1.0
 
 
 def test_readme_cli_reference_and_config_fields_match_the_code():

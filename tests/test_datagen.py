@@ -270,7 +270,6 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(load_ood_csv(path).view(np.int64), features.view(np.int64))
 
 
-_LABELS = ("label", "noisy_label")
 # Fields that one reader or the other may refuse, or read in its own way.
 _ODD_FIELDS = (
     "abc", "nan", "-inf", "inf", "1e400", "1_0", "1_0.5", "\uff11", "\u0661", "1.0", "1e3", "",
@@ -280,17 +279,17 @@ _ODD_FIELDS = (
 )
 
 
-def _refuse(path, *args):
+def _refuse(path):
     raise AssertionError(f"{path} went through the line-wise reader")
 
 
 def _outcome(reader, path):
     """The dtype, shape and bytes of each array ``reader`` returns, or its error."""
     try:
-        labels, values = reader(path, _LABELS, "f")
+        result = reader(path)
     except ValueError as exc:
         return str(exc)
-    return [(a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes()) for a in (*labels, values)]
+    return [(a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes()) for a in result]
 
 
 class TestTableReaders:
@@ -301,7 +300,7 @@ class TestTableReaders:
     def test_written_tables_parse_in_bulk_to_the_same_bits(self, tmp_path_factory, features, draw):
         labels = arrays(np.int64, len(features), elements=st.integers(-(2**63), 2**63 - 1))
         path = tmp_path_factory.mktemp("table") / "t.csv"
-        write_table(path, _LABELS, "f", (draw.draw(labels), draw.draw(labels)), features)
+        write_table(path, draw.draw(labels), draw.draw(labels), features)
         expected = _outcome(_read_table_lines, path)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(files, "_read_table_lines", _refuse)
@@ -324,7 +323,7 @@ class TestTableReaders:
     def test_mutated_tables_parse_alike_or_fail_alike(self, tmp_path_factory, features, draw):
         path = tmp_path_factory.mktemp("table") / "t.csv"
         labels = np.arange(len(features))
-        write_table(path, _LABELS, "f", (labels, labels), features)
+        write_table(path, labels, labels, features)
         header, *lines = path.read_text(encoding="utf-8").splitlines()
         rows = [line.split(",") for line in lines]
         kinds = st.sampled_from(("blank", "field", "field", "pad", "drop", "extra"))

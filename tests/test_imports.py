@@ -12,8 +12,9 @@ the environment (``os.environ`` or ``os.getenv``), and one rule says which
 latents the unit sphere can hold: ``decompose.usable_columns``, a finite norm
 above ``NORM_EPS`` (outside ``decompose.py`` no module compares with
 ``np.inf`` or calls ``np.isfinite`` on norms, and only ``losses.py`` reads
-``NORM_EPS``), and only ``files.py`` calls ``np.save``, ``np.load``,
-``np.loadtxt``, ``json.dump`` or ``json.load``."""
+``NORM_EPS``), only ``files.py`` calls ``np.save``, ``np.load``,
+``np.loadtxt``, ``json.dump`` or ``json.load``, and only ``files.py`` spells
+the data table's ``noisy_label`` column."""
 
 from __future__ import annotations
 
@@ -285,5 +286,18 @@ def test_only_files_reads_and_writes_array_and_json_files():
         for path in sorted((ROOT / "src/noodle").rglob("*.py"))
         if path.name != "files.py"
         for call in calls(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+def test_only_files_spells_the_data_table_schema():
+    # `files.py` states the data table's columns once; a column name spelled
+    # elsewhere is a second copy of the schema that its header check never sees.
+    found = [
+        f"{path.relative_to(ROOT)}:{lineno}"
+        for path in sorted((ROOT / "src/noodle").rglob("*.py"))
+        if path.name != "files.py"
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if re.search(r"\bnoisy_label\b", line)
     ]
     assert found == []

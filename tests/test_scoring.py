@@ -161,6 +161,9 @@ class TestUsableColumns:
         np.testing.assert_array_equal(store.labels, labels[usable])
         scores = batch_scores("knn", store, latents, None, None, k=2)
         np.testing.assert_array_equal(scores == ZERO_QUERY_SCORE, ~usable)
+        floor = -4.0 * np.linalg.eigvalsh(store.shared_precision).max()
+        scores = batch_scores("mahalanobis", store, latents, None, None)
+        assert (scores[~usable] == floor).all() and (scores[usable] >= floor).all()
 
 
 def _score(kind, store, column, k=DEFAULT_KNN_K):
@@ -319,14 +322,20 @@ class TestMahalanobisScore:
             oracle = mahalanobis_direct(store.class_means, store.shared_precision, unit)
             np.testing.assert_allclose(scores[trial], oracle, rtol=1e-12)
 
-    def test_zero_query_scored_against_raw_origin(self):
+    def test_zero_query_scores_the_floor(self):
+        # At the origin it would sit nearer the class means than real queries.
         store, _ = _random_store(9)
-        forms = np.einsum(
-            "ij,jk,ik->i", store.class_means, store.shared_precision, store.class_means
-        )
-        np.testing.assert_allclose(
-            _score("mahalanobis", store, np.zeros(5)), -forms.min(), rtol=1e-14
-        )
+        floor = -4.0 * np.linalg.eigvalsh(store.shared_precision).max()
+        assert _score("mahalanobis", store, np.zeros(5)) == floor
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6), classes=st.integers(1, 4))
+    def test_no_usable_query_scores_below_the_floor(self, seed, dim, classes):
+        store, rng = _random_store(seed, dim, 12, classes)
+        queries = rng.standard_normal((dim, 50))
+        queries[:, :10] = -store.class_means[rng.integers(0, classes, 10)].T
+        floor = -4.0 * np.linalg.eigvalsh(store.shared_precision).max()
+        assert (batch_scores("mahalanobis", store, queries, None, None) >= floor).all()
 
     def test_wrong_latent_width(self):
         with pytest.raises(ValueError):

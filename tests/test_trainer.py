@@ -241,6 +241,15 @@ class TestTrainBasics:
         with pytest.raises(DivergenceError, match=message):
             train(data, _toy_config(epochs=0))
 
+    def test_the_store_fails_the_run_when_too_few_usable_latents_remain(self):
+        # Every class keeps a latent, but 4 of 8 are too few for 4 classes:
+        # like a lost class, a failed run and not a store problem.
+        data = _toy_data(classes=4, per_class=2)
+        data.features[[1, 3, 5, 7]] = 0.0
+        message = r"^only 4 training latent\(s\) are neither zero nor overflowing after 0 epoch\(s\); the store needs 5$"
+        with pytest.raises(DivergenceError, match=message):
+            train(data, _toy_config(epochs=0))
+
     @pytest.mark.parametrize("loss_kind, lam", [("cm", 0.001), ("ce", 0.0)])
     def test_an_epoch_of_tiny_latents_has_no_usable_latent(self, monkeypatch, loss_kind, lam):
         # A step size of 1e-300 keeps every latent of norm below 1e-12 for the
@@ -283,6 +292,19 @@ class TestTrainBasics:
 
         monkeypatch.setattr(noodle.trainer, "forward", no_forward)
         with pytest.raises(ValueError, match=r"no training labels for class\(es\) 2$"):
+            train(data, _toy_config())
+
+    def test_fewer_samples_than_the_store_needs_rejected_before_training(self, monkeypatch):
+        # Unchecked, all epochs trained and only the store build then failed.
+        import noodle.trainer
+
+        data = _toy_data(classes=4, per_class=1)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(noodle.trainer, "forward", no_forward)
+        with pytest.raises(ValueError, match=r"^need at least 5 training samples for 4 classes, got 4$"):
             train(data, _toy_config())
 
     def test_rank_above_the_latent_width_rejected_before_training(self, monkeypatch):
