@@ -123,9 +123,12 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 def run_training(data_path: Path, config: TrainConfig, out_dir: Path) -> list[Path]:
     """Train on a CSV and persist checkpoint, store, and loss trace.  The
     checkpoint's meta records the store's checksum and how many training
-    samples the store dropped."""
+    samples the store dropped.  A ``ValueError`` of ``train`` names ``data_path``."""
     data = load_features_csv(data_path)
-    result = train(data, config)
+    try:
+        result = train(data, config)
+    except ValueError as exc:
+        raise ValueError(f"{data_path}: {exc}") from None
     out_dir.mkdir(parents=True, exist_ok=True)
 
     checkpoint = out_dir / "checkpoint.json"
@@ -194,11 +197,14 @@ def evaluate(
 
 
 def _check_report_names(ood_paths: Iterable, what: str) -> None:
-    """Each OOD file's stem names its report, so no two files may share one."""
+    """Each OOD file's stem names its report, so no two files may share one,
+    and none may be ``average``, the name of the summary's average row."""
     stems = [Path(p).stem for p in ood_paths]
     repeated = sorted({stem for stem in stems if stems.count(stem) > 1})
     if repeated:
         raise ValueError(f"{what} share a report name: {', '.join(repeated)}")
+    if "average" in stems:
+        raise ValueError(f"{what} name a report 'average', the name of the average row")
 
 
 def run_eval(

@@ -74,20 +74,28 @@ class TransitionMatrix:
         return e / e.sum(axis=1, keepdims=True)
 
 
-def init_near_identity(num_classes: int, diag_mass: float = 0.99) -> TransitionMatrix:
-    """Transition logits whose realized matrix has ``diag_mass`` on the
+def init_near_identity(num_classes: int, t_diag_init: float = 0.99) -> TransitionMatrix:
+    """Transition logits whose realized matrix has ``t_diag_init`` on the
     diagonal exactly and the remaining mass spread uniformly off-diagonal.
 
     Softmax cannot realize an exact identity, so initialization targets a
-    diagonally dominant matrix instead; ``diag_mass`` must lie in (1/K, 1).
+    diagonally dominant matrix instead; ``t_diag_init`` must lie in (1/K, 1).
     """
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
-    if not 1.0 / num_classes < diag_mass < 1.0:
-        raise ValueError(f"diag_mass must be in (1/{num_classes}, 1), got {diag_mass}")
+    if not 1.0 / num_classes < t_diag_init < 1.0:
+        raise ValueError(f"t_diag_init must be in (1/{num_classes}, 1), got {t_diag_init}")
     # Solving softmax([t, 0, ..., 0]) = [m, (1-m)/(K-1), ...] for t:
-    value = np.log(diag_mass * (num_classes - 1) / (1.0 - diag_mass))
+    value = np.log(t_diag_init * (num_classes - 1) / (1.0 - t_diag_init))
     return TransitionMatrix(np.eye(num_classes) * value)
+
+
+def check_distributions(probs: np.ndarray) -> np.ndarray:
+    """``probs`` as floats if each column is a distribution: no negative entry, a sum within 1e-6 of 1."""
+    probs = np.asarray(probs, dtype=float)
+    if (probs < 0).any() or not (np.abs(probs.sum(axis=0) - 1.0) <= 1e-6).all():
+        raise ValueError("probs columns must be valid distributions")
+    return probs
 
 
 def _check_probs(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
@@ -100,10 +108,7 @@ def _check_probs(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.
         raise ValueError(f"expected {b} labels, got shape {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"labels outside [0, {k})")
-    # Same test as np.allclose(sums, 1.0, atol=1e-6) (rtol 1e-5): NaN and inf fail.
-    if (probs < 0).any() or not (np.abs(probs.sum(axis=0) - 1.0) <= 1e-6 + 1e-5).all():
-        raise ValueError("probs columns must be valid distributions")
-    return probs, labels, k, b
+    return check_distributions(probs), labels, k, b
 
 
 def _softmax_vjp(probs: np.ndarray, grad_probs: np.ndarray) -> np.ndarray:

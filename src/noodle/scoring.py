@@ -22,6 +22,7 @@ import numpy as np
 
 from .decompose import normalize_columns, usable_columns
 from .files import read_labeled_array, settle_fields, write_labeled_array
+from .losses import check_distributions
 
 SCORE_KINDS = ("knn", "mahalanobis", "msp", "energy")
 
@@ -88,6 +89,16 @@ class EmbeddingStore:
         return self.embeddings.shape[1]
 
 
+def check_store_rows(labels: np.ndarray, num_classes: int) -> None:
+    """The store's two row rules for ``labels`` in ``[0, num_classes)``: every class has
+    a row (for its mean), and there are ``num_classes + 1`` rows or more (for the covariance)."""
+    missing = np.flatnonzero(np.bincount(labels, minlength=num_classes) == 0)
+    if missing.size:
+        raise ValueError(f"no row for class(es) {', '.join(map(str, missing))}")
+    if len(labels) < num_classes + 1:
+        raise ValueError(f"need at least {num_classes + 1} rows for {num_classes} classes, got {len(labels)}")
+
+
 def _statistics(
     embeddings: np.ndarray, labels: np.ndarray, num_classes: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -96,19 +107,14 @@ def _statistics(
     ``S + COV_REG * (tr S / latent_dim) * I`` (a scale-free ridge) and
     symmetrized.  A ridge below the smallest normal float (a zero trace, or
     one so small that the product underflows) is ``COV_REG`` instead, since
-    its inverse would overflow.  Every class in ``[0, num_classes)`` must
-    have a row, and there must be at least ``num_classes + 1`` rows."""
+    its inverse would overflow.  The rows must meet :func:`check_store_rows`."""
     if (labels < 0).any():
         raise ValueError("labels must be nonnegative")
+    check_store_rows(labels, num_classes)
     n, dim = embeddings.shape
-    if n < num_classes + 1:
-        raise ValueError(f"need at least {num_classes + 1} usable samples, got {n}")
     class_means = np.empty((num_classes, dim))
     for c in range(num_classes):
-        members = embeddings[labels == c]
-        if members.shape[0] == 0:
-            raise ValueError(f"class {c} has no samples")
-        class_means[c] = members.mean(axis=0)
+        class_means[c] = embeddings[labels == c].mean(axis=0)
 
     centered = embeddings - class_means[labels]
     cov = (centered.T @ centered) / n
@@ -128,16 +134,16 @@ def build_store(id_latents: np.ndarray, labels: np.ndarray) -> EmbeddingStore:
             (the in-subspace part of the training features).
         labels: length-n integer labels; every class in [0, max+1) must occur.
 
-    Samples whose latent norm is at most ``NORM_EPS`` (dead ReLU paths) or
+    Samples whose ``id_latents`` column has a norm at most ``NORM_EPS`` (as
+    dead ReLU paths and latents off the split's span leave it) or one that
     overflows cannot live on the unit sphere (``decompose.usable_columns``) and
     are dropped, silently: ``n - len(store)`` counts them.  The remaining rows
-    must cover every class.  The class means and shared precision are derived
-    from those rows, as :func:`load_store` derives them again from the saved
-    rows.
+    must meet :func:`check_store_rows`.  The class means and shared precision
+    are derived from those rows, as :func:`load_store` derives them again from
+    the saved rows.
 
     Raises:
-        ValueError: on a negative label, an empty class or fewer than
-            num_classes + 1 samples after the degenerate drop.
+        ValueError: on a negative label, or remaining rows that break them.
     """
     id_latents = np.asarray(id_latents, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
@@ -230,10 +236,7 @@ def batch_scores(
         floor = -4.0 * np.linalg.eigvalsh(store.shared_precision)[-1]
         return np.where(usable_columns(norms), out, floor)
     if kind == "msp":
-        probs = np.asarray(probs, dtype=float)
-        if (probs < 0).any() or not (np.abs(probs.sum(axis=0) - 1.0) <= 1e-6).all():
-            raise ValueError("probs columns must be valid distributions")
-        return probs.max(axis=0)
+        return check_distributions(probs).max(axis=0)
     if kind == "energy":
         # A contiguous row per query sums it in the order a lone column is summed.
         rows = np.ascontiguousarray(np.asarray(logits, dtype=float).T)

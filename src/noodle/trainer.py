@@ -42,7 +42,7 @@ from .model import (
     sgd_step,
     zero_grads_like,
 )
-from .scoring import EmbeddingStore, build_store
+from .scoring import EmbeddingStore, build_store, check_store_rows
 
 # JSON config key for the sparsity weight; `lambda` is a Python keyword, so
 # the dataclass field is `lam` while the external name stays `lambda`.
@@ -159,38 +159,26 @@ def train(data: LabeledSet, config: TrainConfig) -> TrainResult:
     Raises
     ------
     ValueError
-        On no samples, a class that no noisy label names, fewer samples than
-        the store needs (one more than the class count), or a class count
-        (the split's rank) above the latent width ``widths[-1]``.
+        Before epoch 0, on noisy labels that break ``scoring.check_store_rows``,
+        a class count (the split's rank) above the latent width ``widths[-1]``,
+        or a ``t_diag_init`` that ``losses.init_near_identity`` refuses.
     DivergenceError
         On non-finite logits or loss, identifying the offending epoch and
         batch; after an epoch with no usable latent
-        (``decompose.usable_columns``), naming the epoch; or when a class
-        has no usable latent left for the store, or fewer latents than the
-        class count plus one are.
+        (``decompose.usable_columns``), naming the epoch; or when the store
+        breaks those rules (:func:`extract_reference_store`).
     """
     n = len(data)
-    if n == 0:
-        raise ValueError("empty training set")
     num_classes = data.num_classes
-    unlabeled = np.flatnonzero(np.bincount(data.noisy_labels, minlength=num_classes) == 0)
-    if unlabeled.size:  # the store needs every class: fail now, not after training
-        raise ValueError(f"no training labels for class(es) {', '.join(map(str, unlabeled))}")
-    if n < num_classes + 1:
-        raise ValueError(f"need at least {num_classes + 1} training samples for {num_classes} classes, got {n}")
-    if not 1.0 / num_classes < config.t_diag_init:
-        raise ValueError(
-            f"t_diag_init={config.t_diag_init} must exceed 1/{num_classes} for {num_classes} classes"
-        )
-
+    check_store_rows(data.noisy_labels, num_classes)  # the store needs them: fail now, not after training
     if num_classes > config.widths[-1]:
         raise ValueError(
             f"subspace rank {num_classes} (the class count) exceeds the latent width {config.widths[-1]}"
         )
+    transition = init_near_identity(num_classes, config.t_diag_init)
 
     streams = derive_streams(config.seed)
     params = init_mlp(data.dim, num_classes, streams.init, config.widths)
-    transition = init_near_identity(num_classes, config.t_diag_init)
     opt_state = zero_grads_like(params)
     theta_state = np.zeros_like(transition.theta)
     batch_size = min(config.batch_size, n)
@@ -247,25 +235,15 @@ def extract_reference_store(params: MlpParams, data: LabeledSet, config: TrainCo
     Labels stored are the (noisy) training labels; the clean ones are not
     available to the method.  The split draws from the store stream of
     ``config.seed``, which training never touches, so a standalone call
-    builds exactly the store that :func:`train` builds.  When a class keeps no
-    latent that ``decompose.usable_columns`` accepts (each is zero, as from
-    dead ReLUs, or overflows, as inputs far out of scale make it), the network
-    diverged and :class:`DivergenceError` names those classes and the epochs;
-    so it does when fewer latents than the class count plus one remain, too
-    few for the store's shared covariance.
+    builds exactly the store that :func:`train` builds.  When the rows that
+    ``build_store`` keeps (not a latent that is zero, overflows or lies off the
+    span) break ``scoring.check_store_rows``, the network diverged, and
+    :class:`DivergenceError` says so with the epoch count.
     """
     cache = forward(params, data.features)
     store_stream = derive_streams(config.seed).store
     split = split_features(cache.latent, data.num_classes, PI_ITERS, store_stream)
-    kept = np.bincount(data.noisy_labels[usable_columns(split.col_norms)], minlength=data.num_classes)
-    if (lost := np.flatnonzero(kept == 0)).size:
-        raise DivergenceError(
-            f"every training latent of class(es) {', '.join(map(str, lost))} is zero or "
-            f"overflows after {config.epochs} epoch(s)"
-        )
-    if (usable := int(kept.sum())) < data.num_classes + 1:
-        raise DivergenceError(
-            f"only {usable} training latent(s) are neither zero nor overflowing after "
-            f"{config.epochs} epoch(s); the store needs {data.num_classes + 1}"
-        )
-    return build_store(split.id_part, data.noisy_labels)
+    try:
+        return build_store(split.id_part, data.noisy_labels)
+    except ValueError as exc:
+        raise DivergenceError(f"the store built after {config.epochs} epoch(s): {exc}") from None

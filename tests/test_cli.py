@@ -409,32 +409,37 @@ class TestTrainCommand:
         # A NaN lambda trained as lambda 0 (exit 0) and an infinite lr exited 3.
         # A negative seed failed in NumPy with only "expected non-negative integer".
         # Zeroed class-2 rows and tiny features (latent norms at most 1e-12)
-        # leave the store a class without a usable latent: a failed run.
+        # leave the store a class without a row: a failed run.  A refusal of
+        # the data before epoch 0 names the --data file.
         config_path = tmp_path / "cfg.json"
         train_csv, scaled_csv = data_dir / "train.csv", _scaled_train_csv(data_dir, tmp_path / "scaled")
         dead_csv = _scaled_train_csv(data_dir, tmp_path / "dead", 0.0, 2)
         tiny_csv = _scaled_train_csv(data_dir, tmp_path / "tiny", 1e-14)
         # One row per class is one too few for the store; five rows with two
-        # zeroed leave every class a usable latent, but one too few again.
-        few_csv, sparse_csv = tmp_path / "few.csv", tmp_path / "sparse.csv"
+        # zeroed leave every class a row, but one too few again.  Labels that
+        # skip class 1 leave it without a row from the start.
+        few_csv, sparse_csv, gap_csv = tmp_path / "few.csv", tmp_path / "sparse.csv", tmp_path / "gap.csv"
         save_features_csv(LabeledSet(np.eye(3, 8), [0, 1, 2], [0, 1, 2], 3), few_csv)
+        save_features_csv(LabeledSet(np.eye(5, 8), [0, 2, 0, 2, 0], [0, 2, 0, 2, 0], 3), gap_csv)
         sparse = np.vstack([np.eye(3, 8), np.zeros((2, 8))])
         save_features_csv(LabeledSet(sparse, [0, 1, 2, 0, 1], [0, 1, 2, 0, 1], 3), sparse_csv)
-        store_failure = "error: every training latent of class(es) {} is zero or overflows after 0 epoch(s)"
+        store_failure = "error: the store built after 0 epoch(s): {}"
         for data, doc, code, message in (
             (train_csv, {"t_diag_init": "fast"}, 2, "t_diag_init must be a number, got 'fast'"),
             (train_csv, {"widths": [16, 8.0]}, 2, "widths must be a list of integers"),
-            (train_csv, {"widths": [16, 2]}, 2, "subspace rank 3 (the class count) exceeds the latent width 2"),
+            (train_csv, {"widths": [16, 2]}, 2,
+             f"error: {train_csv}: subspace rank 3 (the class count) exceeds the latent width 2"),
+            (train_csv, {"t_diag_init": 0.25}, 2, f"error: {train_csv}: t_diag_init must be in (1/3, 1), got 0.25"),
             (train_csv, {"lambda": float("nan")}, 2, "invalid config: lambda must be a finite number, got nan"),
             (train_csv, {"t_diag_init": float("inf")}, 2,
              "invalid config: t_diag_init must be a finite number, got inf"),
             (train_csv, {"seed": -1}, 2, "invalid config: seed must be >= 0, got -1"),
             (scaled_csv, {"epochs": 3}, 3, "error: every training latent is zero or overflows in epoch 0"),
-            (dead_csv, {"epochs": 0}, 3, store_failure.format("2")),
-            (tiny_csv, {"epochs": 0}, 3, store_failure.format("0, 1, 2")),
-            (few_csv, {}, 2, "error: need at least 4 training samples for 3 classes, got 3"),
-            (sparse_csv, {"epochs": 0}, 3,
-             "error: only 3 training latent(s) are neither zero nor overflowing after 0 epoch(s); the store needs 4"),
+            (dead_csv, {"epochs": 0}, 3, store_failure.format("no row for class(es) 2")),
+            (tiny_csv, {"epochs": 0}, 3, store_failure.format("no row for class(es) 0, 1, 2")),
+            (gap_csv, {}, 2, f"error: {gap_csv}: no row for class(es) 1"),
+            (few_csv, {}, 2, f"error: {few_csv}: need at least 4 rows for 3 classes, got 3"),
+            (sparse_csv, {"epochs": 0}, 3, store_failure.format("need at least 4 rows for 3 classes, got 3")),
         ):
             config_path.write_text(json.dumps(doc))
             out = tmp_path / "out"
@@ -659,6 +664,20 @@ class TestEvalCommand:
         assert "OOD files share a report name: ood_far_cluster" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_an_ood_file_named_average_exits_2_before_any_write(self, tmp_path, data_dir, run_dir, capsys):
+        # Its report row and the summary's average row were both "average",
+        # told apart only by their order.
+        average = tmp_path / "average.csv"
+        shutil.copy(data_dir / "ood_far_cluster.csv", average)
+        out = tmp_path / "eval"
+        command = (
+            f"eval --checkpoint {run_dir}/checkpoint.json --id-test "
+            f"{data_dir}/test_id.csv --ood {data_dir}/ood_far_cluster.csv --ood {average} --out {out}"
+        )
+        assert main(command.split()) == 2
+        assert capsys.readouterr().err == "error: OOD files name a report 'average', the name of the average row\n"
+        assert not out.exists()
+
     def _eval_exits_2_naming_both(self, run, data_dir, out, capsys):
         # The store eval reads is the store.npy beside the checkpoint.
         command = (
@@ -759,7 +778,7 @@ class TestEvalCommand:
             ("unconfigured", "checkpoint.json", unconfigured, "meta has no integer config.seed"),
             ("number_meta", "checkpoint.json", checkpoint_edit(lambda doc: doc.update(meta=5)),
              "meta is not a JSON object"),
-            ("gap", "store.npy", gap, "class 1 has no samples"),
+            ("gap", "store.npy", gap, "no row for class(es) 1"),
             ("negative", "store.npy", negative, "labels must be nonnegative"),
             ("off_sphere", "store.npy", off_sphere, "store embeddings must have unit norm"),
             ("short_head_bias", "checkpoint.json", checkpoint_edit(lambda doc: doc.update(head_bias=[0.5])),
@@ -1277,7 +1296,7 @@ class TestExperiment:
 
     def test_a_class_without_a_usable_latent_is_recorded_as_divergence_error(self, tmp_path, data_dir, capsys):
         # The cell failed in training, not on bad input: not the store's
-        # "ValueError: class 2 has no samples".
+        # "ValueError: no row for class(es) 2".
         spec_path, spec = _experiment_spec(tmp_path)
         del spec["noise"]
         spec["train"]["epochs"] = 0
@@ -1290,8 +1309,25 @@ class TestExperiment:
         assert main(["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 0
         assert "2 cell(s) failed" in capsys.readouterr().err
         doc = json.loads((tmp_path / "out" / "comparison.json").read_text())
-        message = "DivergenceError: every training latent of class(es) 2 is zero or overflows after 0 epoch(s)"
+        message = "DivergenceError: the store built after 0 epoch(s): no row for class(es) 2"
         assert [doc["methods"][name]["failures"]["0"] for name in ("noodle", "ce")] == [message] * 2
+
+    def test_an_ood_csv_named_average_exits_2_before_any_write(self, tmp_path, data_dir, capsys):
+        average = tmp_path / "average.csv"
+        shutil.copy(data_dir / "ood_far_cluster.csv", average)
+        spec_path, spec = _experiment_spec(tmp_path)
+        del spec["noise"]
+        spec["dataset"] = {
+            "train_csv": str(data_dir / "train.csv"),
+            "id_test_csv": str(data_dir / "test_id.csv"),
+            "ood_csvs": [str(average)],
+        }
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert main(["experiment", "--spec", str(spec_path), "--out", str(out)]) == 2
+        message = f"error: {spec_path}: ood_csvs name a report 'average', the name of the average row\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
     def test_spec_validation(self, tmp_path):
         # The runner plans the spec before it writes anything, and every

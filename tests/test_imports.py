@@ -13,8 +13,11 @@ latents the unit sphere can hold: ``decompose.usable_columns``, a finite norm
 above ``NORM_EPS`` (outside ``decompose.py`` no module compares with
 ``np.inf`` or calls ``np.isfinite`` on norms, and only ``losses.py`` reads
 ``NORM_EPS``), only ``files.py`` calls ``np.save``, ``np.load``,
-``np.loadtxt``, ``json.dump`` or ``json.load``, and only ``files.py`` spells
-the data table's ``noisy_label`` column."""
+``np.loadtxt``, ``json.dump`` or ``json.load``, only ``files.py`` spells
+the data table's ``noisy_label`` column, only ``scoring.py`` (the home of
+the store's row rules, ``check_store_rows``) calls ``np.bincount``, and only
+``losses.py`` (the home of the transition prior's range,
+``init_near_identity``) spells ``1.0 / num_classes``."""
 
 from __future__ import annotations
 
@@ -299,5 +302,27 @@ def test_only_files_spells_the_data_table_schema():
         if path.name != "files.py"
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
         if re.search(r"\bnoisy_label\b", line)
+    ]
+    assert found == []
+
+
+def test_one_home_for_the_store_row_rules_and_the_prior_range():
+    # `scoring.check_store_rows` states the store's two row rules and
+    # `losses.init_near_identity` the prior's range (1/K, 1).  The row rules
+    # were once written out six times, each with its own `bincount`, and one
+    # copy judged the raw latents instead of the rows the store keeps.
+    def restates(node, path):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "bincount":
+            return path.name != "scoring.py"
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            right = getattr(node.right, "id", None) or getattr(node.right, "attr", None)
+            return getattr(node.left, "value", None) == 1 and right == "num_classes" and path.name != "losses.py"
+        return False
+
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src/noodle").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if restates(node, path)
     ]
     assert found == []

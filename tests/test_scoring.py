@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 from noodle import scoring
 from noodle.decompose import normalize_columns, split_features, usable_columns
 from noodle.files import array_checksum
+from noodle.losses import cross_entropy
 from noodle.scoring import (
     COV_REG,
     DEFAULT_KNN_K,
@@ -113,11 +114,11 @@ class TestBuildStore:
         latents = np.random.default_rng(3).standard_normal((3, 4))
         latents[:, 3] = 0.0
         labels = np.array([0, 0, 0, 1])
-        with pytest.raises(ValueError, match="class 1"):
+        with pytest.raises(ValueError, match=r"^no row for class\(es\) 1$"):
             build_store(latents, labels)
 
     def test_too_few_samples(self):
-        with pytest.raises(ValueError, match="at least 3"):
+        with pytest.raises(ValueError, match=r"^need at least 3 rows for 2 classes, got 2$"):
             build_store(np.eye(2), np.array([0, 1]))
 
     def test_validation(self):
@@ -350,6 +351,25 @@ class TestOutputScores:
         for probs in ([0.5, 0.6], [-0.1, 1.1], [np.nan, 1.0]):
             with pytest.raises(ValueError):
                 _score("msp", None, probs)
+
+    @pytest.mark.parametrize(
+        "column, valid",
+        [([0.25, 0.75], True), ([0.25, 0.75 + 5e-6], False), ([0.25, 0.75 + 5e-5], False),
+         ([np.nan, 1.0], False), ([-0.25, 1.25], False)],
+    )
+    def test_msp_and_the_losses_agree_on_what_a_distribution_is(self, column, valid):
+        # One check, one tolerance: a column 5e-6 off was once a loss's
+        # distribution and not msp's.
+        probs = np.array(column).reshape(2, 1)
+        verdicts = []
+        for use in (lambda: _score("msp", None, column), lambda: cross_entropy(probs, np.array([1]))):
+            try:
+                use()
+                verdicts.append(True)
+            except ValueError as exc:
+                assert str(exc) == "probs columns must be valid distributions"
+                verdicts.append(False)
+        assert verdicts == [valid, valid]
 
     def test_energy_fixture(self):
         np.testing.assert_allclose(_score("energy", None, np.zeros(2)), math.log(2.0), rtol=1e-15)

@@ -13,7 +13,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from noodle.datagen import NoiseSpec, inject_symmetric_noise, make_gaussian_mixture
+from noodle.datagen import LabeledSet, NoiseSpec, inject_symmetric_noise, make_gaussian_mixture
 from noodle.losses import LOSS_KINDS
 from noodle.model import DivergenceError, forward, init_mlp
 from noodle.trainer import (
@@ -223,7 +223,7 @@ class TestTrainBasics:
         data.features = np.zeros_like(data.features)
         with pytest.raises(
             DivergenceError,
-            match=r"^every training latent of class\(es\) 0, 1, 2 is zero or overflows after 0 epoch\(s\)$",
+            match=r"^the store built after 0 epoch\(s\): no row for class\(es\) 0, 1, 2$",
         ):
             train(data, _toy_config(epochs=0))
 
@@ -232,12 +232,12 @@ class TestTrainBasics:
     )
     def test_the_store_names_each_class_left_without_a_usable_latent(self, scale, label, classes):
         # The rows of one label (or all rows) scaled: tiny latents (norm at
-        # most 1e-12) are as unusable as zero or overflowing ones, and a class
-        # with none left is a failed run, not a store problem.
+        # most 1e-12) keep no store row, as zero or overflowing ones keep none,
+        # and a class left without a row is a failed run, not a store problem.
         data = _toy_data()
         rows = slice(None) if label is None else data.noisy_labels == label
         data.features[rows] *= scale
-        message = rf"^every training latent of class\(es\) {classes} is zero or overflows after 0 epoch\(s\)$"
+        message = rf"^the store built after 0 epoch\(s\): no row for class\(es\) {classes}$"
         with pytest.raises(DivergenceError, match=message):
             train(data, _toy_config(epochs=0))
 
@@ -246,7 +246,7 @@ class TestTrainBasics:
         # like a lost class, a failed run and not a store problem.
         data = _toy_data(classes=4, per_class=2)
         data.features[[1, 3, 5, 7]] = 0.0
-        message = r"^only 4 training latent\(s\) are neither zero nor overflowing after 0 epoch\(s\); the store needs 5$"
+        message = r"^the store built after 0 epoch\(s\): need at least 5 rows for 4 classes, got 4$"
         with pytest.raises(DivergenceError, match=message):
             train(data, _toy_config(epochs=0))
 
@@ -273,11 +273,12 @@ class TestTrainBasics:
             train(_toy_data(), _toy_config())
 
     def test_empty_training_set_rejected(self):
+        # No row at all breaks the store's first row rule for every class.
         data = _toy_data()
         data.features = data.features[:0]
         data.clean_labels = data.clean_labels[:0]
         data.noisy_labels = data.noisy_labels[:0]
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match=r"^no row for class\(es\) 0, 1, 2$"):
             train(data, _toy_config())
 
     def test_class_without_training_labels_rejected_before_training(self, monkeypatch):
@@ -291,7 +292,7 @@ class TestTrainBasics:
             raise AssertionError("training started")
 
         monkeypatch.setattr(noodle.trainer, "forward", no_forward)
-        with pytest.raises(ValueError, match=r"no training labels for class\(es\) 2$"):
+        with pytest.raises(ValueError, match=r"^no row for class\(es\) 2$"):
             train(data, _toy_config())
 
     def test_fewer_samples_than_the_store_needs_rejected_before_training(self, monkeypatch):
@@ -304,7 +305,7 @@ class TestTrainBasics:
             raise AssertionError("training started")
 
         monkeypatch.setattr(noodle.trainer, "forward", no_forward)
-        with pytest.raises(ValueError, match=r"^need at least 5 training samples for 4 classes, got 4$"):
+        with pytest.raises(ValueError, match=r"^need at least 5 rows for 4 classes, got 4$"):
             train(data, _toy_config())
 
     def test_rank_above_the_latent_width_rejected_before_training(self, monkeypatch):
@@ -319,10 +320,16 @@ class TestTrainBasics:
         with pytest.raises(ValueError, match=r"rank 4 \(the class count\) exceeds the latent width 3$"):
             train(_toy_data(classes=4), _toy_config(widths=(16, 3)))
 
-    def test_t_diag_init_must_beat_chance(self):
-        data = _toy_data(classes=4)
-        with pytest.raises(ValueError, match="t_diag_init"):
-            train(data, _toy_config(t_diag_init=0.25))
+    def test_t_diag_init_must_beat_chance(self, monkeypatch):
+        # `losses.init_near_identity` states the prior's range, 1/K to 1.
+        import noodle.trainer
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(noodle.trainer, "forward", no_forward)
+        with pytest.raises(ValueError, match=r"^t_diag_init must be in \(1/4, 1\), got 0.25$"):
+            train(_toy_data(classes=4), _toy_config(t_diag_init=0.25))
 
 
 class TestReferenceEquivalence:
@@ -423,8 +430,22 @@ class TestReferenceStore:
         params = init_mlp(data.dim, data.num_classes, np.random.default_rng(0), config.widths)
         params.weights[-1][:] = 0.0
         with pytest.raises(
-            DivergenceError, match=r"^every training latent of class\(es\) 0, 1, 2 is zero or overflows after 3 epoch"
+            DivergenceError, match=r"^the store built after 3 epoch\(s\): no row for class\(es\) 0, 1, 2$"
         ):
+            extract_reference_store(params, data, config)
+
+    def test_a_class_whose_latents_lie_off_the_span_raises_divergence_error(self):
+        # Unit latents, none zero or overflowing: 20 + 20 of class 0 on e0 and
+        # e1 span the rank-2 subspace, and class 1's one latent, on e2, keeps
+        # no in-span part and so no store row.  Judging raw latent norms, as
+        # a precheck once did, let build_store's bare ValueError through.
+        features = np.repeat(np.eye(3), [20, 20, 1], axis=0)
+        labels = np.repeat([0, 1], [40, 1])
+        data = LabeledSet(features, labels, labels, 2)
+        config = _toy_config(widths=(3,))
+        params = init_mlp(3, 2, np.random.default_rng(0), config.widths)
+        params.weights[0][:] = np.eye(3)
+        with pytest.raises(DivergenceError, match=r"^the store built after 3 epoch\(s\): no row for class\(es\) 1$"):
             extract_reference_store(params, data, config)
 
     def test_store_uses_noisy_labels(self):
