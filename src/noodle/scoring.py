@@ -7,16 +7,15 @@ embeddings; Mahalanobis, max-softmax, and energy scores are provided as
 baselines.  Neighbor search is exact: scores equal a brute-force full sort.
 
 The store's class means and shared precision are a pure function of its unit
-rows and labels.  They are derived from those rows when the store is built
-and again when it is loaded, so a saved store is one ``.npy`` file of its rows
-and labels.  The checkpoint trained with a store records its checksum (see
-``cli.run_eval``).
+rows and labels.  ``EmbeddingStore`` derives them whenever a store is built
+or loaded, so a saved store is one ``.npy`` file of its rows and labels.  The
+checkpoint trained with a store records its checksum (see ``cli.run_eval``).
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -68,18 +67,41 @@ class EvalSpec:
 
 @dataclass
 class EmbeddingStore:
-    """Immutable bundle of normalized ID reference embeddings and the
-    statistics needed by the distance scores; its rows must have unit norm."""
+    """The reference store of a ``num_classes``-class run: unit ``embeddings`` rows,
+    their ``labels`` and the statistics the distance scores read.  Built only when
+    every label lies in ``[0, num_classes)``, the rows meet :func:`check_store_rows`
+    and each has unit norm, it derives the class means and the shared precision: the
+    pooled within-class covariance ``S`` inverted as ``S + COV_REG * (tr S / latent_dim)
+    * I`` (a scale-free ridge; ``COV_REG`` if that is below the smallest normal float,
+    whose inverse would overflow), symmetrized."""
 
     embeddings: np.ndarray        # (n, latent_dim), unit rows
-    labels: np.ndarray            # (n,)
-    class_means: np.ndarray       # (num_classes, latent_dim), means of unit rows
-    shared_precision: np.ndarray  # (latent_dim, latent_dim)
+    labels: np.ndarray            # (n,) in [0, num_classes)
+    num_classes: InitVar[int]
+    class_means: np.ndarray = field(init=False)       # (num_classes, latent_dim), means of unit rows
+    shared_precision: np.ndarray = field(init=False)  # (latent_dim, latent_dim)
 
-    def __post_init__(self) -> None:
-        norms = np.linalg.norm(self.embeddings, axis=1)
-        if not np.allclose(norms, 1.0, atol=1e-9):
+    def __post_init__(self, num_classes: int) -> None:
+        if (self.labels < 0).any():
+            raise ValueError("labels must be nonnegative")
+        if (self.labels >= num_classes).any():
+            raise ValueError(f"labels must be below the class count {num_classes}, got {self.labels.max()}")
+        check_store_rows(self.labels, num_classes)
+        if not np.allclose(np.linalg.norm(self.embeddings, axis=1), 1.0, atol=1e-9):
             raise ValueError("store embeddings must have unit norm")
+        n, dim = self.embeddings.shape
+        self.class_means = np.empty((num_classes, dim))
+        for c in range(num_classes):
+            self.class_means[c] = self.embeddings[self.labels == c].mean(axis=0)
+
+        centered = self.embeddings - self.class_means[self.labels]
+        cov = (centered.T @ centered) / n
+        ridge = COV_REG * (float(np.trace(cov)) / dim)
+        if ridge < np.finfo(float).tiny:
+            ridge = COV_REG
+        precision = np.linalg.inv(cov + ridge * np.eye(dim))
+        # Symmetrize away inversion round-off so the precision is exactly symmetric.
+        self.shared_precision = (precision + precision.T) / 2.0
 
     def __len__(self) -> int:
         return self.embeddings.shape[0]
@@ -99,61 +121,31 @@ def check_store_rows(labels: np.ndarray, num_classes: int) -> None:
         raise ValueError(f"need at least {num_classes + 1} rows for {num_classes} classes, got {len(labels)}")
 
 
-def _statistics(
-    embeddings: np.ndarray, labels: np.ndarray, num_classes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The class means of the unit ``embeddings`` rows and the shared precision
-    of their pooled within-class covariance ``S``, inverted as
-    ``S + COV_REG * (tr S / latent_dim) * I`` (a scale-free ridge) and
-    symmetrized.  A ridge below the smallest normal float (a zero trace, or
-    one so small that the product underflows) is ``COV_REG`` instead, since
-    its inverse would overflow.  The rows must meet :func:`check_store_rows`."""
-    if (labels < 0).any():
-        raise ValueError("labels must be nonnegative")
-    check_store_rows(labels, num_classes)
-    n, dim = embeddings.shape
-    class_means = np.empty((num_classes, dim))
-    for c in range(num_classes):
-        class_means[c] = embeddings[labels == c].mean(axis=0)
-
-    centered = embeddings - class_means[labels]
-    cov = (centered.T @ centered) / n
-    ridge = COV_REG * (float(np.trace(cov)) / dim)
-    if ridge < np.finfo(float).tiny:
-        ridge = COV_REG
-    precision = np.linalg.inv(cov + ridge * np.eye(dim))
-    # Symmetrize away inversion round-off so the precision is exactly symmetric.
-    return class_means, (precision + precision.T) / 2.0
-
-
-def build_store(id_latents: np.ndarray, labels: np.ndarray) -> EmbeddingStore:
-    """Build the reference store from cleaned training latents.
+def build_store(id_latents: np.ndarray, labels: np.ndarray, num_classes: int) -> EmbeddingStore:
+    """Build the reference store of a ``num_classes``-class run from cleaned training latents.
 
     Args:
         id_latents: (latent_dim, n) matrix, one training sample per column
             (the in-subspace part of the training features).
-        labels: length-n integer labels; every class in [0, max+1) must occur.
+        labels: length-n integer labels in [0, num_classes).
+        num_classes: the run's class count K.
 
     Samples whose ``id_latents`` column has a norm at most ``NORM_EPS`` (as
     dead ReLU paths and latents off the split's span leave it) or one that
     overflows cannot live on the unit sphere (``decompose.usable_columns``) and
     are dropped, silently: ``n - len(store)`` counts them.  The remaining rows
-    must meet :func:`check_store_rows`.  The class means and shared precision
-    are derived from those rows, as :func:`load_store` derives them again from
-    the saved rows.
+    make the :class:`EmbeddingStore`.
 
     Raises:
-        ValueError: on a negative label, or remaining rows that break them.
+        ValueError: on remaining rows that :class:`EmbeddingStore` refuses.
     """
     id_latents = np.asarray(id_latents, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
     if id_latents.ndim != 2 or labels.shape != (id_latents.shape[1],):
         raise ValueError("need (latent_dim, n) latents and n labels")
-    num_classes = int(labels.max()) + 1
     normalized, norms = normalize_columns(id_latents)
     alive = usable_columns(norms)
-    embeddings, labels = normalized.T[alive], labels[alive]
-    return EmbeddingStore(embeddings, labels, *_statistics(embeddings, labels, num_classes))
+    return EmbeddingStore(normalized.T[alive], labels[alive], num_classes)
 
 
 def _chunks(count: int, bytes_per_query: int):
@@ -225,8 +217,8 @@ def batch_scores(
         if units.shape[0] != store.latent_dim:
             raise ValueError(f"latents must have {store.latent_dim} rows, got {units.shape[0]}")
     if kind == "knn":
-        if k < 1 or len(store) == 0:
-            raise ValueError(f"need k >= 1 and a non-empty store, got k={k}, {len(store)} rows")
+        if k < 1:
+            raise ValueError(f"need k >= 1, got k={k}")
         return np.where(usable_columns(norms), _knn_scores(store.embeddings, units, k), ZERO_QUERY_SCORE)
     if kind == "mahalanobis":
         out = np.empty(units.shape[1])
@@ -289,11 +281,11 @@ def save_store(store: EmbeddingStore, base_path: str | os.PathLike) -> None:
 
 
 def load_store(base_path: str | os.PathLike) -> EmbeddingStore:
-    """Inverse of :func:`save_store`: the rows come from ``<base>.npy`` and the
-    statistics are derived from them as :func:`build_store` derives them."""
+    """Inverse of :func:`save_store`: the rows of ``<base>.npy``, whose class
+    count is their largest label plus one."""
     path = store_path(base_path)
     labels, embeddings = read_labeled_array(path)
     try:
-        return EmbeddingStore(embeddings, labels, *_statistics(embeddings, labels, int(labels.max()) + 1))
+        return EmbeddingStore(embeddings, labels, int(labels.max()) + 1)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

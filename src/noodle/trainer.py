@@ -240,10 +240,11 @@ def extract_reference_store(params: MlpParams, data: LabeledSet, config: TrainCo
     span) break ``scoring.check_store_rows``, the network diverged, and
     :class:`DivergenceError` says so with the epoch count.
     """
+    check_store_rows(data.noisy_labels, data.num_classes)
     cache = forward(params, data.features)
     store_stream = derive_streams(config.seed).store
     split = split_features(cache.latent, data.num_classes, PI_ITERS, store_stream)
     try:
-        return build_store(split.id_part, data.noisy_labels)
+        return build_store(split.id_part, data.noisy_labels, data.num_classes)
     except ValueError as exc:
         raise DivergenceError(f"the store built after {config.epochs} epoch(s): {exc}") from None

@@ -715,7 +715,7 @@ class TestEvalCommand:
         self, tmp_path, data_dir, run_dir, capsys
     ):
         latents = np.random.default_rng(0).standard_normal((8, 40)) + 0.5
-        save_store(build_store(latents, np.arange(40) % 4), tmp_path / "store")
+        save_store(build_store(latents, np.arange(40) % 4, 4), tmp_path / "store")
         shutil.copyfile(run_dir / "checkpoint.json", tmp_path / "checkpoint.json")
         self._eval_exits_2_naming_both(tmp_path, data_dir, tmp_path / "eval", capsys)
 

@@ -52,7 +52,7 @@ def _axis_store():
         ]
     )
     labels = np.array([0, 0, 1, 1, 1])
-    return build_store(latents, labels)
+    return build_store(latents, labels, 2)
 
 
 def _random_store(seed, dim=5, n=40, classes=3):
@@ -60,7 +60,7 @@ def _random_store(seed, dim=5, n=40, classes=3):
     latents = rng.standard_normal((dim, n)) + 0.3
     labels = rng.integers(0, classes, size=n)
     labels[:classes] = np.arange(classes)  # guarantee coverage
-    return build_store(latents, labels), rng
+    return build_store(latents, labels, classes), rng
 
 
 class TestBuildStore:
@@ -87,7 +87,7 @@ class TestBuildStore:
         # the within-class covariance is a positive subnormal and the scaled
         # ridge underflows to zero; the ridge is COV_REG, as for a zero trace.
         latents = np.array([[1.0, 1.0, 1.0, 1.0], [5.99566506e-161, 0.0, 0.0, 0.0]])
-        store = build_store(latents, np.zeros(4, dtype=int))
+        store = build_store(latents, np.zeros(4, dtype=int), 1)
         assert 0.0 < np.trace(np.cov(store.embeddings.T, bias=True)) < np.finfo(float).tiny
         oracle_cov = pooled_regularized_covariance(store.embeddings, store.labels, COV_REG)
         np.testing.assert_allclose(store.shared_precision, np.linalg.inv(oracle_cov), rtol=1e-12)
@@ -97,7 +97,7 @@ class TestBuildStore:
         latents = np.random.default_rng(2).standard_normal((3, 6))
         labels = np.array([0, 1, 0, 1, 0, 1])
         latents[:, 4] = 0.0
-        store = build_store(latents, labels)
+        store = build_store(latents, labels, 2)
         assert len(store) == 5
         np.testing.assert_array_equal(store.labels, [0, 1, 0, 1, 1])
 
@@ -106,7 +106,7 @@ class TestBuildStore:
         # inf; the suite turns a RuntimeWarning into a failure.
         latents = np.random.default_rng(4).standard_normal((2, 8))
         latents[:, 2:6] = [[1.0], [1.35e154]]
-        store = build_store(latents, np.arange(8) % 2)
+        store = build_store(latents, np.arange(8) % 2, 2)
         assert len(store) == 4
         np.testing.assert_array_equal(store.labels, [0, 1, 0, 1])
 
@@ -115,17 +115,58 @@ class TestBuildStore:
         latents[:, 3] = 0.0
         labels = np.array([0, 0, 0, 1])
         with pytest.raises(ValueError, match=r"^no row for class\(es\) 1$"):
-            build_store(latents, labels)
+            build_store(latents, labels, 2)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match=r"^need at least 3 rows for 2 classes, got 2$"):
-            build_store(np.eye(2), np.array([0, 1]))
+            build_store(np.eye(2), np.array([0, 1]), 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            build_store(np.eye(3), np.array([0, -1, 2]))
+            build_store(np.eye(3), np.array([0, -1, 2]), 3)
         with pytest.raises(ValueError):
-            build_store(np.eye(3), np.array([0, 1]))
+            build_store(np.eye(3), np.array([0, 1]), 2)
+
+    def test_labels_without_the_top_class_are_an_error(self):
+        # The class count is the caller's: guessed from the largest label, a
+        # 3-class run whose class 2 kept no row got a 2-class store.
+        latents = np.random.default_rng(5).standard_normal((3, 4))
+        with pytest.raises(ValueError, match=r"^no row for class\(es\) 2$"):
+            build_store(latents, np.array([0, 0, 1, 1]), 3)
+
+
+class TestEmbeddingStore:
+    """Every store is built by its constructor, which checks each rule."""
+
+    @staticmethod
+    def _rows(n, dim=3, seed=0):
+        return normalize_columns(np.random.default_rng(seed).standard_normal((dim, n)))[0].T
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([0, 1, 2, 3, 1], "labels must be below the class count 3, got 3"),
+            ([0, 1, -1, 2, 1], "labels must be nonnegative"),
+            ([0, 0, 2, 2, 0], "no row for class(es) 1"),
+            ([0, 1, 2], "need at least 4 rows for 3 classes, got 3"),
+        ],
+    )
+    def test_each_label_rule_is_named(self, labels, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EmbeddingStore(self._rows(len(labels)), np.array(labels), 3)
+
+    def test_a_row_off_the_unit_sphere_is_refused(self):
+        rows = self._rows(5)
+        rows[3] *= 1.5
+        with pytest.raises(ValueError, match=r"^store embeddings must have unit norm$"):
+            EmbeddingStore(rows, np.array([0, 1, 2, 0, 1]), 3)
+
+    def test_statistics_are_derived_from_the_rows(self):
+        rows, labels = self._rows(9, seed=1), np.arange(9) % 3
+        store = EmbeddingStore(rows, labels, 3)
+        np.testing.assert_array_equal(store.class_means[1], rows[labels == 1].mean(axis=0))
+        oracle_cov = pooled_regularized_covariance(rows, labels, COV_REG)
+        assert np.abs(store.shared_precision @ oracle_cov - np.eye(3)).max() <= 1e-10
 
 
 # Latent columns of each kind, as (kind, norm) draws: ordinary, zero, tiny
@@ -157,7 +198,7 @@ class TestUsableColumns:
         np.testing.assert_array_equal(usable_columns(recorded), usable)
         split = split_features(latents, 2, 3, rng)
         np.testing.assert_array_equal(usable_columns(split.col_norms), usable)
-        store = build_store(latents, labels)
+        store = build_store(latents, labels, 2)
         np.testing.assert_array_equal(store.embeddings, units.T[usable])
         np.testing.assert_array_equal(store.labels, labels[usable])
         scores = batch_scores("knn", store, latents, None, None, k=2)
@@ -182,7 +223,7 @@ class TestKnnScore:
         # Single class, every embedding at e0: the query -e0 sits at the
         # sphere diameter from all of them.
         store = build_store(
-            np.array([[2.0, 5.0], [0.0, 0.0], [0.0, 0.0]]), np.array([0, 0])
+            np.array([[2.0, 5.0], [0.0, 0.0], [0.0, 0.0]]), np.array([0, 0]), 1
         )
         score = _score("knn", store, [-1.0, 0.0, 0.0], k=1)
         np.testing.assert_allclose(score, -2.0, atol=1e-12)
@@ -241,9 +282,12 @@ class TestKnnScore:
         embeddings = np.ascontiguousarray(
             normalize_columns(np.hstack([np.ones((n, 1)), rows]).T)[0].T
         )
-        store = EmbeddingStore(
-            embeddings, np.zeros(n, dtype=np.int64), embeddings[:1], np.eye(dim + 1)
-        )
+        if n == 1:
+            # No store holds one row: a class mean and a covariance need two.
+            with pytest.raises(ValueError, match=r"^need at least 2 rows for 1 classes, got 1$"):
+                EmbeddingStore(embeddings, np.zeros(1, dtype=np.int64), 1)
+            return
+        store = EmbeddingStore(embeddings, np.zeros(n, dtype=np.int64), 1)
         k = draw.draw(st.integers(1, n + 25), label="k")
         kinds = ("row", "near", "zero", "free")
         pick = st.tuples(st.sampled_from(kinds), st.integers(0, n - 1))
@@ -273,7 +317,7 @@ class TestKnnScore:
         rng = np.random.default_rng(19)
         cluster = np.eye(8)[:, :1] + 1e-9 * rng.standard_normal((8, 60))
         latents = np.hstack([cluster, rng.standard_normal((8, 40))])
-        store = build_store(latents, np.arange(100) % 2)
+        store = build_store(latents, np.arange(100) % 2, 2)
         query = np.eye(8)[:, :1]
         for k in (1, 5, 30, 60, 70):
             expected = knn_full_sort(store.embeddings, query[:, 0], k)
@@ -306,13 +350,11 @@ class TestMahalanobisScore:
 
     def test_identity_precision_is_negated_squared_euclidean(self):
         store = _axis_store()
-        euclid = EmbeddingStore(
-            store.embeddings, store.labels, store.class_means, np.eye(3)
-        )
+        store.shared_precision = np.eye(3)
         q = np.array([1.0, 1.0, 0.0])
         unit = q / math.sqrt(2.0)
         expected = -min(float(((m - unit) ** 2).sum()) for m in store.class_means)
-        np.testing.assert_allclose(_score("mahalanobis", euclid, q), expected, rtol=1e-14)
+        np.testing.assert_allclose(_score("mahalanobis", store, q), expected, rtol=1e-14)
 
     def test_matches_direct_oracle(self):
         store, rng = _random_store(8)
@@ -461,7 +503,7 @@ class TestPersistence:
         # included: the statistics derived on load equal those of the build.
         n = rows.shape[0]
         latents = np.hstack([np.ones((n, 1)), rows / (1.0 + np.abs(rows).max())]).T
-        store = build_store(latents, np.arange(n) % classes)
+        store = build_store(latents, np.arange(n) % classes, classes)
         base = tmp_path_factory.mktemp("store")
         save_store(store, base / "a")
         loaded = load_store(base / "a")
@@ -483,7 +525,7 @@ class TestPersistence:
         n, dim = rows.shape
         latents = np.hstack([np.ones((dim, classes + 1)), rows.T])
         labels = np.concatenate([np.arange(classes + 1), np.arange(n)]) % classes
-        store = build_store(latents, labels)
+        store = build_store(latents, labels, classes)
         base = tmp_path_factory.mktemp("store")
         save_store(store, base / "s")
         loaded = load_store(base / "s")

@@ -448,6 +448,16 @@ class TestReferenceStore:
         with pytest.raises(DivergenceError, match=r"^the store built after 3 epoch\(s\): no row for class\(es\) 1$"):
             extract_reference_store(params, data, config)
 
+    def test_noisy_labels_without_the_top_class_are_an_input_error(self):
+        # Class 2's noisy labels moved to class 0: the store once took its class
+        # count from the largest label and returned 2 class means for a 3-class head.
+        data = _toy_data()
+        data.noisy_labels[data.noisy_labels == 2] = 0
+        config = _toy_config(epochs=0)
+        params = init_mlp(data.dim, data.num_classes, np.random.default_rng(0), config.widths)
+        with pytest.raises(ValueError, match=r"^no row for class\(es\) 2$"):
+            extract_reference_store(params, data, config)
+
     def test_store_uses_noisy_labels(self):
         data = _toy_data(seed=8, noise_rate=0.4)
         result = train(data, _toy_config(epochs=1))
