@@ -17,7 +17,11 @@ above ``NORM_EPS`` (outside ``decompose.py`` no module compares with
 the data table's ``noisy_label`` column, only ``scoring.py`` (the home of
 the store's row rules, ``check_store_rows``) calls ``np.bincount``, and only
 ``losses.py`` (the home of the transition prior's range,
-``init_near_identity``) spells ``1.0 / num_classes``."""
+``init_near_identity``) spells ``1.0 / num_classes``, and the store has one
+home: only ``scoring.py`` calls ``EmbeddingStore(``, every ``build_store``
+call in the package passes the class count, and only
+``datagen.load_features_csv`` and ``scoring.load_store`` derive a class count
+from a label maximum (``max(...) + 1``)."""
 
 from __future__ import annotations
 
@@ -324,5 +328,52 @@ def test_one_home_for_the_store_row_rules_and_the_prior_range():
         for path in sorted((ROOT / "src/noodle").rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if restates(node, path)
+    ]
+    assert found == []
+
+
+# The two readers of a file whose class count is not written in it.
+LABEL_MAX_READERS = {("datagen.py", "load_features_csv"), ("scoring.py", "load_store")}
+
+
+def store_home_breaches(path: Path) -> list[str]:
+    """Where ``path`` builds a store outside ``scoring.py``, calls ``build_store``
+    without the class count, or derives a class count from a label maximum."""
+    def name(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    def is_label_max(node):  # max(...) + 1, either way round
+        sides = (node.left, node.right)
+        return isinstance(node.op, ast.Add) and any(
+            getattr(one, "value", None) == 1
+            and any(isinstance(part, ast.Call) and name(part.func) == "max" for part in ast.walk(other))
+            for one, other in (sides, sides[::-1])
+        )
+
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if not isinstance(node, (ast.Call, ast.BinOp)):
+                continue
+            where = f"{path.name}:{node.lineno}"
+            if isinstance(node, ast.BinOp):
+                if is_label_max(node) and (path.name, getattr(top, "name", None)) not in LABEL_MAX_READERS:
+                    found.append(f"{where}: a class count from a label maximum")
+            elif name(node.func) == "EmbeddingStore" and path.name != "scoring.py":
+                found.append(f"{where}: builds an EmbeddingStore")
+            elif name(node.func) == "build_store" and len(node.args) + len(node.keywords) < 3:
+                found.append(f"{where}: build_store without the class count")
+    return found
+
+
+def test_the_store_has_one_home():
+    # `EmbeddingStore` checks every store rule and derives its statistics, and
+    # the class count comes from the run.  `build_store` once guessed it as the
+    # largest label plus one, so noisy labels without the top class gave a
+    # 3-class head a store of 2 class means.
+    found = [
+        breach
+        for path in sorted((ROOT / "src/noodle").rglob("*.py"))
+        for breach in store_home_breaches(path)
     ]
     assert found == []
