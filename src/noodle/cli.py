@@ -177,22 +177,37 @@ def evaluate(
     evaluation: EvalSpec,
     seed: int,
     config_hash: str,
+    id_source: str = "the ID set",
 ) -> list[ScoreReport]:
-    """One report per ``(name, features)`` OOD set, against the ID set's scores
-    under ``evaluation``'s score kind, ``k`` and TPR.
+    """One report per ``(source, features)`` OOD set, named by the stem of its
+    source, against the ID set's scores under ``evaluation``'s score kind,
+    ``k`` and TPR.
 
     The ID set is forwarded once; its accuracy is the argmax over the logits
     against the clean labels.  ``ood_sets`` is consumed lazily, so a generator
-    that loads each set keeps at most one OOD feature matrix alive."""
-    id_cache = forward(params, id_set.features)
-    id_acc = id_accuracy(np.argmax(id_cache.logits, axis=0), id_set.clean_labels)
+    that loads each set keeps at most one OOD feature matrix alive.  A set
+    that overflows the network scores below every ID query under ``knn`` and
+    ``mahalanobis``; under ``msp`` and ``energy``, whose scores need finite
+    logits, it is a ``ValueError`` naming its source (``id_source`` for the
+    ID set)."""
     score, k, tpr = evaluation.score, evaluation.k, evaluation.tpr
-    id_scores = batch_scores(score, store, id_cache.latent, id_cache.probs, id_cache.logits, k)
+
+    def scored(source, features):
+        # An overflow is judged by the score kind, so NumPy's warnings would only be noise.
+        with np.errstate(all="ignore"):
+            cache = forward(params, features)
+        if score in ("msp", "energy") and not np.isfinite(cache.logits).all():
+            raise ValueError(
+                f"{source}: the network overflows on it, so its logits are not finite and {score} cannot score it"
+            )
+        return cache.logits, batch_scores(score, store, cache.latent, cache.probs, cache.logits, k)
+
+    id_logits, id_scores = scored(id_source, id_set.features)
+    id_acc = id_accuracy(np.argmax(id_logits, axis=0), id_set.clean_labels)
     reports = []
-    for name, features in ood_sets:
-        cache = forward(params, features)
-        ood_scores = batch_scores(score, store, cache.latent, cache.probs, cache.logits, k)
-        reports.append(make_report(name, id_scores, ood_scores, id_acc, seed, config_hash, tpr))
+    for source, features in ood_sets:
+        _, ood_scores = scored(source, features)
+        reports.append(make_report(Path(source).stem, id_scores, ood_scores, id_acc, seed, config_hash, tpr))
     return reports
 
 
@@ -267,8 +282,8 @@ def run_eval(
             f"{id_test_path}: label {id_set.num_classes - 1}, but {checkpoint_path} "
             f"has {params.num_classes} classes"
         )
-    ood_sets = ((Path(p).stem, checked(p, load_ood_csv(p))) for p in ood_paths)
-    reports = evaluate(params, store, id_set, ood_sets, evaluation, seed, config_hash)
+    ood_sets = ((str(p), checked(p, load_ood_csv(p))) for p in ood_paths)
+    reports = evaluate(params, store, id_set, ood_sets, evaluation, seed, config_hash, str(id_test_path))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for report in reports:

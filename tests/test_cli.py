@@ -984,18 +984,39 @@ def test_readme_quickstart_prints_the_documented_numbers(quickstart_dir, capsys)
     assert sorted(path.name for path in out.iterdir()) == sorted(QUICKSTART_FILES)
 
 
-@pytest.mark.parametrize("score", ["knn", "mahalanobis"])
-@pytest.mark.parametrize("scale", [1e160, 1e300])
-def test_queries_the_sphere_cannot_hold_rank_below_every_id_query(tmp_path, quickstart_dir, score, scale):
+# A scale of None rescales the file so that its largest entry is 1.5e308.
+@pytest.mark.parametrize(
+    "scale, score",
+    [(scale, score) for scale in (1e160, 1e300, None) for score in ("knn", "mahalanobis")]
+    + [(None, "msp"), (None, "energy")],
+)
+def test_queries_the_sphere_cannot_hold_rank_below_every_id_query(tmp_path, quickstart_dir, capsys, scale, score):
     # Mahalanobis scored them at the origin, nearer the class means than
-    # real ID queries: AUROC 0.038 at both scales.
+    # real ID queries: AUROC 0.038 at both scales.  Entries up to 1.5e308 are
+    # finite, so the file is read, but they overflow the network: its NumPy
+    # warnings failed knn and mahalanobis (exit 1 under -W error), and msp and
+    # energy, which need finite logits, exited 2 without naming the file.
     out = quickstart_dir
     far = tmp_path / "ood_far.csv"
-    save_ood_csv(load_ood_csv(out / "ood_far_cluster.csv") * scale, far)
+    features = load_ood_csv(out / "ood_far_cluster.csv")
+    save_ood_csv(features * (scale or 1.5e308 / np.abs(features).max()), far)
     command = (
         f"eval --checkpoint {out}/checkpoint.json --id-test {out}/test_id.csv"
         f" --ood {far} --score {score} --out {tmp_path / 'eval'}"
     )
+    capsys.readouterr()
+    if score in ("msp", "energy"):
+        # An ID file that the network overflows on is named the same way; it is scored first.
+        id_set = load_features_csv(out / "test_id.csv")
+        id_set.features *= 1.5e308 / np.abs(id_set.features).max()
+        save_features_csv(id_set, tmp_path / "test_id.csv")
+        for id_test, at_fault in ((out / "test_id.csv", far), (tmp_path / "test_id.csv", tmp_path / "test_id.csv")):
+            assert main(command.replace(f"{out}/test_id.csv", str(id_test)).split()) == 2
+            assert capsys.readouterr().err == (
+                f"error: {at_fault}: the network overflows on it, so its logits are not finite and {score} cannot score it\n"
+            )
+        assert not (tmp_path / "eval").exists()
+        return
     assert main(command.split()) == 0
     assert read_json(tmp_path / "eval" / "report_ood_far.json")["metrics"]["auroc"] == 1.0
 
