@@ -534,8 +534,8 @@ def run_experiment(spec: dict, spec_file: str, out_dir: Path, threads: int) -> d
         row = {"method": name, "seeds": len(summaries), "failures": len(failures)}
         for key, out_key in (("fpr95", "fpr95"), ("auroc", "auroc"), ("id_accuracy", "id_acc")):
             values = np.array([s["average"][key] for s in summaries.values()])
-            row[f"{out_key}_mean"] = float(values.mean()) if summaries else float("nan")
-            row[f"{out_key}_std"] = float(values.std()) if summaries else float("nan")
+            row[f"{out_key}_mean"] = float(values.mean()) if summaries else None
+            row[f"{out_key}_std"] = float(values.std()) if summaries else None
         rows.append(row)
         by_method[name] = {
             "per_seed": {str(s): summary for s, summary in summaries.items()},
@@ -560,6 +560,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
     failures = sum(row["failures"] for row in comparison["rows"])
     for row in comparison["rows"]:
+        if not row["seeds"]:
+            print(f"{row['method']}: no seed succeeded ({row['failures']} failures)")
+            continue
         print(
             f"{row['method']}: fpr95={row['fpr95_mean']:.4f}±{row['fpr95_std']:.4f} "
             f"auroc={row['auroc_mean']:.4f}±{row['auroc_std']:.4f} "

@@ -2,8 +2,8 @@
 that ties files together.
 
 - JSON: UTF-8 with LF line endings, sorted keys, one-space indent, trailing
-  newline, shortest round-trip floats.  Checkpoints, traces and every
-  summary use it.
+  newline, shortest round-trip floats and no NaN or infinity, which JSON
+  cannot hold.  Checkpoints, traces and every summary use it.
 - Data table: a UTF-8 CSV with LF line endings under the header
   ``label,noisy_label,f0,...,f{d-1}``, one row per sample: its clean and its
   noisy integer label, then its ``d`` features printed as ``%.16e`` (17
@@ -47,8 +47,14 @@ def array_checksum(*arrays: np.ndarray) -> str:
 
 
 def write_json(path: str | os.PathLike, doc) -> None:
+    """Write ``doc`` as strict JSON, streamed to ``path``; a NaN or an infinity
+    in it, which JSON cannot hold, is a ValueError naming ``path`` that leaves no file."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+        try:
+            json.dump(doc, fh, sort_keys=True, indent=1, allow_nan=False)
+        except ValueError as exc:
+            os.remove(path)
+            raise ValueError(f"{path}: {exc}") from None
         fh.write("\n")
 
 

@@ -1292,11 +1292,22 @@ class TestExperiment:
         argv = ["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "out"), "--threads", "1"]
         code = main(argv)
         assert code == 0
-        assert "1 cell(s) failed" in capsys.readouterr().err
-        doc = json.loads((tmp_path / "out" / "comparison.json").read_text())
+        printed = capsys.readouterr()
+        assert "1 cell(s) failed" in printed.err
+        assert "bad: no seed succeeded (1 failures)" in printed.out.splitlines()
+
+        # A method without a successful seed has no mean or std: they are
+        # null, where they were once NaN, which strict JSON parsers refuse.
+        def refuse(token):
+            raise AssertionError(f"not JSON: {token}")
+
+        doc = json.loads((tmp_path / "out" / "comparison.json").read_text(), parse_constant=refuse)
         rows = {row["method"]: row for row in doc["rows"]}
         assert rows["good"]["failures"] == 0 and rows["good"]["seeds"] == 1
         assert rows["bad"]["failures"] == 1 and rows["bad"]["seeds"] == 0
+        statistics = [f"{key}_{stat}" for key in ("fpr95", "auroc", "id_acc") for stat in ("mean", "std")]
+        assert [rows["bad"][key] for key in statistics] == [None] * 6
+        assert all(isinstance(rows["good"][key], float) for key in statistics)
         assert doc["methods"]["bad"]["failures"]["0"] == "DivergenceError: loss diverged"
 
     def test_diverging_cell_is_recorded_as_divergence_error(self, tmp_path, data_dir, capsys):

@@ -336,7 +336,7 @@ def test_one_home_for_the_store_row_rules_and_the_prior_range():
 LABEL_MAX_READERS = {("datagen.py", "load_features_csv"), ("scoring.py", "load_store")}
 
 
-def store_home_breaches(path: Path) -> list[str]:
+def _store_home_breaches(path: Path) -> list[str]:
     """Where ``path`` builds a store outside ``scoring.py``, calls ``build_store``
     without the class count, or derives a class count from a label maximum."""
     def name(node):
@@ -374,6 +374,6 @@ def test_the_store_has_one_home():
     found = [
         breach
         for path in sorted((ROOT / "src/noodle").rglob("*.py"))
-        for breach in store_home_breaches(path)
+        for breach in _store_home_breaches(path)
     ]
     assert found == []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from noodle.files import read_json
+from noodle.files import read_json, write_json
 from noodle.metrics import (
     ScoreReport,
     auroc,
@@ -229,6 +230,16 @@ class TestReports:
         assert report.fpr95 == fpr_at_tpr(id_scores, ood_scores, 0.5)
         emit_report(report, tmp_path)
         assert read_json(tmp_path / "report_t.json")["tpr"] == 0.5
+
+
+def test_json_writer_refuses_nan_and_infinities(tmp_path):
+    # Python's json writes them as NaN and Infinity, tokens that strict JSON
+    # parsers refuse; the error names the file, and nothing is written.
+    path = tmp_path / "doc.json"
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: Out of range float values"):
+            write_json(path, {"rows": [{"auroc_mean": value}]})
+        assert not path.exists()
 
 
 def test_score_report_is_a_plain_dataclass():
