@@ -137,7 +137,9 @@ def build_store(id_latents: np.ndarray, labels: np.ndarray, num_classes: int) ->
     make the :class:`EmbeddingStore`.
 
     Raises:
-        ValueError: on remaining rows that :class:`EmbeddingStore` refuses.
+        ValueError: on latents and labels of mismatched shapes, a label
+            outside [0, num_classes), or remaining rows that break
+            :func:`check_store_rows` (a class that the drop empties).
     """
     id_latents = np.asarray(id_latents, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
@@ -282,7 +284,13 @@ def save_store(store: EmbeddingStore, base_path: str | os.PathLike) -> None:
 
 def load_store(base_path: str | os.PathLike) -> EmbeddingStore:
     """Inverse of :func:`save_store`: the rows of ``<base>.npy``, whose class
-    count is their largest label plus one."""
+    count is their largest label plus one, the run's class count for every
+    store that :class:`EmbeddingStore` admits, since each class has a row.
+
+    Raises:
+        ValueError: naming the file, when it is not a labeled array or its
+            rows break a rule of :class:`EmbeddingStore`.
+    """
     path = store_path(base_path)
     labels, embeddings = read_labeled_array(path)
     try:

@@ -235,10 +235,15 @@ def extract_reference_store(params: MlpParams, data: LabeledSet, config: TrainCo
     Labels stored are the (noisy) training labels; the clean ones are not
     available to the method.  The split draws from the store stream of
     ``config.seed``, which training never touches, so a standalone call
-    builds exactly the store that :func:`train` builds.  When the rows that
-    ``build_store`` keeps (not a latent that is zero, overflows or lies off the
-    span) break ``scoring.check_store_rows``, the network diverged, and
-    :class:`DivergenceError` says so with the epoch count.
+    builds exactly the store that :func:`train` builds.
+
+    Raises:
+        ValueError: before any forward pass, when the noisy labels break
+            ``scoring.check_store_rows`` for ``data.num_classes`` classes:
+            an input fault, such as a class that no label names.
+        DivergenceError: naming the epoch count, when the rows that
+            ``build_store`` keeps (not a latent that is zero, overflows or
+            lies off the span) break that rule: the network diverged.
     """
     check_store_rows(data.noisy_labels, data.num_classes)
     cache = forward(params, data.features)
